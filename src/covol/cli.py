@@ -18,13 +18,14 @@ import sys
 from .coalgebra import (
     PathIndex, TruncatedPathCoalgebra, coassociativity_ok,
     cover_projection_map, covering_coalgebra_iso, compose_maps,
-    is_homogeneous, is_identity_map, minimal_partition, rational_str,
+    is_homogeneous, is_identity_map, minimal_partition,
     smash_coalgebra, smash_projection_map, subcoalgebra_to_json,
     verify_coalgebra_map,
 )
 from .comodule import gradability_probe
 from .covering import (
-    covering_crosscheck, extract_relators, universal_grading_group,
+    _vector_label, covering_crosscheck, extract_relators,
+    universal_grading_group,
 )
 from .groups import FgAbelian, FiniteTable
 from .quiver import is_covering, is_galois_on_fiber, spanning_tree_pi1
@@ -37,10 +38,6 @@ from .workspace import Parser, WorkspaceError, parse
 
 class CommandError(ValueError):
     pass
-
-
-def _window(group, radius):
-    return window_ball(group, radius)
 
 
 def _weighting_of(ws, args):
@@ -62,7 +59,7 @@ def _pres_of(ws, args):
 def cmd_smash(ws, args):
     weighting = _weighting_of(ws, args)
     sq = smash_quiver(weighting.quiver, weighting,
-                      _window(weighting.group, args.window))
+                      window_ball(weighting.group, args.window))
     report = {
         "command": "smash",
         "vertices": sq.quiver.num_vertices(),
@@ -87,7 +84,7 @@ def cmd_smash(ws, args):
 def cmd_check_cover(ws, args):
     weighting = _weighting_of(ws, args)
     group = weighting.group
-    window = _window(group, args.window)
+    window = window_ball(group, args.window)
     sq = smash_quiver(weighting.quiver, weighting, window)
     report = {"command": "check-cover"}
     if isinstance(group, FiniteTable) or \
@@ -114,17 +111,8 @@ def cmd_homog(ws, args):
     ok, witness = is_homogeneous(basis, weighting, return_witness=True)
     report = {"command": "homog", "homogeneous": ok}
     if witness is not None:
-        report["witness"] = _label_vector(basis.pindex, witness)
+        report["witness"] = _vector_label(basis.pindex, witness)
     return report, None, 0
-
-
-def _label_vector(pindex, vec):
-    parts = []
-    for i in sorted(vec.support()):
-        c = vec[i]
-        txt = pindex.label(i)
-        parts.append(txt if c == 1 else "%s*%s" % (rational_str(c), txt))
-    return "+".join(parts)
 
 
 def cmd_minimal(ws, args):
@@ -137,7 +125,7 @@ def cmd_minimal(ws, args):
                 "source": pindex.quiver.vertices[pair[0]],
                 "target": pindex.quiver.vertices[pair[1]],
                 "paths": [pindex.label(i) for i in block],
-                "representative": _label_vector(pindex, rep) if rep else None,
+                "representative": _vector_label(pindex, rep) if rep else None,
             })
     report = {"command": "minimal", "blocks": blocks,
               "minimalElements": sum(1 for b in blocks if b["representative"])}
@@ -179,7 +167,7 @@ def cmd_cov_crosscheck(ws, args):
     basis = _basis_of(ws, args)
     weighting = _weighting_of(ws, args)
     pres = _pres_of(ws, args)
-    window = _window(weighting.group, args.window)
+    window = window_ball(weighting.group, args.window)
     report = covering_crosscheck(basis, weighting, pres, window)
     report = dict(report)
     report.pop("schema", None)
@@ -191,7 +179,7 @@ def cmd_csm_iso(ws, args):
     weighting = _weighting_of(ws, args)
     basis = _basis_of(ws, args)
     group = weighting.group
-    window = _window(group, args.window)
+    window = window_ball(group, args.window)
     sq = smash_quiver(weighting.quiver, weighting, window)
     cover = GaloisCoverData.from_smash(sq)
     cover_pindex = PathIndex(sq.quiver, basis.pindex.truncation)
@@ -272,7 +260,7 @@ def cmd_gradable(ws, args):
     radius = args.window
     if radius < rep.total_dim:
         radius = rep.total_dim
-    window = _window(weighting.group, radius)
+    window = window_ball(weighting.group, radius)
     result = gradability_probe(rep, weighting, window)
     report = {"command": "gradable", "verdict": result.verdict}
     if result.verdict == "gradable":

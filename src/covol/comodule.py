@@ -10,6 +10,7 @@ coacting basis element m_j.  This is exactly the convention that makes
 the smash-comodule structure map coassociative.
 """
 
+import math
 from fractions import Fraction
 
 from .coalgebra import CoalgebraError, coproduct_of_vector, apply_map
@@ -624,11 +625,8 @@ def _fraction_sqrt(x):
 
 
 def _int_sqrt(n):
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def _rational_eigenvalues(mat):

@@ -10,7 +10,7 @@ from .coalgebra import (
     PathIndex, SparseVector, is_homogeneous, minimal_elements, minimal_rows,
     rational_str, smash_coalgebra, smash_projection_map, verify_coalgebra_map,
 )
-from .exactlin import intersect_coordinates, rref
+from .exactlin import Subspace, finest_block_partition, intersect_coordinates, rref
 from .groups import FinitelyPresented, FreeGroup, abelianize, generates, power
 from .quiver import concat, walk_to_word
 from .voltage import ArrowWeighting, is_connected_weighting, smash_quiver, \
@@ -76,39 +76,52 @@ class CoalgebraCovering:
 
 def span_of_liftings(base, weighting, window, smash_q=None):
     """The span of all liftings of the paths and minimal elements of the
-    base subcoalgebra, cut into (source, target) components by
-    intersection.
+    base subcoalgebra, cut into its (source, target) components.
 
     Every RREF row with support of size >= 2 is a minimal element (any
     member supported inside a row's support is a multiple of that row),
     and lifting is linear on path coordinates, so lifting all rows and all
     member paths spans the same space as lifting all minimal elements.
     For a homogeneous base this coincides with the lifted subcoalgebra.
+
+    The span is the direct sum of its pieces on its finest block partition:
+    a block inside one pair joins it unchanged, and only a block straddling
+    pairs is intersected with each pair's coordinates.  Rows of disjoint
+    blocks are jointly reduced, so a pair's pieces sorted by pivot are its RREF.
     """
     if smash_q is None:
         smash_q = smash_quiver(base.pindex.quiver, weighting, window)
     cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
+    vectors = [SparseVector.unit(i) for i in base.all_path_symbols()]
+    vectors += [row for row in map(base.row_vector, base.symbols())
+                if len(row.support()) >= 2]
     generators = []
-    for i in base.all_path_symbols():
-        vec = SparseVector.unit(i)
+    for vec in vectors:
         for g in smash_q.window:
             lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
             if lifted is not None:
                 generators.append(lifted)
-    for sym in base.symbols():
-        row = base.row_vector(sym)
-        if len(row.support()) < 2:
-            continue  # single-path rows are already lifted above
-        for g in smash_q.window:
-            lifted = _lift_vector(smash_q, cover_pindex, base.pindex, row, g)
-            if lifted is not None:
-                generators.append(lifted)
     total = rref(generators)
-    spans = {}
-    for pair in sorted(cover_pindex.by_pair):
-        coords = set(cover_pindex.by_pair[pair])
-        spans[pair] = intersect_coordinates(total, coords)
-    spans = {k: v for k, v in spans.items() if v.dimension}
+    blocks = finest_block_partition(total)
+    block_of = {c: n for n, block in enumerate(blocks) for c in block}
+    block_rows = [[] for _ in blocks]
+    for row, p in zip(total.rows, total.pivots):
+        block_rows[block_of[p]].append(row)
+    pieces = {}  # pair -> rows of the block pieces inside its coordinates
+    for block, rows in zip(blocks, block_rows):
+        coords = {}
+        for c in block:
+            pair = (cover_pindex.source(c), cover_pindex.target(c))
+            coords.setdefault(pair, []).append(c)
+        if len(coords) == 1:
+            pieces.setdefault(next(iter(coords)), []).extend(rows)
+            continue
+        space = Subspace(rows, [row.leading() for row in rows])
+        for pair, cs in coords.items():
+            pieces.setdefault(pair, []).extend(intersect_coordinates(space, cs).rows)
+    spans = {pair: Subspace(sorted(rows, key=SparseVector.leading),
+                            sorted(row.leading() for row in rows))
+             for pair, rows in sorted(pieces.items()) if rows}
     return CoalgebraCovering(smash_q, base, cover_pindex, spans)
 
 

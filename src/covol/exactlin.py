@@ -9,6 +9,8 @@ anywhere: every equality test in this package is exact.
 
 from fractions import Fraction
 
+_ZERO = Fraction(0)
+
 
 class SparseVector:
     """Sparse vector over Q: a map coordinate index -> nonzero Fraction."""
@@ -27,6 +29,13 @@ class SparseVector:
     def unit(cls, index):
         return cls({index: 1})
 
+    @classmethod
+    def _wrap(cls, entries):
+        """Vector over an entry dict that holds no zeros, without copying."""
+        vec = cls()
+        vec.entries = entries
+        return vec
+
     def is_zero(self):
         return not self.entries
 
@@ -37,7 +46,7 @@ class SparseVector:
         return self.entries.items()
 
     def __getitem__(self, index):
-        return self.entries.get(index, Fraction(0))
+        return self.entries.get(index, _ZERO)
 
     def __eq__(self, other):
         return isinstance(other, SparseVector) and self.entries == other.entries
@@ -53,19 +62,14 @@ class SparseVector:
                 out[k] = s
             else:
                 out.pop(k, None)
-        vec = SparseVector()
-        vec.entries = out
-        return vec
+        return SparseVector._wrap(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c = Fraction(c)
-        vec = SparseVector()
-        if c:
-            vec.entries = {k: c * v for k, v in self.entries.items()}
-        return vec
+        return SparseVector._wrap({k: c * v for k, v in self.entries.items()} if c else {})
 
     def leading(self):
         """Smallest supported coordinate, or None for the zero vector."""
@@ -120,31 +124,38 @@ class Subspace:
         return "Subspace(dim=%d, pivots=%r)" % (self.dimension, self.pivots)
 
 
+def _axpy(target, c, source):
+    """target += c * source, in place on entry dicts, dropping zeros."""
+    for k, v in source.items():
+        s = target.get(k, 0) + c * v
+        if s:
+            target[k] = s
+        else:
+            del target[k]
+
+
 def rref(rows):
-    """Canonical RREF basis of the span of the given sparse vectors."""
-    work = [r for r in rows if not r.is_zero()]
-    pivot_rows = []
-    pivots = []
-    while work:
-        col = min(r.leading() for r in work)
-        idx = next(i for i, r in enumerate(work) if r.leading() == col)
-        row = work.pop(idx)
-        row = row.scale(Fraction(1) / row[col])
-        nxt = []
-        for r in work:
-            c = r[col]
-            r2 = r - row.scale(c) if c else r
-            if not r2.is_zero():
-                nxt.append(r2)
-        for i, (pr, p) in enumerate(zip(pivot_rows, pivots)):
-            c = pr[col]
-            if c:
-                pivot_rows[i] = pr - row.scale(c)
-        work = nxt
-        pivot_rows.append(row)
-        pivots.append(col)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return Subspace([pivot_rows[i] for i in order], [pivots[i] for i in order])
+    """Canonical RREF basis of the span of the given sparse vectors.
+
+    Invariant: the rows are fully reduced against every pivot.  A new row is
+    reduced by the pivots in its support, its leading coordinate becomes a
+    pivot, and it is back-substituted into the earlier rows."""
+    reduced = {}  # pivot column -> normalised row entries
+    for vec in rows:
+        entries = dict(vec.entries)
+        for p in [c for c in entries if c in reduced]:
+            _axpy(entries, -entries[p], reduced[p])
+        if entries:
+            col = min(entries)
+            inv = Fraction(1) / entries[col]
+            row = {k: v * inv for k, v in entries.items()}
+            for other in reduced.values():
+                c = other.get(col)
+                if c:
+                    _axpy(other, -c, row)
+            reduced[col] = row
+    pivots = sorted(reduced)
+    return Subspace([SparseVector._wrap(reduced[p]) for p in pivots], pivots)
 
 
 def intersect_coordinates(space, coords):

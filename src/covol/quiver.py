@@ -130,9 +130,6 @@ class Walk:
     def __len__(self):
         return len(self.steps)
 
-    def is_path(self):
-        return all(sign == 1 for _, sign in self.steps)
-
     def is_closed(self):
         return self.start == self.end
 
@@ -274,13 +271,6 @@ class QuiverMorphism:
 
     def fiber(self, vertex):
         return [v for v, img in enumerate(self.vertex_map) if img == vertex]
-
-    def arrow_fiber(self, arrow):
-        return [a for a, img in enumerate(self.arrow_map) if img == arrow]
-
-    def apply_walk(self, walk):
-        return Walk(self.codomain, self.vertex_map[walk.start],
-                    tuple((self.arrow_map[a], sign) for a, sign in walk.steps))
 
 
 def is_covering(morphism, require_connected=True):

@@ -468,3 +468,12 @@ def test_probe_unknown_for_unsupported_group():
     rep = kronecker_rep([[1]], [[1]], 1, 1)
     result = gradability_probe(rep, w, window_ball(free, 2))
     assert isinstance(result, Unknown)
+
+
+def test_int_sqrt_is_exact_on_large_integers():
+    from covol.comodule import _fraction_sqrt, _int_sqrt
+    big = 2 ** 60 + 12345
+    assert _int_sqrt(big * big) == big  # a float root misses this square
+    assert _int_sqrt(10 ** 400) == 10 ** 200  # a float root overflows here
+    assert _int_sqrt(big * big + 1) is None
+    assert _fraction_sqrt(Fraction(big * big, 10 ** 400)) == Fraction(big, 10 ** 200)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,13 +11,14 @@ from covol.covering import (
     span_of_liftings, universal_cover, universal_factor_map,
     universal_grading_group, word_image,
 )
+from covol.exactlin import finest_block_partition, intersect_coordinates, rref
 from covol.fixtures import (
     double_loop_fixture, kronecker_fixture, loop_fixture, sl2_fixture,
     tri_fixture,
 )
-from covol.groups import FgAbelian, FreeGroup
+from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.quiver import Quiver
-from covol.voltage import ArrowWeighting, window_ball
+from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
 Z = FgAbelian(1)
 
@@ -378,3 +380,100 @@ def test_change_of_tree_universal_groups_agree():
     m12, c12 = universal_factor_map(u1, u2.weighting, window_ball(u2.backend, 8))
     m21, c21 = universal_factor_map(u2, u1.weighting, window_ball(u1.backend, 8))
     assert c12 > 0 and c21 > 0
+
+
+def _s3():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteTable([[index[tuple(a[b[k]] for k in range(3))] for b in perms]
+                        for a in perms])
+
+
+def _global_lifted_spans(base, smash_q, cover_pindex):
+    """Reference formula: lift every path and every row from every fiber,
+    reduce all lifts into one RREF, and intersect it with each (source,
+    target) pair's coordinates.  Also returns how many blocks of the global
+    RREF straddle pairs."""
+    group = smash_q.group
+
+    def lift(vec, fiber):
+        out = {}
+        for i, c in vec.items():
+            src, _, arrows = base.pindex.paths[i]
+            if not arrows:
+                v = smash_q.vertex_of(src, fiber)
+                if v is None:
+                    return None
+                out[cover_pindex.vertex_path(v)] = c
+                continue
+            cur, lifted = fiber, []
+            for a in arrows:
+                ca = smash_q.arrow_of(a, cur)
+                if ca is None:
+                    return None
+                lifted.append(ca)
+                cur = group.multiply(smash_q.weighting.of(a), cur)
+            out[cover_pindex.path_of(tuple(lifted))] = c
+        return SparseVector(out)
+
+    vectors = [SparseVector.unit(i) for i in base.all_path_symbols()]
+    vectors += [base.row_vector(sym) for sym in base.symbols()]
+    lifts = [lift(vec, g) for vec in vectors for g in smash_q.window]
+    total = rref([v for v in lifts if v is not None])
+    spans = {}
+    for pair, coords in cover_pindex.by_pair.items():
+        space = intersect_coordinates(total, coords)
+        if space.dimension:
+            spans[pair] = space
+    straddling = sum(
+        len({(cover_pindex.source(c), cover_pindex.target(c)) for c in block}) > 1
+        for block in finest_block_partition(total))
+    return spans, straddling
+
+
+def test_span_of_liftings_matches_global_rref():
+    # the block-local spans equal the global RREF cut by intersection, on
+    # every group backend, homogeneous or not
+    z5, z2, f2, s3 = FgAbelian(0, (5,)), FgAbelian(2), FreeGroup(2), _s3()
+    f2_letters = [f2.identity(), f2.generator(0), f2.generator(1),
+                  f2.inverse(f2.generator(0)), f2.inverse(f2.generator(1))]
+    backends = [
+        (Z, lambda rng: zint(rng.randint(-1, 1)), 2),
+        (z5, lambda rng: z5.element(torsion=[rng.randrange(5)]), 0),
+        (s3, lambda rng: rng.randrange(6), 0),
+        (z2, lambda rng: z2.element(free=[rng.randint(0, 1), rng.randint(0, 1)]), 1),
+        (f2, lambda rng: rng.choice(f2_letters), 1),
+    ]
+    quivers = [
+        sl2_fixture(4).quiver,
+        tri_fixture("ac").quiver,
+        Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "u")]),
+    ]
+    rng = random.Random(1070)
+    straddling = inhomogeneous = checked = 0
+    for q in quivers:
+        pindex = PathIndex(q, 2)
+        for group, sample, radius in backends:
+            window = window_ball(group, radius)
+            for _ in range(3):
+                w = ArrowWeighting(q, group, {a: sample(rng)
+                                              for a in range(q.num_arrows())})
+                gens = []
+                for _ in range(2):  # combinations of 2-3 parallel paths
+                    pair = rng.choice(sorted(pindex.by_pair))
+                    same = [i for i in pindex.by_pair[pair] if pindex.length(i)]
+                    support = rng.sample(same, min(len(same), rng.randint(2, 3)))
+                    gens.append(SparseVector({i: rng.choice([1, 2, -1])
+                                              for i in support}))
+                basis = subcoalgebra_closure(pindex, gens)
+                sq = smash_quiver(q, w, window)
+                cov = span_of_liftings(basis, w, window, smash_q=sq)
+                want, blocks = _global_lifted_spans(basis, sq, cov.cover_pindex)
+                assert list(cov.lifted_spans) == sorted(want)
+                for pair, space in want.items():
+                    got = cov.lifted_spans[pair]
+                    assert got.rows == space.rows and got.pivots == space.pivots
+                straddling += blocks
+                inhomogeneous += not is_homogeneous(basis, w)
+                checked += 1
+    assert checked == 45 and inhomogeneous > 0 and straddling > 0

@@ -40,6 +40,46 @@ def test_rref_idempotent():
         assert again.rows == space.rows and again.pivots == space.pivots
 
 
+def dense_gauss_jordan(matrix, ncols):
+    """Oracle: textbook Gauss-Jordan on dense Fraction rows.  Returns the
+    nonzero reduced rows and their pivot columns."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+def test_rref_matches_dense_gauss_jordan():
+    rng = random.Random(1070)
+    values = [0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+    for trial in range(300):
+        ncols = rng.randint(1, 8)
+        rows = [[rng.choice(values) for _ in range(ncols)]
+                for _ in range(rng.randint(0, 7))]
+        rows += [[0] * ncols for _ in range(rng.randint(0, 2))]  # zero rows
+        if rows:  # duplicates and rational multiples of earlier rows
+            rows += [list(rng.choice(rows)) for _ in range(rng.randint(0, 2))]
+            rows += [[Fraction(-2, 3) * x for x in rng.choice(rows)]]
+        want_rows, want_pivots = dense_gauss_jordan(rows, ncols)
+        for _ in range(3):  # the result does not depend on row order
+            rng.shuffle(rows)
+            space = rref([vec(*r) for r in rows])
+            assert space.pivots == want_pivots, trial
+            assert [dense(r, ncols) for r in space.rows] == want_rows, trial
+            assert all(v for r in space.rows for _, v in r.items())
+
+
 def test_member():
     space = rref([vec(1, 0, -1), vec(0, 1, 1)])
     assert space.member(vec(1, 1, 0))  # (1,1,0) = (1,0,-1) + (0,1,1)
