@@ -20,13 +20,10 @@ from .coalgebra import (
     cover_projection_map, covering_coalgebra_iso, compose_maps,
     is_homogeneous, is_identity_map, minimal_partition,
     smash_coalgebra, smash_projection_map, subcoalgebra_to_json,
-    verify_coalgebra_map,
+    vector_label, verify_coalgebra_map,
 )
 from .comodule import gradability_probe
-from .covering import (
-    _vector_label, covering_crosscheck, extract_relators,
-    universal_grading_group,
-)
+from .covering import covering_crosscheck, extract_relators, universal_grading_group
 from .groups import FgAbelian, FiniteTable
 from .quiver import is_covering, is_galois_on_fiber, spanning_tree_pi1
 from .voltage import (
@@ -111,7 +108,7 @@ def cmd_homog(ws, args):
     ok, witness = is_homogeneous(basis, weighting, return_witness=True)
     report = {"command": "homog", "homogeneous": ok}
     if witness is not None:
-        report["witness"] = _vector_label(basis.pindex, witness)
+        report["witness"] = vector_label(basis.pindex, witness)
     return report, None, 0
 
 
@@ -125,7 +122,7 @@ def cmd_minimal(ws, args):
                 "source": pindex.quiver.vertices[pair[0]],
                 "target": pindex.quiver.vertices[pair[1]],
                 "paths": [pindex.label(i) for i in block],
-                "representative": _vector_label(pindex, rep) if rep else None,
+                "representative": vector_label(pindex, rep) if rep else None,
             })
     report = {"command": "minimal", "blocks": blocks,
               "minimalElements": sum(1 for b in blocks if b["representative"])}

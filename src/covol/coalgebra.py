@@ -13,10 +13,13 @@ window boundary.
 
 from fractions import Fraction
 
-from .exactlin import SparseVector, rref, intersect_coordinates, \
-    finest_block_partition
+from .exactlin import SparseVector, Subspace, _Echelon, \
+    intersect_coordinates, finest_block_partition
 from .quiver import QuiverError, Walk, lift_walk
 from .voltage import path_weight, twist_weighting, weighting_from_lifting
+
+
+_ONE = Fraction(1)
 
 
 class CoalgebraError(ValueError):
@@ -159,7 +162,7 @@ class TruncatedPathCoalgebra:
         return list(range(len(self.pindex)))
 
     def coproduct(self, sym):
-        return [(Fraction(1), l, r) for l, r in delta_terms(self.pindex, sym)], False
+        return [(_ONE, l, r) for l, r in delta_terms(self.pindex, sym)], False
 
     def counit(self, sym):
         return Fraction(1 if self.pindex.length(sym) == 0 else 0)
@@ -184,8 +187,10 @@ class SubcoalgebraBasis:
         self.pindex = pindex
         self.spaces = {k: v for k, v in spaces.items() if v.dimension}
         self.basis_rows = []
+        self._pivot_of = {}  # pivot path -> symbol
         for pair in sorted(self.spaces):
-            for k in range(self.spaces[pair].dimension):
+            for k, p in enumerate(self.spaces[pair].pivots):
+                self._pivot_of[p] = len(self.basis_rows)
                 self.basis_rows.append((pair, k))
         self._coproduct_cache = {}
 
@@ -204,50 +209,36 @@ class SubcoalgebraBasis:
         return self.basis_rows[sym][0]
 
     def label(self, sym):
-        vec = self.row_vector(sym)
-        parts = []
-        for i in sorted(vec.support()):
-            c = vec[i]
-            txt = self.pindex.label(i)
-            parts.append(txt if c == 1 else "%s*%s" % (c, txt))
-        return "+".join(parts)
+        return vector_label(self.pindex, self.row_vector(sym))
+
+    def _residual(self, vec):
+        """Residual of vec after reducing through the spaces of the endpoint
+        pairs in its support; pair spaces use disjoint coordinates."""
+        residual = vec
+        for pair in {(self.pindex.source(i), self.pindex.target(i)) for i in vec.entries}:
+            if pair in self.spaces:
+                residual = self.spaces[pair].reduce(residual)
+        return residual
 
     def member(self, vec):
-        residual = vec
-        for pair, space in self.spaces.items():
-            residual = space.reduce(residual)
-        return residual.is_zero()
+        return self._residual(vec).is_zero()
 
     def coordinates(self, vec):
-        """Coefficients in the global basis order, or None if not a member."""
-        coeffs = {}
-        residual = vec
-        for sym in range(self.dimension):
-            pair, k = self.basis_rows[sym]
-            space = self.spaces[pair]
-            c = residual[space.pivots[k]]
-            if c:
-                coeffs[sym] = c
-                residual = residual - space.rows[k].scale(c)
-        if residual.is_zero():
-            return coeffs
-        return None
+        """Coefficients in the global basis order, or None if not a member.
+        Rows are fully reduced, so a coefficient is vec's pivot entry."""
+        if not self._residual(vec).is_zero():
+            return None
+        pivot_of = self._pivot_of
+        return dict(sorted((pivot_of[p], c) for p, c in vec.items() if p in pivot_of))
 
     def coproduct(self, sym):
         if sym in self._coproduct_cache:
             return self._coproduct_cache[sym]
         matrix = delta_vector(self.pindex, self.row_vector(sym))
-        pivot_of = {}
-        for s in range(self.dimension):
-            pair, k = self.basis_rows[s]
-            pivot_of[self.spaces[pair].pivots[k]] = s
-        terms = []
+        pivot_of = self._pivot_of
+        terms = [(c, pivot_of[pl], pivot_of[pr]) for (pl, pr), c in matrix.items()
+                 if pl in pivot_of and pr in pivot_of]
         rebuilt = {}
-        for (pl, pr), c in matrix.items():
-            if pl in pivot_of and pr in pivot_of:
-                sl, sr = pivot_of[pl], pivot_of[pr]
-                coeff = c
-                terms.append((coeff, sl, sr))
         for coeff, sl, sr in terms:
             lvec, rvec = self.row_vector(sl), self.row_vector(sr)
             for i, a in lvec.items():
@@ -261,9 +252,8 @@ class SubcoalgebraBasis:
         if rebuilt != matrix:
             raise CoalgebraError("coproduct escapes the subcoalgebra at %r"
                                  % self.label(sym))
-        out = (terms, False)
-        self._coproduct_cache[sym] = out
-        return out
+        self._coproduct_cache[sym] = (terms, False)
+        return self._coproduct_cache[sym]
 
     def counit(self, sym):
         return counit_vector(self.pindex, self.row_vector(sym))
@@ -281,34 +271,35 @@ class SubcoalgebraBasis:
 def subcoalgebra_closure(pindex, generators):
     """Smallest admissible subcoalgebra containing the generators: adds all
     vertices and arrows, then closes under one-sided coproduct components
-    (rows and columns of the coproduct matrices) to a fixpoint."""
-    vectors = [SparseVector.unit(pindex.vertex_path(v))
-               for v in range(pindex.quiver.num_vertices())]
-    vectors += [SparseVector.unit(pindex.arrow_path(a))
-                for a in range(pindex.quiver.num_arrows())]
-    vectors += list(generators)
-    space = rref(vectors)
-    while True:
-        new_vectors = list(space.rows)
-        for row in space.rows:
-            matrix = delta_vector(pindex, row)
-            rows, cols = {}, {}
-            for (l, r), c in matrix.items():
-                rows.setdefault(l, {})[r] = c
-                cols.setdefault(r, {})[l] = c
-            for profile in list(rows.values()) + list(cols.values()):
-                new_vectors.append(SparseVector(profile))
-        bigger = rref(new_vectors)
-        if bigger.dimension == space.dimension:
-            break
-        space = bigger
+    (rows and columns of the coproduct matrices).
+
+    A worklist over one echelon: each vector is reduced once, and only a
+    row that enlarged the span has its components queued.  Components are
+    linear, so the rows added span a space closed under them."""
+    echelon = _Echelon()
+    work = [SparseVector.unit(pindex.vertex_path(v))
+            for v in range(pindex.quiver.num_vertices())]
+    work += [SparseVector.unit(pindex.arrow_path(a))
+             for a in range(pindex.quiver.num_arrows())]
+    work += list(generators)
+    while work:
+        row = echelon.add(work.pop())
+        if row is None:
+            continue
+        rows, cols = {}, {}
+        for (l, r), c in delta_vector(pindex, row).items():
+            rows.setdefault(l, {})[r] = c
+            cols.setdefault(r, {})[l] = c
+        work += map(SparseVector._wrap, rows.values())
+        work += map(SparseVector._wrap, cols.values())
     by_pair = {}
-    for row in space.rows:
+    for row in echelon.subspace().rows:  # pivot order, so each pair's rows are its RREF
         pair = endpoints(pindex, row)
         if pair is None:
             raise CoalgebraError("closure produced a mixed-endpoint element")
         by_pair.setdefault(pair, []).append(row)
-    sub = SubcoalgebraBasis(pindex, {p: rref(rs) for p, rs in by_pair.items()})
+    sub = SubcoalgebraBasis(pindex, {p: Subspace(rs, [min(r.entries) for r in rs])
+                                     for p, rs in by_pair.items()})
     for sym in sub.symbols():
         sub.coproduct(sym)  # raises if the span is not a subcoalgebra
     return sub
@@ -424,6 +415,7 @@ class SmashCoalgebra:
         self.window_pos = {g: i for i, g in enumerate(self.window)}
         self._symbols = [(c, g) for g in self.window for c in base.symbols()]
         self._symbol_pos = {s: i for i, s in enumerate(self._symbols)}
+        self._coproduct_cache = {}
 
     def symbols(self):
         return list(self._symbols)
@@ -432,18 +424,19 @@ class SmashCoalgebra:
         return sym in self._symbol_pos
 
     def coproduct(self, sym):
+        if sym in self._coproduct_cache:
+            return self._coproduct_cache[sym]
         c, g = sym
         terms = []
-        truncated = False
-        base_terms, base_truncated = self.base.coproduct(c)
-        truncated |= base_truncated
+        base_terms, truncated = self.base.coproduct(c)
         for coeff, c1, c2 in base_terms:
             shifted = self.group.multiply(self.weight_of(c2), g)
             if shifted in self.window_pos:
                 terms.append((coeff, (c1, shifted), (c2, g)))
             else:
                 truncated = True
-        return terms, truncated
+        self._coproduct_cache[sym] = (terms, truncated)
+        return self._coproduct_cache[sym]
 
     def counit(self, sym):
         return self.base.counit(sym[0])
@@ -473,8 +466,8 @@ def smash_coalgebra(basis, weighting, window):
 def smash_path_coalgebra(pindex, weighting, window):
     """Smash coproduct of the full truncated path coalgebra."""
     base = TruncatedPathCoalgebra(pindex)
-    return SmashCoalgebra(base, lambda i: pindex.weight(weighting, i),
-                          weighting.group, window)
+    weights = [pindex.weight(weighting, i) for i in range(len(pindex))]
+    return SmashCoalgebra(base, weights.__getitem__, weighting.group, window)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +500,11 @@ def compose_maps(second, first):
 
 def basis_map(pairs):
     """Linear map sending each symbol to a single symbol with coefficient 1."""
-    return {src: {dst: Fraction(1)} for src, dst in pairs}
+    return {src: {dst: _ONE} for src, dst in pairs}
 
 
 def is_identity_map(linmap):
-    return all(image == {sym: Fraction(1)} for sym, image in linmap.items())
+    return all(image == {sym: _ONE} for sym, image in linmap.items())
 
 
 def coproduct_of_vector(coalgebra, vec):
@@ -622,7 +615,7 @@ def coassociativity_ok(coalgebra, symbols=None):
             e = coalgebra.counit(r)
             if e:
                 rsum[l] = rsum.get(l, 0) + coeff * e
-        ident = {sym: Fraction(1)}
+        ident = {sym: _ONE}
         if {k: v for k, v in lsum.items() if v} != ident:
             return False, sym, checked
         if {k: v for k, v in rsum.items() if v} != ident:
@@ -773,6 +766,16 @@ def rational_str(c):
     c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else "%d/%d" % (
         c.numerator, c.denominator)
+
+
+def vector_label(pindex, vec):
+    """Display form of a path vector, e.g. "a.c+-1*b.c"; "0" when zero."""
+    parts = []
+    for i in sorted(vec.support()):
+        c = vec[i]
+        txt = pindex.label(i)
+        parts.append(txt if c == 1 else "%s*%s" % (rational_str(c), txt))
+    return "+".join(parts) if parts else "0"
 
 
 def subcoalgebra_to_json(basis):

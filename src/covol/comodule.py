@@ -710,8 +710,9 @@ def _gcd(a, b):
 
 
 def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    """Positive divisors of n >= 1 in ascending order, paired up to isqrt(n)."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def _witness_from_split(rep, weighting, group, degrees, blocks):

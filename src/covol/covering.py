@@ -8,7 +8,7 @@ covers.
 
 from .coalgebra import (
     PathIndex, SparseVector, is_homogeneous, minimal_elements, minimal_rows,
-    rational_str, smash_coalgebra, smash_projection_map, verify_coalgebra_map,
+    smash_coalgebra, smash_projection_map, vector_label, verify_coalgebra_map,
 )
 from .exactlin import Subspace, finest_block_partition, intersect_coordinates, rref
 from .groups import FinitelyPresented, FreeGroup, abelianize, generates, power
@@ -132,7 +132,7 @@ def build_lifted_subcoalgebra(base, weighting, window):
     ok, witness = is_homogeneous(base, weighting, return_witness=True)
     if not ok:
         raise CoveringError("base subcoalgebra is not homogeneous; witness %s"
-                            % _vector_label(base.pindex, witness))
+                            % vector_label(base.pindex, witness))
     smash_q = smash_quiver(base.pindex.quiver, weighting, window)
     cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
     spans = {}
@@ -155,15 +155,6 @@ def build_lifted_subcoalgebra(base, weighting, window):
     if not ok:
         raise CoveringError("projection failed to be a coalgebra map at %r" % (bad,))
     return cov
-
-
-def _vector_label(pindex, vec):
-    parts = []
-    for i in sorted(vec.support()):
-        c = vec[i]
-        txt = pindex.label(i)
-        parts.append(txt if c == 1 else "%s*%s" % (rational_str(c), txt))
-    return "+".join(parts) if parts else "0"
 
 
 def _is_minimal_in(space, vec):
@@ -243,7 +234,7 @@ def covering_crosscheck(base, weighting, pres, window):
         if not _rep_has_qualifying_fiber(cov, rep):
             raise CoveringError("window too small to certify the covering "
                                 "property for %s"
-                                % _vector_label(base.pindex, rep))
+                                % vector_label(base.pindex, rep))
     covering_ok, cov_witness = is_coalgebra_covering(cov)
     if homogeneous != covering_ok:
         raise CoveringError(
@@ -256,9 +247,9 @@ def covering_crosscheck(base, weighting, pres, window):
         "coveringOK": covering_ok,
     }
     if witness is not None:
-        report["witness"] = _vector_label(base.pindex, witness)
+        report["witness"] = vector_label(base.pindex, witness)
     elif cov_witness is not None:
-        report["witness"] = _vector_label(base.pindex, cov_witness[0])
+        report["witness"] = vector_label(base.pindex, cov_witness[0])
     return report
 
 

@@ -5,11 +5,16 @@ Sparse row vectors with Fraction entries, reduced row echelon bases as the
 canonical form of a subspace, Smith normal form with unimodular factors, and
 the finest coordinate-block decomposition of a subspace.  No floating point
 anywhere: every equality test in this package is exact.
+
+One kernel writes every subspace: the incremental echelon `_Echelon`, whose
+rows stay fully reduced after each `add`.  `rref`, `intersect_coordinates`
+and the coalgebra closure worklist read their subspaces off it.
 """
 
 from fractions import Fraction
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class SparseVector:
@@ -64,9 +69,6 @@ class SparseVector:
                 out.pop(k, None)
         return SparseVector._wrap(out)
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c):
         c = Fraction(c)
         return SparseVector._wrap({k: c * v for k, v in self.entries.items()} if c else {})
@@ -100,12 +102,12 @@ class Subspace:
 
     def reduce(self, vec):
         """Residual of vec after eliminating all pivot coordinates."""
-        out = vec
+        out = dict(vec.entries)
         for row, p in zip(self.rows, self.pivots):
-            c = out[p]
+            c = out.get(p)
             if c:
-                out = out - row.scale(c)
-        return out
+                _axpy(out, -c, row.entries)
+        return SparseVector._wrap(out)
 
     def member(self, vec):
         return self.reduce(vec).is_zero()
@@ -134,58 +136,64 @@ def _axpy(target, c, source):
             del target[k]
 
 
-def rref(rows):
-    """Canonical RREF basis of the span of the given sparse vectors.
+class _Echelon:
+    """Incremental reduced row echelon form: pivot column -> normalised row
+    entries, every row fully reduced against every other pivot.
 
-    Invariant: the rows are fully reduced against every pivot.  A new row is
-    reduced by the pivots in its support, its leading coordinate becomes a
-    pivot, and it is back-substituted into the earlier rows."""
-    reduced = {}  # pivot column -> normalised row entries
-    for vec in rows:
+    A row's pivot is its first column under `key` (natural order by
+    default).  Read the result with `subspace`; its rows share the entry
+    dicts, so read it after the last `add`."""
+
+    __slots__ = ("rows", "key")
+
+    def __init__(self, vectors=(), key=None):
+        self.rows = {}
+        self.key = key
+        for vec in vectors:
+            self.add(vec)
+
+    def add(self, vec):
+        """Reduce vec; return its new normalised row, which later adds may
+        change, or None when vec already lies in the span."""
+        reduced = self.rows
         entries = dict(vec.entries)
         for p in [c for c in entries if c in reduced]:
             _axpy(entries, -entries[p], reduced[p])
-        if entries:
-            col = min(entries)
-            inv = Fraction(1) / entries[col]
-            row = {k: v * inv for k, v in entries.items()}
-            for other in reduced.values():
-                c = other.get(col)
-                if c:
-                    _axpy(other, -c, row)
-            reduced[col] = row
-    pivots = sorted(reduced)
-    return Subspace([SparseVector._wrap(reduced[p]) for p in pivots], pivots)
+        if not entries:
+            return None
+        col = min(entries, key=self.key)
+        inv = _ONE / entries[col]
+        row = {k: v * inv for k, v in entries.items()}
+        for other in reduced.values():
+            c = other.get(col)
+            if c:
+                _axpy(other, -c, row)
+        reduced[col] = row
+        return SparseVector._wrap(row)
+
+    def subspace(self, cols=None):
+        """RREF Subspace of the rows whose pivot lies in cols (all rows by
+        default)."""
+        pivots = sorted(self.rows if cols is None else
+                        [p for p in self.rows if p in cols])
+        return Subspace([SparseVector._wrap(self.rows[p]) for p in pivots], pivots)
+
+
+def rref(rows):
+    """Canonical RREF basis of the span of the given sparse vectors."""
+    return _Echelon(rows).subspace()
 
 
 def intersect_coordinates(space, coords):
     """Intersection of a subspace with the span of the given coordinates.
 
-    Eliminates with complement coordinates first; the surviving rows
-    supported inside coords span the intersection exactly.
+    Echelonises once with every complement coordinate ordered before every
+    coordinate in coords.  A row whose pivot lies in coords is then
+    supported inside coords, and those rows span the intersection: a
+    member supported in coords has zero coefficient on every other row.
     """
     coords = set(coords)
-
-    def key(c):
-        return (1, c) if c in coords else (0, c)
-
-    work = list(space.rows)
-    done = []
-    while work:
-        col = min((min(r.support(), key=key) for r in work), key=key)
-        idx = next(i for i, r in enumerate(work) if min(r.support(), key=key) == col)
-        row = work.pop(idx)
-        row = row.scale(Fraction(1) / row[col])
-        nxt = []
-        for r in work:
-            c = r[col]
-            r2 = r - row.scale(c) if c else r
-            if not r2.is_zero():
-                nxt.append(r2)
-        work = nxt
-        done.append((col, row))
-    inside = [row for col, row in done if col in coords]
-    return rref(inside)
+    return _Echelon(space.rows, key=lambda c: (c in coords, c)).subspace(coords)
 
 
 def finest_block_partition(space):

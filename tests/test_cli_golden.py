@@ -1,0 +1,75 @@
+"""Byte-stability of the CLI reports.
+
+The stdout of `cov-crosscheck`, `smash`, `csm-iso`, `minimal` and
+`universal` on every shipped fixture, at CLI defaults, is compared byte for
+byte with the goldens in `tests/golden/`.  RREF is unique, so a change to
+the exact kernel must leave every report identical.  To re-record after a
+deliberate report change:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+from covol import cli
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_DIR = os.path.join(HERE, "golden")
+FIXTURE_DIR = os.path.join(os.path.dirname(cli.__file__), "fixtures")
+FIXTURES = sorted(name[:-4] for name in os.listdir(FIXTURE_DIR)
+                  if name.endswith(".cov"))
+COMMANDS = ["cov-crosscheck", "csm-iso", "minimal", "smash", "universal"]
+CASES = [(command, name) for command in COMMANDS for name in FIXTURES]
+
+
+def golden_path(command, name):
+    return os.path.join(GOLDEN_DIR, "%s.%s.out" % (name, command))
+
+
+def render(command, name):
+    """(exit code, stdout) of an in-process `covol <command> <fixture>`;
+    csm-iso's random liftings use the CLI's default seed."""
+    saved = os.environ.pop("COVOL_SEED", None)
+    buf = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(buf):
+            code = cli.main([command, os.path.join(FIXTURE_DIR, name + ".cov")])
+    finally:
+        if saved is not None:
+            os.environ["COVOL_SEED"] = saved
+    return code, buf.getvalue()
+
+
+def _load_codes():
+    with open(os.path.join(GOLDEN_DIR, "exit_codes.json"), encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("command,name", CASES)
+def test_cli_report_bytes_match_golden(command, name):
+    code, text = render(command, name)
+    with open(golden_path(command, name), "rb") as handle:
+        assert text.encode("utf-8") == handle.read()
+    assert code == _load_codes()["%s %s" % (command, name)]
+
+
+def record():
+    codes = {}
+    for command, name in CASES:
+        code, text = render(command, name)
+        with open(golden_path(command, name), "wb") as handle:
+            handle.write(text.encode("utf-8"))
+        codes["%s %s" % (command, name)] = code
+    with open(os.path.join(GOLDEN_DIR, "exit_codes.json"), "w", encoding="utf-8") as handle:
+        json.dump(codes, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print("recorded %d goldens in %s" % (len(codes), GOLDEN_DIR))
+
+
+if __name__ == "__main__":
+    record()

@@ -6,7 +6,8 @@ import pytest
 from covol.coalgebra import (
     CoalgebraError, PathIndex, SparseVector, SubcoalgebraBasis,
     TruncatedPathCoalgebra, coassociativity_ok, counit_vector,
-    cover_projection_map, covering_coalgebra_iso, delta_terms,
+    cover_projection_map, covering_coalgebra_iso, delta_terms, delta_vector,
+    endpoints, subcoalgebra_closure,
     is_homogeneous, is_identity_map, compose_maps,
     minimal_elements, minimal_partition, row_weight, smash_coalgebra,
     smash_path_coalgebra, smash_projection_map, smash_to_cover_paths,
@@ -17,7 +18,9 @@ from covol.fixtures import (
     all_fixtures, double_loop_fixture, kronecker_fixture, loop_fixture,
     sl2_fixture, tri_fixture,
 )
+from covol.exactlin import rref
 from covol.groups import FgAbelian
+from covol.quiver import Quiver
 from covol.voltage import (
     ArrowWeighting, GaloisCoverData, VertexWeighting, smash_quiver,
     window_ball,
@@ -97,6 +100,63 @@ def test_closure_rejects_escape():
     # generator needs a length-2 path, truncation 1 cannot hold it
     with pytest.raises(CoalgebraError):
         tri_fixture("ac", truncation=1)
+
+
+def _round_based_closure(pindex, generators):
+    """Reference: a round-based closure fixpoint that re-runs a full RREF
+    over every row and every row/column coproduct component each round,
+    then one RREF per endpoint pair.  Returns {pair: (rows, pivots)}."""
+    vectors = [SparseVector.unit(pindex.vertex_path(v))
+               for v in range(pindex.quiver.num_vertices())]
+    vectors += [SparseVector.unit(pindex.arrow_path(a))
+                for a in range(pindex.quiver.num_arrows())]
+    space = rref(vectors + list(generators))
+    while True:
+        new_vectors = list(space.rows)
+        for row in space.rows:
+            rows, cols = {}, {}
+            for (l, r), c in delta_vector(pindex, row).items():
+                rows.setdefault(l, {})[r] = c
+                cols.setdefault(r, {})[l] = c
+            new_vectors += [SparseVector(p) for p in list(rows.values()) + list(cols.values())]
+        bigger = rref(new_vectors)
+        if bigger.dimension == space.dimension:
+            break
+        space = bigger
+    by_pair = {}
+    for row in space.rows:
+        by_pair.setdefault(endpoints(pindex, row), []).append(row)
+    return {pair: (s.rows, s.pivots) for pair, s in
+            ((pair, rref(rs)) for pair, rs in by_pair.items())}
+
+
+def test_worklist_closure_matches_round_based_fixpoint():
+    rng = random.Random(31)
+    pindexes = [
+        sl2_fixture(24).pindex,
+        PathIndex(double_loop_fixture().quiver, 4),
+        tri_fixture("ac").pindex,
+        PathIndex(Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v"),
+                                      ("c", "v", "u")]), 3),
+    ]
+    grew = 0
+    for pindex in pindexes:
+        for trial in range(6):
+            gens, count = [], rng.randint(1, 6)
+            while len(gens) < count:
+                pair = rng.choice(sorted(pindex.by_pair))
+                same = [i for i in pindex.by_pair[pair] if pindex.length(i) >= 1]
+                if same:
+                    support = rng.sample(same, min(len(same), rng.randint(1, 3)))
+                    gens.append(SparseVector({i: rng.choice([1, 2, -1, Fraction(1, 2)])
+                                              for i in support}))
+            basis = subcoalgebra_closure(pindex, gens)
+            want = _round_based_closure(pindex, gens)
+            got = {pair: (space.rows, space.pivots) for pair, space in basis.spaces.items()}
+            assert got == want, (pindex.quiver.vertices, trial)
+            grew += basis.dimension > pindex.quiver.num_vertices() + \
+                pindex.quiver.num_arrows() + len(gens)
+    assert grew  # some closures needed components beyond the generators
 
 
 def test_subcoalgebra_membership_and_coordinates():

@@ -477,3 +477,15 @@ def test_int_sqrt_is_exact_on_large_integers():
     assert _int_sqrt(10 ** 400) == 10 ** 200  # a float root overflows here
     assert _int_sqrt(big * big + 1) is None
     assert _fraction_sqrt(Fraction(big * big, 10 ** 400)) == Fraction(big, 10 ** 200)
+
+
+def test_divisors_match_brute_force():
+    from covol.comodule import _divisors
+    for n in range(1, 2001):
+        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    # 2^12 * 5^12: a trial loop up to n would not finish; pairing up to
+    # isqrt(n) = 10^6 does, and the list stays ascending
+    big = _divisors(10 ** 12)
+    assert len(big) == 13 * 13 and big == sorted(set(big))
+    assert big[:4] == [1, 2, 4, 5] and big[-2:] == [5 * 10 ** 11, 10 ** 12]
+    assert all(10 ** 12 % d == 0 for d in big)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from covol.exactlin import (
-    SparseVector, rref, intersect_coordinates, finest_block_partition,
+    SparseVector, _Echelon, rref, intersect_coordinates, finest_block_partition,
     smith_normal_form, matmul_int, det_int,
 )
 from covol.groups import snf_reconstructs, verify_unimodular
@@ -117,6 +117,83 @@ def test_intersect_coordinates():
     assert inter.dimension == 1
     assert dense(inter.rows[0], 3) == [0, 1, 1]
     assert intersect_coordinates(space, {0}).dimension == 0
+
+
+def _rescan_intersection(space, coords):
+    """Reference intersection that picks each pivot by rescanning every
+    remaining row, complement coordinates first, then takes the RREF of
+    the rows pivoted inside coords."""
+    coords = set(coords)
+
+    def key(c):
+        return (1, c) if c in coords else (0, c)
+
+    work = list(space.rows)
+    done = []
+    while work:
+        col = min((min(r.support(), key=key) for r in work), key=key)
+        idx = next(i for i, r in enumerate(work) if min(r.support(), key=key) == col)
+        row = work.pop(idx)
+        row = row.scale(Fraction(1) / row[col])
+        nxt = []
+        for r in work:
+            c = r[col]
+            r2 = r + row.scale(-c) if c else r
+            if not r2.is_zero():
+                nxt.append(r2)
+        work = nxt
+        done.append((col, row))
+    return rref([row for col, row in done if col in coords])
+
+
+def test_intersect_coordinates_matches_rescanning_reference():
+    rng = random.Random(2024)
+    values = [0, 0, 0, 1, -1, 3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+    subsets = 0
+    for trial in range(300):
+        ncols = rng.randint(1, 9)
+        rows = [vec(*[rng.choice(values) for _ in range(ncols)])
+                for _ in range(rng.randint(0, 6))]
+        space = rref(rows)
+        choices = [set(), set(range(ncols)),
+                   {c for c in range(ncols) if rng.random() < 0.5},
+                   set(rng.sample(range(ncols), rng.randint(1, ncols)))]
+        for coords in choices:
+            got = intersect_coordinates(space, coords)
+            want = _rescan_intersection(space, coords)
+            assert got.rows == want.rows and got.pivots == want.pivots, (trial, coords)
+            assert all(row.support() <= coords for row in got.rows)
+            subsets += 0 < len(coords) < ncols and 0 < got.dimension < space.dimension
+    assert subsets > 50  # proper, nontrivial intersections were exercised
+
+
+def test_echelon_add_returns_none_exactly_on_span_members():
+    rng = random.Random(77)
+    values = [0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-3, 2)]
+    members = added = 0
+    for trial in range(200):
+        ncols = rng.randint(1, 7)
+        echelon, seen = _Echelon(), []
+        for _ in range(rng.randint(1, 10)):
+            if seen and rng.random() < 0.4:  # a combination of earlier vectors
+                coeffs = [rng.choice(values) for _ in seen]
+                row = [sum(c * r[i] for c, r in zip(coeffs, seen)) for i in range(ncols)]
+            else:
+                row = [rng.choice(values) for _ in range(ncols)]
+            before = len(dense_gauss_jordan(seen, ncols)[1])
+            in_span = len(dense_gauss_jordan(seen + [row], ncols)[1]) == before
+            got = echelon.add(vec(*row))
+            assert (got is None) == in_span, trial
+            if got is not None:  # the new row is normalised at its leading column
+                assert got[got.leading()] == 1
+                added += 1
+            members += in_span and any(row)  # nonzero members
+            seen.append(row)
+        space = echelon.subspace()
+        want_rows, want_pivots = dense_gauss_jordan(seen, ncols)
+        assert space.pivots == want_pivots, trial
+        assert [dense(r, ncols) for r in space.rows] == want_rows, trial
+    assert members > 200 and added > 200
 
 
 def test_smith_hand_examples():
