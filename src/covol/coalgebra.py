@@ -19,7 +19,7 @@ from .quiver import QuiverError, Walk, lift_walk
 from .voltage import path_weight, twist_weighting, weighting_from_lifting
 
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class CoalgebraError(ValueError):
@@ -165,7 +165,7 @@ class TruncatedPathCoalgebra:
         return [(_ONE, l, r) for l, r in delta_terms(self.pindex, sym)], False
 
     def counit(self, sym):
-        return Fraction(1 if self.pindex.length(sym) == 0 else 0)
+        return 1 if self.pindex.length(sym) == 0 else 0
 
     def label(self, sym):
         return self.pindex.label(sym)

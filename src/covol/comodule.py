@@ -609,7 +609,7 @@ def _char_roots_linear_quadratic(mat):
         root = _fraction_sqrt(disc)
         if root is None:
             return None
-        return [(tr + root) / 2, (tr - root) / 2]
+        return [Fraction(tr + root, 2), Fraction(tr - root, 2)]
     return None
 
 
@@ -658,7 +658,7 @@ def _char_poly(mat):
     for k in range(1, n + 1):
         A = mat if k == 1 else _matmul(mat, _mat_add(A, _mat_scale(ident, cs[-1])))
         trace = sum(A[i][i] for i in range(n))
-        cs.append(-trace / k)
+        cs.append(Fraction(-trace, k))
     return cs
 
 

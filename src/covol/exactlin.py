@@ -1,10 +1,12 @@
 """
 Exact linear algebra over the rationals and integers.
 
-Sparse row vectors with Fraction entries, reduced row echelon bases as the
-canonical form of a subspace, Smith normal form with unimodular factors, and
-the finest coordinate-block decomposition of a subspace.  No floating point
-anywhere: every equality test in this package is exact.
+Sparse row vectors whose entries are nonzero int or Fraction (integral
+values are ints), reduced row echelon bases as the canonical form of a
+subspace, Smith normal form with unimodular factors, and the finest
+coordinate-block decomposition of a subspace.  No floating point anywhere:
+every equality test in this package is exact, and every division is
+Fraction-valued.
 
 One kernel writes every subspace: the incremental echelon `_Echelon`, whose
 rows stay fully reduced after each `add`.  `rref`, `intersect_coordinates`
@@ -13,12 +15,18 @@ and the coalgebra closure worklist read their subspaces off it.
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+
+
+def _exact(x):
+    """x as an int when it is integral, else the Fraction itself."""
+    return x.numerator if x.denominator == 1 else x
 
 
 class SparseVector:
-    """Sparse vector over Q: a map coordinate index -> nonzero Fraction."""
+    """Sparse vector over Q: a map coordinate index -> nonzero int or
+    Fraction; integral values are ints.  Sums of Fractions may stay
+    integral Fractions, which compare and hash as the equal int."""
 
     __slots__ = ("entries",)
 
@@ -28,7 +36,7 @@ class SparseVector:
             for k, v in entries.items():
                 v = Fraction(v)
                 if v:
-                    self.entries[k] = v
+                    self.entries[k] = _exact(v)
 
     @classmethod
     def unit(cls, index):
@@ -70,7 +78,7 @@ class SparseVector:
         return SparseVector._wrap(out)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(Fraction(c))
         return SparseVector._wrap({k: c * v for k, v in self.entries.items()} if c else {})
 
     def leading(self):
@@ -162,8 +170,12 @@ class _Echelon:
         if not entries:
             return None
         col = min(entries, key=self.key)
-        inv = _ONE / entries[col]
-        row = {k: v * inv for k, v in entries.items()}
+        p = entries[col]
+        if p == 1:
+            row = entries
+        else:
+            inv = Fraction(1) / p
+            row = {k: _exact(v * inv) for k, v in entries.items()}
         for other in reduced.values():
             c = other.get(col)
             if c:

@@ -1,8 +1,9 @@
 """Byte-stability of the CLI reports.
 
-The stdout of `cov-crosscheck`, `smash`, `csm-iso`, `minimal` and
-`universal` on every shipped fixture, at CLI defaults, is compared byte for
-byte with the goldens in `tests/golden/`.  RREF is unique, so a change to
+The stdout of every command on every shipped fixture, at CLI defaults, is
+compared byte for byte with the goldens in `tests/golden/`.  `twist` takes
+a per-fixture vertex weighting, and `gradable` runs on `kron`, the one
+fixture that declares a comodule.  RREF is unique, so a change to
 the exact kernel must leave every report identical.  To re-record after a
 deliberate report change:
 
@@ -23,8 +24,18 @@ GOLDEN_DIR = os.path.join(HERE, "golden")
 FIXTURE_DIR = os.path.join(os.path.dirname(cli.__file__), "fixtures")
 FIXTURES = sorted(name[:-4] for name in os.listdir(FIXTURE_DIR)
                   if name.endswith(".cov"))
-COMMANDS = ["cov-crosscheck", "csm-iso", "minimal", "smash", "universal"]
-CASES = [(command, name) for command in COMMANDS for name in FIXTURES]
+COMMANDS = ["check-cover", "cov-crosscheck", "csm-iso", "export", "homog",
+            "minimal", "relators", "smash", "twist", "universal"]
+TWIST_GAMMA = {
+    "dbl": "x=a",
+    "kron": "x=0,y=1",
+    "loop": "x=1",
+    "sl2": "x0=0,x1=1,x2=0,x3=-1,x4=2",
+    "tri_ac": "x=0,y=1,z=-1",
+    "tri_acbc": "x=1,y=0,z=1",
+}
+CASES = [(command, name) for command in COMMANDS for name in FIXTURES] + \
+    [("gradable", "kron")]
 
 
 def golden_path(command, name):
@@ -34,11 +45,14 @@ def golden_path(command, name):
 def render(command, name):
     """(exit code, stdout) of an in-process `covol <command> <fixture>`;
     csm-iso's random liftings use the CLI's default seed."""
+    argv = [command, os.path.join(FIXTURE_DIR, name + ".cov")]
+    if command == "twist":
+        argv += ["--gamma", TWIST_GAMMA[name]]
     saved = os.environ.pop("COVOL_SEED", None)
     buf = io.StringIO()
     try:
         with contextlib.redirect_stdout(buf):
-            code = cli.main([command, os.path.join(FIXTURE_DIR, name + ".cov")])
+            code = cli.main(argv)
     finally:
         if saved is not None:
             os.environ["COVOL_SEED"] = saved

@@ -5,7 +5,7 @@ import pytest
 
 from covol.coalgebra import (
     CoalgebraError, PathIndex, SparseVector, SubcoalgebraBasis,
-    TruncatedPathCoalgebra, coassociativity_ok, counit_vector,
+    TruncatedPathCoalgebra, basis_map, coassociativity_ok, counit_vector,
     cover_projection_map, covering_coalgebra_iso, delta_terms, delta_vector,
     endpoints, subcoalgebra_closure,
     is_homogeneous, is_identity_map, compose_maps,
@@ -157,6 +157,45 @@ def test_worklist_closure_matches_round_based_fixpoint():
             grew += basis.dimension > pindex.quiver.num_vertices() + \
                 pindex.quiver.num_arrows() + len(gens)
     assert grew  # some closures needed components beyond the generators
+
+
+def test_closure_scalars_are_exact_and_int_typed_when_integral():
+    """The closure never produces a float; its rows do not depend on
+    whether an integral generator coefficient is typed int or Fraction; and
+    integral data stays int end to end."""
+    rng = random.Random(58)
+    pindex = sl2_fixture(24).pindex
+    for trial in range(6):
+        gens = []
+        while len(gens) < 4:
+            pair = rng.choice(sorted(pindex.by_pair))
+            same = [i for i in pindex.by_pair[pair] if pindex.length(i) >= 1]
+            if same:
+                support = rng.sample(same, min(len(same), rng.randint(1, 3)))
+                gens.append({i: rng.choice([1, -1, 2, Fraction(1, 3), Fraction(1, 2)])
+                             for i in support})
+        basis = subcoalgebra_closure(pindex, [SparseVector(g) for g in gens])
+        typed = subcoalgebra_closure(pindex, [
+            SparseVector._wrap({i: Fraction(c) for i, c in g.items()}) for g in gens])
+        got = {pair: (space.rows, space.pivots) for pair, space in basis.spaces.items()}
+        assert got == {pair: (space.rows, space.pivots)
+                       for pair, space in typed.spaces.items()}, trial
+        assert got == _round_based_closure(pindex, [SparseVector(g) for g in gens])
+        for space in basis.spaces.values():
+            assert all(type(v) in (int, Fraction) for row in space.rows
+                       for _, v in row.items()), trial
+
+    fx = sl2_fixture(24)
+    entries = [v for space in fx.basis.spaces.values() for row in space.rows
+               for _, v in row.items()]
+    assert entries and all(type(v) is int for v in entries)
+    coalg = TruncatedPathCoalgebra(fx.pindex)
+    for sym in coalg.symbols():
+        terms, _ = coalg.coproduct(sym)
+        assert terms and all(type(c) is int for c, _, _ in terms)
+        assert type(coalg.counit(sym)) is int
+    images = basis_map([(0, 1), (2, 3)]).values()
+    assert all(type(c) is int for image in images for c in image.values())
 
 
 def test_subcoalgebra_membership_and_coordinates():

@@ -489,3 +489,28 @@ def test_divisors_match_brute_force():
     assert len(big) == 13 * 13 and big == sorted(set(big))
     assert big[:4] == [1, 2, 4, 5] and big[-2:] == [5 * 10 ** 11, 10 ** 12]
     assert all(10 ** 12 % d == 0 for d in big)
+
+
+def test_char_poly_and_eigenvalues_are_exact_on_integer_matrices():
+    from covol.comodule import _char_poly, _rational_eigenvalues
+    assert _char_poly([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == [1, -6, 11, -6]
+    cases = [
+        ([[5]], [5]),
+        ([[-2]], [-2]),
+        ([[2, 1], [1, 2]], [1, 3]),
+        ([[0, 1], [-2, 3]], [1, 2]),
+        ([[1, 0], [0, 1]], [1, 1]),
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 2, 3]),
+        ([[2, 1, 0], [0, 3, 4], [0, 0, -1]], [-1, 2, 3]),
+        ([[0, 1, 0], [0, 0, 1], [6, -11, 6]], [1, 2, 3]),  # companion matrix
+        ([[1, 1, 0], [0, 1, 0], [0, 0, 2]], [1, 1, 2]),  # repeated root
+    ]
+    for mat, want in cases:
+        poly = _char_poly(mat)
+        assert all(type(c) in (int, Fraction) for c in poly), mat
+        assert len(poly) == len(mat) + 1 and poly[0] == 1
+        eigen = _rational_eigenvalues(mat)
+        assert sorted(eigen) == want, mat
+        assert all(type(x) in (int, Fraction) for x in eigen), mat
+    # t^3 - t^2 - 2t + 2 = (t - 1)(t^2 - 2): the root sqrt(2) is irrational
+    assert _rational_eigenvalues([[0, 2, 0], [1, 0, 0], [0, 0, 1]]) is None

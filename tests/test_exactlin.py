@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from covol.exactlin import (
     SparseVector, _Echelon, rref, intersect_coordinates, finest_block_partition,
-    smith_normal_form, matmul_int, det_int,
+    smith_normal_form, matmul_int, det_int, solve_affine,
 )
 from covol.groups import snf_reconstructs, verify_unimodular
 
@@ -194,6 +194,62 @@ def test_echelon_add_returns_none_exactly_on_span_members():
         assert space.pivots == want_pivots, trial
         assert [dense(r, ncols) for r in space.rows] == want_rows, trial
     assert members > 200 and added > 200
+
+
+def _exact_entries(space):
+    return all(type(v) in (int, Fraction) for row in space.rows for _, v in row.items())
+
+
+def test_int_and_fraction_scalars_give_the_same_exact_results():
+    """No float reaches a scalar: rref, intersect_coordinates and
+    solve_affine return int or Fraction values only, agree with the dense
+    Gauss-Jordan oracle, and do not depend on whether an integral input is
+    typed int or Fraction.  Leading entries 1, -1, 2 and 1/3 take both the
+    unit-pivot path and the normalising path of the echelon."""
+    rng = random.Random(4711)
+    values = [0, 0, 0, 1, -1, 2, 5, Fraction(1, 3), Fraction(-7, 2)]
+    leads = [1, -1, 2, Fraction(1, 3)]
+    inconsistent = solved = 0
+    for trial in range(300):
+        ncols = rng.randint(1, 7)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            lead = rng.randrange(ncols)
+            rows.append([0] * lead + [rng.choice(leads)] +
+                        [rng.choice(values) for _ in range(lead + 1, ncols)])
+        ints = [vec(*r) for r in rows]
+        fracs = [SparseVector._wrap({i: Fraction(v) for i, v in enumerate(r) if v})
+                 for r in rows]
+        space, again = rref(ints), rref(fracs)
+        want_rows, want_pivots = dense_gauss_jordan(rows, ncols)
+        assert space.pivots == again.pivots == want_pivots, trial
+        assert [dense(r, ncols) for r in space.rows] == want_rows, trial
+        assert space.rows == again.rows, trial
+        assert _exact_entries(space) and _exact_entries(again), trial
+        coords = {c for c in range(ncols) if rng.random() < 0.5}
+        for source in (space, again):
+            inter = intersect_coordinates(source, coords)
+            assert inter.rows == _rescan_intersection(space, coords).rows, trial
+            assert _exact_entries(inter), trial
+        # the last column is the constant of the affine system
+        nvars = ncols - 1
+        equations = [(SparseVector({i: v for i, v in enumerate(r[:-1]) if v}), r[-1])
+                     for r in rows]
+        result = solve_affine(equations, nvars)
+        if nvars in want_pivots:
+            assert result is None, trial
+            inconsistent += 1
+            continue
+        particular, nullspace = result
+        values_out = particular + [x for v in nullspace for x in v]
+        assert all(type(x) in (int, Fraction) for x in values_out), trial
+        for coeffs, const in equations:
+            assert sum(c * particular[i] for i, c in coeffs.items()) == const, trial
+            for v in nullspace:
+                assert sum(c * v[i] for i, c in coeffs.items()) == 0, trial
+        assert len(nullspace) == nvars - len(want_pivots), trial
+        solved += 1
+    assert inconsistent > 20 and solved > 20
 
 
 def test_smith_hand_examples():
