@@ -111,6 +111,11 @@ class PathIndex:
     def weight(self, weighting, i):
         return path_weight(weighting, self.paths[i][2])
 
+    def walk(self, i):
+        """Path i as a walk of forward steps."""
+        src, _, arrows = self.paths[i]
+        return Walk(self.quiver, src, tuple((a, 1) for a in arrows))
+
 
 def delta_terms(pindex, i):
     """Splittings of a path: all (later part, earlier part) pairs including
@@ -127,17 +132,9 @@ def delta_terms(pindex, i):
 
 
 def delta_vector(pindex, vec):
-    """Coproduct of a path vector as a dict (left, right) -> coefficient."""
-    out = {}
-    for i, c in vec.items():
-        for left, right in delta_terms(pindex, i):
-            key = (left, right)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
+    """Coproduct of a path vector as a dict (left, right) -> coefficient.
+    A splitting composes to its own path, so no two terms share a key."""
+    return {key: c for i, c in vec.items() for key in delta_terms(pindex, i)}
 
 
 def counit_vector(pindex, vec):
@@ -628,6 +625,17 @@ def coassociativity_ok(coalgebra, symbols=None):
 # explicit isomorphisms
 
 
+def lift_path(smash_q, base_pindex, cover_pindex, i, g):
+    """Cover path index of the unique lift of base path i through the
+    window fiber g, or None when the lift leaves the window."""
+    src, _, arrows = base_pindex.paths[i]
+    if not arrows:
+        v = smash_q.vertex_of(src, g)
+        return None if v is None else cover_pindex.vertex_path(v)
+    lifted = smash_q.lift_arrows(arrows, g)
+    return None if lifted is None else cover_pindex.path_of(lifted)
+
+
 def smash_to_cover_paths(smash_q, base_pindex, cover_pindex):
     """Basis bijection from the smash coproduct of the full truncated path
     coalgebra onto the path coalgebra of the smash coproduct quiver:
@@ -636,30 +644,10 @@ def smash_to_cover_paths(smash_q, base_pindex, cover_pindex):
     Partial where the lift leaves the window; total on interior symbols.
     Returns the map as a symbol-to-symbol dict wrapped in coefficients.
     """
-    weighting = smash_q.weighting
-    group = smash_q.group
     pairs = []
     for g in smash_q.window:
         for i in range(len(base_pindex)):
-            src, _, arrows = base_pindex.paths[i]
-            if not arrows:
-                v = smash_q.vertex_of(src, g)
-                if v is not None:
-                    pairs.append(((i, g), cover_pindex.vertex_path(v)))
-                continue
-            cover_arrows = []
-            cur = g
-            ok = True
-            for a in arrows:
-                ca = smash_q.arrow_of(a, cur)
-                if ca is None:
-                    ok = False
-                    break
-                cover_arrows.append(ca)
-                cur = group.multiply(weighting.of(a), cur)
-            if not ok:
-                continue
-            idx = cover_pindex.path_of(cover_arrows)
+            idx = lift_path(smash_q, base_pindex, cover_pindex, i, g)
             if idx is not None:
                 pairs.append(((i, g), idx))
     return basis_map(pairs)
@@ -696,25 +684,19 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
     of the lifted source.  Both are partial near the window boundary.
     """
     group = cover.group
-    base = cover.morphism.codomain
     induced = weighting_from_lifting(cover, lifting)
     smash_coalg = smash_path_coalgebra(base_pindex, induced, window)
     window_set = set(window)
 
+    projection = cover_projection_map(cover_pindex, base_pindex, cover.morphism)
     psi_pairs = []
-    for i in range(len(cover_pindex)):
-        src, _, arrows = cover_pindex.paths[i]
+    for i, image in projection.items():
+        src = cover_pindex.source(i)
         base_src = cover.morphism.vertex_map[src]
         sigma = group.multiply(group.inverse(cover.deck_of(lifting[base_src])),
                                cover.deck_of(src))
-        if sigma not in window_set:
-            continue
-        if arrows:
-            img = base_pindex.path_of(tuple(cover.morphism.arrow_map[a]
-                                            for a in arrows))
-        else:
-            img = base_pindex.vertex_path(base_src)
-        psi_pairs.append((i, (img, sigma)))
+        if sigma in window_set:
+            psi_pairs.append((i, (next(iter(image)), sigma)))
     psi = basis_map(psi_pairs)
 
     phi_pairs = []
@@ -728,8 +710,7 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
                 phi_pairs.append(((i, g), cover_pindex.vertex_path(start)))
                 continue
             try:
-                walk = Walk(base, src, tuple((a, 1) for a in arrows))
-                lifted = lift_walk(cover.morphism, walk, start)
+                lifted = lift_walk(cover.morphism, base_pindex.walk(i), start)
             except QuiverError:
                 continue
             idx = cover_pindex.path_of(tuple(a for a, _ in lifted.steps))

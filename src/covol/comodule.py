@@ -13,8 +13,9 @@ the smash-comodule structure map coassociative.
 import math
 from fractions import Fraction
 
-from .coalgebra import CoalgebraError, coproduct_of_vector, apply_map
-from .exactlin import SparseVector, rref, solve_affine
+from .coalgebra import CoalgebraError, coproduct_of_vector, apply_map, \
+    rational_str
+from .exactlin import SparseVector, _axpy, matmul_int, rref, solve_affine
 from .groups import FgAbelian
 
 
@@ -42,14 +43,6 @@ class Comodule:
         return "Comodule(dim=%d)" % self.dimension
 
 
-def _tensor_entry(out, key, value):
-    s = out.get(key, 0) + value
-    if s:
-        out[key] = s
-    else:
-        del out[key]
-
-
 def verify_comodule(M):
     """Exact comodule axioms; window-truncated coefficients are skipped the
     same way the coalgebra verifiers skip boundary symbols.
@@ -74,8 +67,7 @@ def verify_comodule(M):
             for k in range(n):
                 cik, ckj = M.coefficient(i, k), M.coefficient(k, j)
                 for s1, a in cik.items():
-                    for s2, b in ckj.items():
-                        _tensor_entry(rhs, (s1, s2), a * b)
+                    _axpy(rhs, a, {(s1, s2): b for s2, b in ckj.items()})
             if lhs != rhs:
                 return False, ("coassociativity", i, j)
     return True, None
@@ -124,21 +116,14 @@ def to_smash_comodule(graded, smash):
 
 
 def _invert(matrix):
+    """Exact inverse of a square matrix, or None when it is singular: the
+    RREF of [M | I] is [I | M^-1] exactly when its pivots are 0..n-1."""
     n = len(matrix)
-    aug = [[Fraction(matrix[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+    space = rref([SparseVector({**{j: matrix[i][j] for j in range(n)}, n + i: 1})
+                  for i in range(n)])
+    if space.pivots != list(range(n)):
+        return None
+    return [[row[n + j] for j in range(n)] for row in space.rows]
 
 
 def from_smash_comodule(N):
@@ -208,13 +193,7 @@ def from_smash_comodule(N):
                     f = Pinv[s][i] * P[j][t]
                     if not f:
                         continue
-                    cell = coaction.setdefault((s, t), {})
-                    for sym, c in coeff.items():
-                        v = cell.get(sym, 0) + f * c
-                        if v:
-                            cell[sym] = v
-                        else:
-                            del cell[sym]
+                    _axpy(coaction.setdefault((s, t), {}), f, coeff)
         coaction = {k: v for k, v in coaction.items() if v}
         labels = ["n%d" % t for t in range(n)]
         M = Comodule(smash, labels, coaction)
@@ -237,7 +216,6 @@ def from_smash_comodule(N):
 def comodule_to_json(M):
     """Coaction triples (row, column, coalgebra element) with labeled
     symbols and exact rational coefficient strings."""
-    from .coalgebra import rational_str
     triples = []
     for (i, j) in sorted(M.coaction):
         element = [{"symbol": M.coalgebra.label(sym), "coeff": rational_str(c)}
@@ -306,7 +284,7 @@ class QuiverRepresentation:
         """Composite matrix of a directed path (right-to-left product)."""
         mat = None
         for a in arrows:
-            mat = self.maps[a] if mat is None else _matmul(self.maps[a], mat)
+            mat = self.maps[a] if mat is None else matmul_int(self.maps[a], mat)
         return mat
 
     def as_comodule(self, coalgebra, pindex):
@@ -337,7 +315,7 @@ class QuiverRepresentation:
             nxt = []
             for v, mat in current:
                 for a in self.quiver.out_arrows[v]:
-                    m2 = self.maps[a] if mat is None else _matmul(self.maps[a], mat)
+                    m2 = self.maps[a] if mat is None else matmul_int(self.maps[a], mat)
                     if any(x for row in m2 for x in row):
                         nxt.append((self.quiver.target(a), m2))
             current = nxt
@@ -345,18 +323,6 @@ class QuiverRepresentation:
                 return
         raise CoalgebraError(
             "representation is not nilpotent within truncation %d" % truncation)
-
-
-def _matmul(a, b):
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for i in range(rows):
-        for k in range(inner):
-            if a[i][k]:
-                for j in range(cols):
-                    out[i][j] += a[i][k] * b[k][j]
-    return out
 
 
 class Gradable:
@@ -579,21 +545,10 @@ def _shift(mat, value):
 
 
 def _kernel(mat):
+    """Nullspace basis of a square matrix, one column per free variable."""
     n = len(mat)
-    rows = [SparseVector({j: mat[i][j] for j in range(n) if mat[i][j]})
-            for i in range(n)]
-    space = rref(rows)
-    pivots = set(space.pivots)
-    out = []
-    for free in range(n):
-        if free in pivots:
-            continue
-        col = [Fraction(0)] * n
-        col[free] = Fraction(1)
-        for row, p in zip(space.rows, space.pivots):
-            col[p] = -row[free]
-        out.append(col)
-    return out
+    return solve_affine([(SparseVector(dict(enumerate(row))), 0) for row in mat],
+                        n)[1]
 
 
 def _char_roots_linear_quadratic(mat):
@@ -652,38 +607,26 @@ def _rational_eigenvalues(mat):
 def _char_poly(mat):
     # Faddeev-LeVerrier: monic coefficients of det(tI - M), degree first
     n = len(mat)
-    ident = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     cs = [Fraction(1)]
     A = None
     for k in range(1, n + 1):
-        A = mat if k == 1 else _matmul(mat, _mat_add(A, _mat_scale(ident, cs[-1])))
+        A = mat if k == 1 else matmul_int(mat, _shift(A, -cs[-1]))
         trace = sum(A[i][i] for i in range(n))
         cs.append(Fraction(-trace, k))
     return cs
 
 
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
 def _find_rational_root(poly):
     # poly: monic with rational coefficients, highest degree first
-    from fractions import Fraction as F
-    scale = 1
-    for c in poly:
-        scale = scale * c.denominator // _gcd(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for c in poly))
     ints = [int(c * scale) for c in poly]
     lead, const = ints[0], ints[-1]
     if const == 0:
-        return F(0)
+        return Fraction(0)
     for p in _divisors(abs(const)):
         for q in _divisors(abs(lead)):
             for sign in (1, -1):
-                cand = F(sign * p, q)
+                cand = Fraction(sign * p, q)
                 if _poly_eval(poly, cand) == 0:
                     return cand
     return None
@@ -701,12 +644,6 @@ def _deflate(poly, root):
     for c in poly[1:-1]:
         out.append(c + out[-1] * root)
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -769,7 +706,7 @@ def witness_graded_comodule(rep, weighting, witness, coalgebra, pindex):
     for a in range(quiver.num_arrows()):
         s, t = quiver.source(a), quiver.target(a)
         if rep.dims[s] and rep.dims[t]:
-            new_maps[a] = _matmul(Pinv[t], _matmul(rep.maps[a], P[s]))
+            new_maps[a] = matmul_int(Pinv[t], matmul_int(rep.maps[a], P[s]))
     rebased = QuiverRepresentation(quiver, rep.dims, new_maps)
     comodule = rebased.as_comodule(coalgebra, pindex)
     degrees = []

@@ -7,33 +7,21 @@ covers.
 """
 
 from .coalgebra import (
-    PathIndex, SparseVector, is_homogeneous, minimal_elements, minimal_rows,
-    smash_coalgebra, smash_projection_map, vector_label, verify_coalgebra_map,
+    PathIndex, SparseVector, is_homogeneous, lift_path, minimal_elements,
+    minimal_rows, smash_coalgebra, smash_projection_map, vector_label,
+    verify_coalgebra_map,
 )
-from .exactlin import Subspace, finest_block_partition, intersect_coordinates, rref
-from .groups import FinitelyPresented, FreeGroup, abelianize, generates, power
+from .exactlin import Subspace, finest_block_partition, intersect_coordinates, \
+    rref, smith_normal_form
+from .groups import FinitelyPresented, FreeGroup, abelianize, generates, \
+    generator_relation_matrix, power
 from .quiver import concat, walk_to_word
 from .voltage import ArrowWeighting, is_connected_weighting, smash_quiver, \
-    weight_walk
+    weight_walk, window_ball
 
 
 class CoveringError(ValueError):
     pass
-
-
-def _lift_path_arrows(smash_q, arrows, start_fiber):
-    """Arrow indices of the lift of a base path from the given fiber, or
-    None when the lift leaves the window."""
-    group = smash_q.group
-    out = []
-    cur = start_fiber
-    for a in arrows:
-        ca = smash_q.arrow_of(a, cur)
-        if ca is None:
-            return None
-        out.append(ca)
-        cur = group.multiply(smash_q.weighting.of(a), cur)
-    return out
 
 
 def _lift_vector(smash_q, cover_pindex, base_pindex, vec, start_fiber):
@@ -41,18 +29,11 @@ def _lift_vector(smash_q, cover_pindex, base_pindex, vec, start_fiber):
     support path falls off the window."""
     out = {}
     for i, c in vec.items():
-        src, _, arrows = base_pindex.paths[i]
-        if not arrows:
-            v = smash_q.vertex_of(src, start_fiber)
-            if v is None:
-                return None
-            out[cover_pindex.vertex_path(v)] = c
-            continue
-        lifted = _lift_path_arrows(smash_q, arrows, start_fiber)
-        if lifted is None:
+        idx = lift_path(smash_q, base_pindex, cover_pindex, i, start_fiber)
+        if idx is None:
             return None
-        out[cover_pindex.path_of(tuple(lifted))] = c
-    return SparseVector(out)
+        out[idx] = c
+    return SparseVector._wrap(out)
 
 
 class CoalgebraCovering:
@@ -177,30 +158,20 @@ def is_coalgebra_covering(cov):
     witness = (minimal element, fiber vertex) on failure."""
     base = cov.base
     smash_q = cov.smash
+    cover_pindex = cov.cover_pindex
     for _pair, rep in minimal_rows(base):
         src = next(iter({base.pindex.source(i) for i in rep.support()}))
         for g in smash_q.window:
             start = smash_q.vertex_of(src, g)
             if start is None:
                 continue
-            lifts = {}
-            complete = True
-            for i in rep.support():
-                arrows = base.pindex.arrows(i)
-                lifted = _lift_path_arrows(smash_q, arrows, g)
-                if lifted is None:
-                    complete = False
-                    break
-                lifts[i] = lifted
-            if not complete:
+            candidate = _lift_vector(smash_q, cover_pindex, base.pindex, rep, g)
+            if candidate is None:
                 continue
-            ends = {smash_q.quiver.target(lifts[i][-1]) for i in lifts}
+            ends = {cover_pindex.target(i) for i in candidate.support()}
             if len(ends) != 1:
                 return False, (rep, start)
-            end = next(iter(ends))
-            candidate = SparseVector({
-                cov.cover_pindex.path_of(tuple(lifts[i])): rep[i] for i in lifts})
-            space = cov.lifted_spans.get((start, end))
+            space = cov.lifted_spans.get((start, next(iter(ends))))
             if space is None or not space.member(candidate):
                 return False, (rep, start)
             if not _is_minimal_in(space, candidate):
@@ -213,11 +184,9 @@ def _rep_has_qualifying_fiber(cov, rep):
     minimal element; the covering test is vacuous for this element
     otherwise."""
     smash_q = cov.smash
-    for g in smash_q.window:
-        if all(_lift_path_arrows(smash_q, cov.base.pindex.arrows(i), g) is not None
-               for i in rep.support()):
-            return True
-    return False
+    return any(all(smash_q.lift_arrows(cov.base.pindex.arrows(i), g) is not None
+                   for i in rep.support())
+               for g in smash_q.window)
 
 
 def covering_crosscheck(base, weighting, pres, window):
@@ -272,16 +241,15 @@ def extract_relators(base, pres):
     """For each minimal block with supported paths p1 < p2 < ... (path
     index order): the words of the closed walks w^-1 p1^-1 pj w, j >= 2,
     with w the tree geodesic from the base vertex to the paths' source."""
-    quiver = base.pindex.quiver
     relators = []
     for pair, block, rep in sorted(minimal_elements(base)):
         paths = sorted(block)
         first = paths[0]
         src = base.pindex.source(first)
         geodesic = pres.geodesics[src]
-        lead_walk = _path_as_walk(base.pindex, quiver, first)
+        lead_walk = base.pindex.walk(first)
         for other in paths[1:]:
-            other_walk = _path_as_walk(base.pindex, quiver, other)
+            other_walk = base.pindex.walk(other)
             closed = concat(geodesic.inverse(),
                             concat(lead_walk.inverse(),
                                    concat(other_walk, geodesic)))
@@ -293,12 +261,6 @@ def extract_relators(base, pres):
                 "paths": (first, other),
             })
     return RelatorSet(pres, relators)
-
-
-def _path_as_walk(pindex, quiver, i):
-    from .quiver import Walk
-    src, _, arrows = pindex.paths[i]
-    return Walk(quiver, src, tuple((a, 1) for a in arrows))
 
 
 def word_image(group, images, word):
@@ -388,7 +350,6 @@ def universal_grading_group(base, pres):
 
 def universal_cover(base, pres, window_radius=None, window=None):
     """Lifted subcoalgebra over the universal weighting."""
-    from .voltage import window_ball
     univ = universal_grading_group(base, pres)
     if window is None:
         if window_radius is None:
@@ -416,7 +377,6 @@ def universal_factor_map(univ, target_weighting, target_window, univ_window=None
     targets; the arrow-compatibility audit raises otherwise.  Returns
     (vertex pair map, checked count).
     """
-    from .voltage import window_ball
     pres = univ.pres
     group = target_weighting.group
     quiver = pres.quiver
@@ -468,22 +428,14 @@ def _abelian_basis_in_target(univ, group, cycle_weights):
     """Target images of the abelianized backend's standard basis, found by
     expressing each basis element as an integer combination of the
     generator images (solvable since the images generate)."""
-    from .exactlin import smith_normal_form
-    backend = univ.backend
-    r = backend.free_rank
-    n = r + len(backend.torsion)
-    cols = [list(img[0]) + list(img[1]) for img in univ.images]
-    ngen = len(cols)
-    for i, order in enumerate(backend.torsion):
-        col = [0] * n
-        col[r + i] = order
-        cols.append(col)
-    matrix = [[c[i] for c in cols] for i in range(n)]
+    matrix = generator_relation_matrix(univ.backend, univ.images)
+    n = len(matrix)
     diag, left, right = smith_normal_form(matrix)
+    ncols = len(right)
     basis = []
     for k in range(n):
         target = [left[i][k] for i in range(n)]
-        y = [0] * len(cols)
+        y = [0] * ncols
         for i in range(n):
             if i < len(diag) and diag[i]:
                 if target[i] % diag[i]:
@@ -491,10 +443,10 @@ def _abelian_basis_in_target(univ, group, cycle_weights):
                 y[i] = target[i] // diag[i]
             elif target[i]:
                 raise CoveringError("generator images do not generate")
-        x = [sum(right[i][j] * y[j] for j in range(len(cols)))
-             for i in range(len(cols))]
+        x = [sum(right[i][j] * y[j] for j in range(ncols))
+             for i in range(ncols)]
         out = group.identity()
-        for i in range(ngen):  # torsion relation columns contribute nothing
+        for i in range(len(univ.images)):  # torsion relation columns contribute nothing
             out = group.multiply(out, power(group, cycle_weights[i], x[i]))
         basis.append(out)
     return basis

@@ -69,12 +69,7 @@ class SparseVector:
 
     def __add__(self, other):
         out = dict(self.entries)
-        for k, v in other.entries.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        _axpy(out, 1, other.entries)
         return SparseVector._wrap(out)
 
     def scale(self, c):
@@ -366,6 +361,7 @@ def smith_normal_form(matrix):
 
 
 def matmul_int(a, b):
+    """Product of two dense matrices; exact on int and Fraction entries."""
     rows = len(a)
     inner = len(b)
     cols = len(b[0]) if inner else 0

@@ -295,23 +295,24 @@ def _generates_finite(group, gens):
     return len(seen) == group.size
 
 
-def _generates_abelian(group, gens):
-    # surjectivity of Z^k -> G: stack generator columns with the torsion
-    # relation columns; generated iff all SNF diagonal entries are 1.
+def generator_relation_matrix(group, gens):
+    """Integer matrix of Z^k + Z^t -> G for an abelian group: one column
+    of coordinates per generator, then one column order * e per torsion
+    factor; rows are the free and torsion coordinates."""
     r = group.free_rank
-    t = len(group.torsion)
-    n = r + t
-    cols = []
-    for g in gens:
-        cols.append(list(g[0]) + list(g[1]))
+    n = r + len(group.torsion)
+    cols = [list(g[0]) + list(g[1]) for g in gens]
     for i, order in enumerate(group.torsion):
         col = [0] * n
         col[r + i] = order
         cols.append(col)
-    if not cols:
-        return n == 0
-    matrix = [[c[i] for c in cols] for i in range(n)]
-    diagonal, _, _ = smith_normal_form(matrix)
+    return [[c[i] for c in cols] for i in range(n)]
+
+
+def _generates_abelian(group, gens):
+    # surjectivity: generated iff all SNF diagonal entries are 1
+    n = group.free_rank + len(group.torsion)
+    diagonal, _, _ = smith_normal_form(generator_relation_matrix(group, gens))
     return len(diagonal) >= n and all(d == 1 for d in diagonal[:n])
 
 
@@ -355,23 +356,14 @@ def stallings_graph(rank, words):
         if pair is None:
             break
         a, b = pair
-        if a == b:
-            # identical parallel edges: drop duplicates
-            seen = set()
-            dedup = []
+        if a != b:
+            keep, drop = min(a, b), max(a, b)
             for e in edges:
-                k = tuple(e)
-                if k not in seen:
-                    seen.add(k)
-                    dedup.append(e)
-            edges[:] = dedup
-            continue
-        keep, drop = min(a, b), max(a, b)
-        for e in edges:
-            if e[0] == drop:
-                e[0] = keep
-            if e[1] == drop:
-                e[1] = keep
+                if e[0] == drop:
+                    e[0] = keep
+                if e[1] == drop:
+                    e[1] = keep
+        # identical parallel edges: drop duplicates
         seen = set()
         dedup = []
         for e in edges:

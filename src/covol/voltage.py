@@ -10,8 +10,9 @@ interior consists of the window vertices whose local arrow stars stay
 inside the window, and covering/deck statements quantify over it.
 """
 
-from .groups import FiniteTable, FgAbelian, FreeGroup, GroupError
-from .quiver import Quiver, QuiverMorphism, Walk, QuiverError, deck_group
+from .groups import FiniteTable, FgAbelian, FreeGroup, GroupError, generates
+from .quiver import Quiver, QuiverMorphism, Walk, QuiverError, deck_group, \
+    lift_walk
 
 
 class ArrowWeighting:
@@ -93,7 +94,6 @@ def path_weight(weighting, arrows):
 def is_connected_weighting(weighting, pres):
     """A weighting is connected iff the weights of the fundamental cycles
     generate the group."""
-    from .groups import generates
     cycles = [pres.fundamental_cycle(a) for a in pres.cotree]
     return generates(weighting.group, [weight_walk(weighting, c) for c in cycles])
 
@@ -214,6 +214,19 @@ class SmashQuiver:
         if isinstance(base_arrow, str):
             base_arrow = self.base.arrow_index[base_arrow]
         return self._arrow_of.get((base_arrow, g))
+
+    def lift_arrows(self, arrows, g):
+        """Cover arrows of the unique lift through fiber g of a base path
+        given as arrow indices in traversal order, or None when the lift
+        leaves the window."""
+        out = []
+        for a in arrows:
+            ca = self._arrow_of.get((a, g))
+            if ca is None:
+                return None
+            out.append(ca)
+            g = self.group.multiply(self.weighting.of(a), g)
+        return tuple(out)
 
     def fiber_coordinate(self, vertex):
         """Window element of a materialized vertex."""
@@ -352,7 +365,6 @@ def weighting_from_lifting(cover, lifting):
     """Arrow weighting induced by a lifting of a Galois covering: lift each
     arrow at the lifted source; the weight is the deck element carrying the
     lifted target to the lift's end."""
-    from .quiver import lift_walk
     base = cover.morphism.codomain
     group = cover.group
     for v in range(base.num_vertices()):

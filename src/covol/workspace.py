@@ -218,27 +218,40 @@ class Parser:
 
     def parse(self):
         ws = Workspace()
+        readers = {"quiver": self.quiver_decl, "group": self.group_decl,
+                   "weighting": lambda: self.weighting_decl(ws),
+                   "subcoalgebra": lambda: self.subcoalgebra_decl(ws),
+                   "comodule": lambda: self.comodule_decl(ws)}
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind != "name":
+            if tok.kind != "name" or tok.value not in readers:
                 raise WorkspaceError("found %r" % (tok.value,), tok.line, tok.col,
-                                     expected={"quiver", "group", "weighting",
-                                               "subcoalgebra", "comodule"})
-            if tok.value == "quiver":
-                ws.add(self.quiver_decl())
-            elif tok.value == "group":
-                ws.add(self.group_decl())
-            elif tok.value == "weighting":
-                ws.add(self.weighting_decl(ws))
-            elif tok.value == "subcoalgebra":
-                ws.add(self.subcoalgebra_decl(ws))
-            elif tok.value == "comodule":
-                ws.add(self.comodule_decl(ws))
-            else:
-                raise WorkspaceError("found %r" % (tok.value,), tok.line, tok.col,
-                                     expected={"quiver", "group", "weighting",
-                                               "subcoalgebra", "comodule"})
+                                     expected=set(readers))
+            ws.add(readers[tok.value]())
         return ws
+
+    def quiver_ref(self, ws, head):
+        """Name and quiver of a reference to a declared quiver."""
+        name = self.expect("name").value
+        if name not in ws.quivers:
+            raise WorkspaceError("unknown quiver %r" % name, head.line, head.col,
+                                 expected=set(ws.quivers))
+        return name, ws.quivers[name].quiver
+
+    def known_arrow(self, quiver, tok):
+        """The name token, checked to be an arrow of the quiver."""
+        if tok.value not in quiver.arrow_index:
+            raise WorkspaceError("unknown arrow %r" % tok.value, tok.line, tok.col,
+                                 expected=set(quiver.arrow_index))
+        return tok
+
+    def coefficient(self):
+        """Optional `rational *` prefix of a term; 1 when absent."""
+        if self.peek().kind not in ("int", "-"):
+            return Fraction(1)
+        coeff = self.rational()
+        self.expect("*")
+        return coeff
 
     def name_list(self):
         names = [self.expect("name").value]
@@ -374,26 +387,17 @@ class Parser:
         head = self.expect("name", "weighting")
         name = self.expect("name").value
         self.expect("name", "on")
-        quiver_name = self.expect("name").value
-        if quiver_name not in ws.quivers:
-            raise WorkspaceError("unknown quiver %r" % quiver_name,
-                                 head.line, head.col,
-                                 expected=set(ws.quivers))
+        quiver_name, quiver = self.quiver_ref(ws, head)
         self.expect("name", "into")
         group_name = self.expect("name").value
         if group_name not in ws.groups:
             raise WorkspaceError("unknown group %r" % group_name,
                                  head.line, head.col, expected=set(ws.groups))
-        quiver = ws.quivers[quiver_name].quiver
         group = ws.groups[group_name].group
         self.expect("{")
         named = {}
         while not self.accept("}"):
-            arrow = self.expect("name")
-            if arrow.value not in quiver.arrow_index:
-                raise WorkspaceError("unknown arrow %r" % arrow.value,
-                                     arrow.line, arrow.col,
-                                     expected=set(quiver.arrow_index))
+            arrow = self.known_arrow(quiver, self.expect("name"))
             self.expect("=")
             named[arrow.value] = self.group_element(group)
             self.expect(";")
@@ -433,10 +437,7 @@ class Parser:
         for tok in names:
             if len(names) == 1 and tok.value in quiver.vertex_index:
                 continue
-            if tok.value not in quiver.arrow_index:
-                raise WorkspaceError("unknown arrow %r" % tok.value,
-                                     tok.line, tok.col,
-                                     expected=set(quiver.arrow_index))
+            self.known_arrow(quiver, tok)
         return [tok.value for tok in names]
 
     def generator_expr(self, quiver, pindex):
@@ -445,10 +446,7 @@ class Parser:
         vec = SparseVector()
         texts = []
         while True:
-            coeff = Fraction(1)
-            if self.peek().kind in ("int", "-"):
-                coeff = self.rational()
-                self.expect("*")
+            coeff = self.coefficient()
             names = self.path_expr(quiver)
             idx = pindex.from_names(names)
             vec = vec + SparseVector({idx: coeff})
@@ -464,11 +462,7 @@ class Parser:
         head = self.expect("name", "subcoalgebra")
         name = self.expect("name").value
         self.expect("name", "of")
-        quiver_name = self.expect("name").value
-        if quiver_name not in ws.quivers:
-            raise WorkspaceError("unknown quiver %r" % quiver_name,
-                                 head.line, head.col, expected=set(ws.quivers))
-        quiver = ws.quivers[quiver_name].quiver
+        quiver_name, quiver = self.quiver_ref(ws, head)
         self.expect("{")
         self.expect("name", "truncate")
         truncation = self.expect("int").value
@@ -495,11 +489,7 @@ class Parser:
         head = self.expect("name", "comodule")
         name = self.expect("name").value
         self.expect("name", "on")
-        quiver_name = self.expect("name").value
-        if quiver_name not in ws.quivers:
-            raise WorkspaceError("unknown quiver %r" % quiver_name,
-                                 head.line, head.col, expected=set(ws.quivers))
-        quiver = ws.quivers[quiver_name].quiver
+        quiver_name, quiver = self.quiver_ref(ws, head)
         self.expect("{")
         self.expect("name", "basis")
         basis = []
@@ -518,11 +508,7 @@ class Parser:
         labels = [b[0] for b in basis]
         map_terms = {}
         while self.accept("name", "map"):
-            arrow = self.expect("name")
-            if arrow.value not in quiver.arrow_index:
-                raise WorkspaceError("unknown arrow %r" % arrow.value,
-                                     arrow.line, arrow.col,
-                                     expected=set(quiver.arrow_index))
+            arrow = self.known_arrow(quiver, self.expect("name"))
             self.expect(":")
             src = self.expect("name")
             if src.value not in labels:
@@ -531,10 +517,7 @@ class Parser:
             self.expect("->")
             terms = []
             while True:
-                coeff = Fraction(1)
-                if self.peek().kind in ("int", "-"):
-                    coeff = self.rational()
-                    self.expect("*")
+                coeff = self.coefficient()
                 dst = self.expect("name")
                 if dst.value not in labels:
                     raise WorkspaceError("unknown basis label %r" % dst.value,

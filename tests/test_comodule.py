@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -514,3 +515,64 @@ def test_char_poly_and_eigenvalues_are_exact_on_integer_matrices():
         assert all(type(x) in (int, Fraction) for x in eigen), mat
     # t^3 - t^2 - 2t + 2 = (t - 1)(t^2 - 2): the root sqrt(2) is irrational
     assert _rational_eigenvalues([[0, 2, 0], [1, 0, 0], [0, 0, 1]]) is None
+
+
+def _det(mat):
+    """Leibniz expansion: an oracle that shares no code with elimination."""
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= mat[i][perm[i]]
+        total += term
+    return total
+
+
+def _rank(mat):
+    """Size of the largest nonzero minor."""
+    nrows, ncols = len(mat), len(mat[0]) if mat else 0
+    for k in range(min(nrows, ncols), 0, -1):
+        for rows in itertools.combinations(range(nrows), k):
+            for cols in itertools.combinations(range(ncols), k):
+                if _det([[mat[r][c] for c in cols] for r in rows]):
+                    return k
+    return 0
+
+
+def test_invert_and_kernel_on_random_int_and_fraction_matrices():
+    """M M^-1 = M^-1 M = I, None exactly when det M = 0, M k = 0 for every
+    kernel column, and the kernel has n - rank independent columns."""
+    from covol.comodule import _invert, _kernel
+    from covol.exactlin import matmul_int
+    rng = random.Random(17)
+    singular = invertible = 0
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        if trial % 2:
+            mat = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                   for _ in range(n)]
+        else:
+            mat = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0 and n > 1:  # a row that is a multiple of another
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice([0, 1, -2, Fraction(1, 2)])
+            mat[i] = [c * x for x in mat[j]]
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        inv = _invert(mat)
+        if _det(mat):
+            invertible += 1
+            assert inv is not None, mat
+            assert matmul_int(mat, inv) == ident and matmul_int(inv, mat) == ident
+            assert all(type(x) in (int, Fraction) for row in inv for x in row)
+        else:
+            singular += 1
+            assert inv is None, mat
+        kernel = _kernel(mat)
+        assert len(kernel) == n - _rank(mat), mat
+        for col in kernel:
+            assert all(sum(mat[i][j] * col[j] for j in range(n)) == 0
+                       for i in range(n)), (mat, col)
+        assert _rank(kernel) == len(kernel)
+    assert singular > 50 and invertible > 50

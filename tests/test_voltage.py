@@ -292,3 +292,37 @@ def test_path_weight():
     w = ArrowWeighting.by_name(q, Z, {"a": zint(1)})
     assert path_weight(w, [0, 0, 0]) == zint(3)
     assert path_weight(w, []) == Z.identity()
+
+
+def test_lift_arrows_matches_lift_walk_on_every_fixture_path():
+    """The window lift of SmashQuiver equals the generic unique-walk lift
+    along the smash morphism, for every path of every fixture from every
+    window fiber, and is None exactly where that lift raises.  The
+    path-index helper of coalgebra agrees with both."""
+    from covol.coalgebra import PathIndex, lift_path
+    from covol.fixtures import all_fixtures
+    from covol.quiver import lift_walk
+    lifted = left = 0
+    for fx in all_fixtures():
+        for radius in (1, 3):
+            sq = smash_quiver(fx.quiver, fx.weighting, fx.window(radius))
+            cover_pindex = PathIndex(sq.quiver, fx.pindex.truncation)
+            for g in sq.window:
+                for i in range(len(fx.pindex)):
+                    start = sq.vertex_of(fx.pindex.source(i), g)
+                    try:
+                        walk = lift_walk(sq.morphism, fx.pindex.walk(i), start)
+                        want = tuple(b for b, _ in walk.steps)
+                    except QuiverError:
+                        want = None
+                    got = sq.lift_arrows(fx.pindex.arrows(i), g)
+                    assert got == want, (fx.name, radius, g, i)
+                    idx = lift_path(sq, fx.pindex, cover_pindex, i, g)
+                    if want is None:
+                        assert idx is None
+                        left += 1
+                    else:
+                        assert cover_pindex.source(idx) == start
+                        assert cover_pindex.arrows(idx) == want
+                        lifted += 1
+    assert lifted > 100 and left > 100
