@@ -164,10 +164,7 @@ def cmd_cov_crosscheck(ws, args):
     basis = _basis_of(ws, args)
     weighting = _weighting_of(ws, args)
     pres = _pres_of(ws, args)
-    window = window_ball(weighting.group, args.window)
-    report = covering_crosscheck(basis, weighting, pres, window)
-    report = dict(report)
-    report.pop("schema", None)
+    report = covering_crosscheck(basis, weighting, pres)
     report["command"] = "cov-crosscheck"
     return report, None, 0
 

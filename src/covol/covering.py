@@ -4,6 +4,11 @@ quiver, the covering test for minimal elements, the equivalence report
 (homogeneous / connected / covering), relator extraction from minimal
 blocks, universal grading groups, and window-local factor maps between
 covers.
+
+Right translation u#g -> u#gh is a deck transformation of the smash
+quiver, so the span of liftings at (u, g) is the g-translate of its piece
+at (u, e).  The crosscheck (`cov-crosscheck`) lifts from the identity fiber
+over the reach set alone, certifies every fiber, and ignores `--window`.
 """
 
 from .coalgebra import (
@@ -38,13 +43,14 @@ def _lift_vector(smash_q, cover_pindex, base_pindex, vec, start_fiber):
 
 class CoalgebraCovering:
     """A smash-quiver covering together with a base subcoalgebra and the
-    span of liftings realized in the covering path coalgebra."""
+    span of its liftings through `fibers`, in the covering path coalgebra."""
 
-    def __init__(self, smash_q, base, cover_pindex, lifted_spans):
+    def __init__(self, smash_q, base, cover_pindex, lifted_spans, fibers):
         self.smash = smash_q
         self.base = base
         self.cover_pindex = cover_pindex
         self.lifted_spans = lifted_spans
+        self.fibers = fibers
 
     @property
     def lifted_dimension(self):
@@ -55,9 +61,32 @@ class CoalgebraCovering:
         return space is not None and space.member(vec)
 
 
-def span_of_liftings(base, weighting, window, smash_q=None):
+def reach_set(base, weighting):
+    """The fibers that lifts from the identity fiber pass through, identity
+    first: the weight w(a_k)...w(a_1) of every prefix of every path in the
+    base's row supports, and w(a) and w(a)^-1 for each arrow, which keep
+    every vertex (v, e) interior."""
+    group = weighting.group
+    reach = {group.identity(): None}
+    for g in weighting.assignment.values():
+        reach.update({g: None, group.inverse(g): None})
+    for space in base.spaces.values():
+        for row in space.rows:
+            for i in row.support():
+                g = group.identity()
+                for a in base.pindex.arrows(i):
+                    g = group.multiply(weighting.of(a), g)
+                    reach[g] = None
+    return list(reach)
+
+
+def span_of_liftings(base, weighting, window=None, smash_q=None):
     """The span of all liftings of the paths and minimal elements of the
     base subcoalgebra, cut into its (source, target) components.
+
+    Vectors are lifted through every fiber of the window whose lift stays
+    inside, or without a window from the identity fiber alone, over the
+    smash quiver on `reach_set`, where every lift materializes.
 
     Every RREF row with support of size >= 2 is a minimal element (any
     member supported inside a row's support is a multiple of that row),
@@ -70,15 +99,17 @@ def span_of_liftings(base, weighting, window, smash_q=None):
     pairs is intersected with each pair's coordinates.  Rows of disjoint
     blocks are jointly reduced, so a pair's pieces sorted by pivot are its RREF.
     """
+    fibers = [weighting.group.identity()] if window is None else list(window)
     if smash_q is None:
-        smash_q = smash_quiver(base.pindex.quiver, weighting, window)
+        smash_q = smash_quiver(base.pindex.quiver, weighting,
+                               reach_set(base, weighting) if window is None else fibers)
     cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
     vectors = [SparseVector.unit(i) for i in base.all_path_symbols()]
     vectors += [row for row in map(base.row_vector, base.symbols())
                 if len(row.support()) >= 2]
     generators = []
     for vec in vectors:
-        for g in smash_q.window:
+        for g in fibers:
             lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
             if lifted is not None:
                 generators.append(lifted)
@@ -103,33 +134,18 @@ def span_of_liftings(base, weighting, window, smash_q=None):
     spans = {pair: Subspace(sorted(rows, key=SparseVector.leading),
                             sorted(row.leading() for row in rows))
              for pair, rows in sorted(pieces.items()) if rows}
-    return CoalgebraCovering(smash_q, base, cover_pindex, spans)
+    return CoalgebraCovering(smash_q, base, cover_pindex, spans, fibers)
 
 
 def build_lifted_subcoalgebra(base, weighting, window):
-    """Lifted subcoalgebra of a homogeneous base: the span of (row, fiber)
-    pairs realized as path vectors in the covering quiver.  The projection
-    down to the base is verified as a coalgebra map on interior symbols."""
+    """Lifted subcoalgebra of a homogeneous base: its span of liftings
+    through every fiber of the window.  The projection down to the base is
+    verified as a coalgebra map on interior symbols."""
     ok, witness = is_homogeneous(base, weighting, return_witness=True)
     if not ok:
         raise CoveringError("base subcoalgebra is not homogeneous; witness %s"
                             % vector_label(base.pindex, witness))
-    smash_q = smash_quiver(base.pindex.quiver, weighting, window)
-    cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
-    spans = {}
-    for sym in base.symbols():
-        vec = base.row_vector(sym)
-        for g in smash_q.window:
-            lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
-            if lifted is None:
-                continue
-            pairs = {(cover_pindex.source(i), cover_pindex.target(i))
-                     for i in lifted.support()}
-            assert len(pairs) == 1  # homogeneous rows lift with common endpoints
-            spans.setdefault(next(iter(pairs)), []).append(lifted)
-    spans = {pair: rref(rows) for pair, rows in spans.items()}
-    cov = CoalgebraCovering(smash_q, base, cover_pindex, spans)
-
+    cov = span_of_liftings(base, weighting, window)
     smash_coalg = smash_coalgebra(base, weighting, window)
     proj = smash_projection_map(smash_coalg)
     ok, bad, _ = verify_coalgebra_map(proj, smash_coalg, base)
@@ -139,72 +155,59 @@ def build_lifted_subcoalgebra(base, weighting, window):
 
 
 def _is_minimal_in(space, vec):
-    """No proper nonempty subsum of vec lies in the space."""
+    """No proper nonempty subsum of vec, a member of the space, lies in it.
+    Such subsums lie in the space's intersection with the coordinates of
+    vec's support; when that is one-dimensional it is vec's span."""
+    local = intersect_coordinates(space, vec.support())
+    return local.dimension == 1 or not _has_member_subsum(local, vec)
+
+
+def _has_member_subsum(space, vec):
+    """Whether a proper nonempty subsum of vec, a member of the space, lies
+    in it.  A subsum is a member iff its complement is, so the subsums
+    without the last coordinate suffice."""
     support = sorted(vec.support())
     n = len(support)
-    for mask in range(1, 2 ** n - 1):
-        part = SparseVector({support[i]: vec[support[i]]
-                             for i in range(n) if (mask >> i) & 1})
-        if space.member(part):
-            return False
-    return True
+    return any(space.member(SparseVector({support[i]: vec[support[i]]
+                                          for i in range(n) if (mask >> i) & 1}))
+               for mask in range(1, 2 ** (n - 1)))
 
 
 def is_coalgebra_covering(cov):
     """Every minimal element of the base lifts to a minimal element of the
-    lifted span at every fiber point where its support paths materialize:
-    common endpoint, membership, and minimality.  Quantifies over all
-    minimal rows (a block can carry several).  Returns (ok, witness) with
-    witness = (minimal element, fiber vertex) on failure."""
+    lifted span at every fiber of `cov.fibers` where its support paths
+    materialize: common endpoint, membership, and minimality.  Quantifies
+    over all minimal rows (a block can carry several).  Returns (ok,
+    witness) with witness = (minimal element, fiber vertex) on failure."""
     base = cov.base
     smash_q = cov.smash
     cover_pindex = cov.cover_pindex
-    for _pair, rep in minimal_rows(base):
-        src = next(iter({base.pindex.source(i) for i in rep.support()}))
-        for g in smash_q.window:
+    for (src, _), rep in minimal_rows(base):
+        for g in cov.fibers:
             start = smash_q.vertex_of(src, g)
-            if start is None:
-                continue
             candidate = _lift_vector(smash_q, cover_pindex, base.pindex, rep, g)
             if candidate is None:
                 continue
             ends = {cover_pindex.target(i) for i in candidate.support()}
-            if len(ends) != 1:
-                return False, (rep, start)
-            space = cov.lifted_spans.get((start, next(iter(ends))))
-            if space is None or not space.member(candidate):
-                return False, (rep, start)
-            if not _is_minimal_in(space, candidate):
+            space = cov.lifted_spans.get((start, ends.pop())) if len(ends) == 1 else None
+            if space is None or not space.member(candidate) \
+                    or not _is_minimal_in(space, candidate):
                 return False, (rep, start)
     return True, None
 
 
-def _rep_has_qualifying_fiber(cov, rep):
-    """Whether some fiber point materializes every support path of the
-    minimal element; the covering test is vacuous for this element
-    otherwise."""
-    smash_q = cov.smash
-    return any(all(smash_q.lift_arrows(cov.base.pindex.arrows(i), g) is not None
-                   for i in rep.support())
-               for g in smash_q.window)
-
-
-def covering_crosscheck(base, weighting, pres, window):
+def covering_crosscheck(base, weighting, pres, window=None):
     """Evaluate homogeneity, connectedness of the weighting, and the
     covering property of the span of liftings; homogeneity and the
     covering property must agree.
 
+    The covering property is certified from the identity fiber, which
+    covers every fiber; `window` is accepted for positional callers only.
     Returns a JSON-ready report dict.
     """
     homogeneous, witness = is_homogeneous(base, weighting, return_witness=True)
     connected = is_connected_weighting(weighting, pres)
-    cov = span_of_liftings(base, weighting, window)
-    for _pair, rep in minimal_rows(base):
-        if not _rep_has_qualifying_fiber(cov, rep):
-            raise CoveringError("window too small to certify the covering "
-                                "property for %s"
-                                % vector_label(base.pindex, rep))
-    covering_ok, cov_witness = is_coalgebra_covering(cov)
+    covering_ok, _ = is_coalgebra_covering(span_of_liftings(base, weighting))
     if homogeneous != covering_ok:
         raise CoveringError(
             "homogeneity and covering property disagree: %r vs %r"
@@ -215,10 +218,8 @@ def covering_crosscheck(base, weighting, pres, window):
         "connected": connected,
         "coveringOK": covering_ok,
     }
-    if witness is not None:
+    if witness is not None:  # exactly when the covering test failed too
         report["witness"] = vector_label(base.pindex, witness)
-    elif cov_witness is not None:
-        report["witness"] = vector_label(base.pindex, cov_witness[0])
     return report
 
 

@@ -409,8 +409,10 @@ class Parser:
     def rational(self):
         num = self.signed_int()
         if self.accept("/"):
-            den = self.expect("int").value
-            return Fraction(num, den)
+            den = self.expect("int")
+            if not den.value:
+                raise WorkspaceError("zero denominator", den.line, den.col)
+            return Fraction(num, den.value)
         return Fraction(num)
 
     def path_expr(self, quiver):

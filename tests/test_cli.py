@@ -6,7 +6,7 @@ import importlib.resources as resources
 
 import pytest
 
-from covol.cli import build_arg_parser, run_command
+from covol.cli import build_arg_parser, main, run_command
 from covol.workspace import parse
 
 FIXTURES = ["loop", "dbl", "kron", "tri_ac", "tri_acbc", "sl2"]
@@ -197,6 +197,15 @@ def test_cli_subprocess_bad_workspace(tmp_path):
     assert proc.returncode == 2
     report = json.loads(proc.stdout)
     assert "error" in report
+
+
+def test_cli_zero_denominator_exits_2(tmp_path, capsys):
+    bad = tmp_path / "zero.cov"
+    bad.write_text("quiver q { vertices x, y; arrows a: x -> y; }\n"
+                   "subcoalgebra B of q { truncate 1; generators: 1/0 * a; }\n")
+    assert main(["export", str(bad)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "line 2, column 49: zero denominator"
 
 
 def test_cli_json_output_file(tmp_path):

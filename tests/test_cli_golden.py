@@ -17,7 +17,7 @@ import os
 
 import pytest
 
-from covol import cli
+from covol import cli, covering, fixtures, voltage
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden")
@@ -42,10 +42,10 @@ def golden_path(command, name):
     return os.path.join(GOLDEN_DIR, "%s.%s.out" % (name, command))
 
 
-def render(command, name):
+def render(command, name, *extra):
     """(exit code, stdout) of an in-process `covol <command> <fixture>`;
     csm-iso's random liftings use the CLI's default seed."""
-    argv = [command, os.path.join(FIXTURE_DIR, name + ".cov")]
+    argv = [command, os.path.join(FIXTURE_DIR, name + ".cov"), *extra]
     if command == "twist":
         argv += ["--gamma", TWIST_GAMMA[name]]
     saved = os.environ.pop("COVOL_SEED", None)
@@ -70,6 +70,21 @@ def test_cli_report_bytes_match_golden(command, name):
     with open(golden_path(command, name), "rb") as handle:
         assert text.encode("utf-8") == handle.read()
     assert code == _load_codes()["%s %s" % (command, name)]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_cov_crosscheck_builds_no_window(name, monkeypatch):
+    # certified from the identity fiber: the same bytes with every window
+    # builder disabled, and at a radius that used to be refused
+    def refuse(*args):
+        raise AssertionError("cov-crosscheck built a window")
+    for module in (cli, covering, fixtures, voltage):
+        monkeypatch.setattr(module, "window_ball", refuse)
+    with open(golden_path("cov-crosscheck", name), "rb") as handle:
+        want = handle.read()
+    for extra in ([], ["--window", "0"]):
+        code, text = render("cov-crosscheck", name, *extra)
+        assert code == 0 and text.encode("utf-8") == want
 
 
 def record():

@@ -1,20 +1,22 @@
 import itertools
+import json
 import random
 
 import pytest
 
 from covol.coalgebra import PathIndex, SparseVector, is_homogeneous, \
     subcoalgebra_closure
+from covol import cli, covering
 from covol.covering import (
-    CoveringError, build_lifted_subcoalgebra, covering_crosscheck,
-    extract_relators, is_coalgebra_covering, relators_vanish,
-    span_of_liftings, universal_cover, universal_factor_map,
+    CoveringError, _is_minimal_in, build_lifted_subcoalgebra,
+    covering_crosscheck, extract_relators, is_coalgebra_covering, reach_set,
+    relators_vanish, span_of_liftings, universal_cover, universal_factor_map,
     universal_grading_group, word_image,
 )
 from covol.exactlin import finest_block_partition, intersect_coordinates, rref
 from covol.fixtures import (
-    double_loop_fixture, kronecker_fixture, loop_fixture, sl2_fixture,
-    tri_fixture,
+    all_fixtures, double_loop_fixture, kronecker_fixture, loop_fixture,
+    sl2_fixture, tri_fixture,
 )
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.quiver import Quiver
@@ -431,41 +433,52 @@ def _global_lifted_spans(base, smash_q, cover_pindex):
     return spans, straddling
 
 
-def test_span_of_liftings_matches_global_rref():
-    # the block-local spans equal the global RREF cut by intersection, on
-    # every group backend, homogeneous or not
+def _backends():
+    """(group, weight sampler) for Z, Z/5, S3, Z^2 and free(2)."""
     z5, z2, f2, s3 = FgAbelian(0, (5,)), FgAbelian(2), FreeGroup(2), _s3()
     f2_letters = [f2.identity(), f2.generator(0), f2.generator(1),
                   f2.inverse(f2.generator(0)), f2.inverse(f2.generator(1))]
-    backends = [
-        (Z, lambda rng: zint(rng.randint(-1, 1)), 2),
-        (z5, lambda rng: z5.element(torsion=[rng.randrange(5)]), 0),
-        (s3, lambda rng: rng.randrange(6), 0),
-        (z2, lambda rng: z2.element(free=[rng.randint(0, 1), rng.randint(0, 1)]), 1),
-        (f2, lambda rng: rng.choice(f2_letters), 1),
+    return [
+        (Z, lambda rng: zint(rng.randint(-1, 1))),
+        (z5, lambda rng: z5.element(torsion=[rng.randrange(5)])),
+        (s3, lambda rng: rng.randrange(6)),
+        (z2, lambda rng: z2.element(free=[rng.randint(0, 1), rng.randint(0, 1)])),
+        (f2, lambda rng: rng.choice(f2_letters)),
     ]
-    quivers = [
+
+
+def _criterion_5_quivers():
+    return [
         sl2_fixture(4).quiver,
         tri_fixture("ac").quiver,
         Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "u")]),
     ]
+
+
+def _parallel_sums(rng, pindex):
+    """Closure of two combinations of 2-3 parallel paths."""
+    gens = []
+    for _ in range(2):
+        pair = rng.choice(sorted(pindex.by_pair))
+        same = [i for i in pindex.by_pair[pair] if pindex.length(i)]
+        support = rng.sample(same, min(len(same), rng.randint(2, 3)))
+        gens.append(SparseVector({i: rng.choice([1, 2, -1]) for i in support}))
+    return subcoalgebra_closure(pindex, gens)
+
+
+def test_span_of_liftings_matches_global_rref():
+    # the block-local spans equal the global RREF cut by intersection, on
+    # every group backend, homogeneous or not
     rng = random.Random(1070)
     straddling = inhomogeneous = checked = 0
-    for q in quivers:
+    for q in _criterion_5_quivers():
         pindex = PathIndex(q, 2)
-        for group, sample, radius in backends:
+        for (group, sample), radius in zip(_backends(), (2, 0, 0, 1, 1)):
             window = window_ball(group, radius)
             for _ in range(3):
                 w = ArrowWeighting(q, group, {a: sample(rng)
                                               for a in range(q.num_arrows())})
-                gens = []
-                for _ in range(2):  # combinations of 2-3 parallel paths
-                    pair = rng.choice(sorted(pindex.by_pair))
-                    same = [i for i in pindex.by_pair[pair] if pindex.length(i)]
-                    support = rng.sample(same, min(len(same), rng.randint(2, 3)))
-                    gens.append(SparseVector({i: rng.choice([1, 2, -1])
-                                              for i in support}))
-                basis = subcoalgebra_closure(pindex, gens)
+                basis = _parallel_sums(rng, pindex)
                 sq = smash_quiver(q, w, window)
                 cov = span_of_liftings(basis, w, window, smash_q=sq)
                 want, blocks = _global_lifted_spans(basis, sq, cov.cover_pindex)
@@ -477,3 +490,123 @@ def test_span_of_liftings_matches_global_rref():
                 inhomogeneous += not is_homogeneous(basis, w)
                 checked += 1
     assert checked == 45 and inhomogeneous > 0 and straddling > 0
+
+
+def _identity_fiber_pieces(cov):
+    """The span's pieces leaving the identity fiber, in path labels, which
+    do not depend on the window the cover was built over."""
+    sq, pindex = cov.smash, cov.cover_pindex
+    names = sq.quiver.vertices
+    return {(names[s], names[t]): [{pindex.label(i): c for i, c in row.items()}
+                                   for row in space.rows]
+            for (s, t), space in cov.lifted_spans.items()
+            if sq.fiber_coordinate(s) == sq.group.identity()}
+
+
+def test_identity_fiber_certifies_every_fiber():
+    # deck equivariance: lifting from the identity fiber over the reach set
+    # gives the windowed verdict and is_homogeneous on every backend, and
+    # its span is the windowed span's piece at the identity fiber
+    rng = random.Random(1006)
+    inhomogeneous = with_minimal = 0
+    for q in _criterion_5_quivers():
+        pindex = PathIndex(q, 2)
+        for (group, sample), radius in zip(_backends(), (2, 0, 0, 2, 2)):
+            window = window_ball(group, radius)  # contains every reach set
+            for _ in range(8):
+                w = ArrowWeighting(q, group, {a: sample(rng)
+                                              for a in range(q.num_arrows())})
+                basis = _parallel_sums(rng, pindex)
+                reach = reach_set(basis, w)
+                assert reach[0] == group.identity() and set(reach) <= set(window)
+                ident = span_of_liftings(basis, w)
+                windowed = span_of_liftings(basis, w, window)
+                assert ident.fibers == [group.identity()]
+                assert ident.smash.interior_vertices >= {
+                    ident.smash.vertex_of(v, group.identity())
+                    for v in range(q.num_vertices())}
+                homogeneous = is_homogeneous(basis, w)
+                assert is_coalgebra_covering(ident)[0] == homogeneous
+                assert is_coalgebra_covering(windowed)[0] == homogeneous
+                assert _identity_fiber_pieces(ident) == _identity_fiber_pieces(windowed)
+                inhomogeneous += not homogeneous
+                with_minimal += homogeneous and any(
+                    len(basis.row_vector(sym).support()) >= 2
+                    for sym in basis.symbols())
+    assert inhomogeneous and with_minimal
+
+
+def test_deck_action_carries_lifts():
+    # right translation by h carries the lift of every base path from g
+    # onto its lift from gh, wherever the translate stays in the window
+    for fx in all_fixtures():
+        sq = smash_quiver(fx.quiver, fx.weighting, fx.window(2))
+        checked = 0
+        for h in sq.window:
+            vmap, amap, _ = sq.deck_action(h)
+            for g in sq.window:
+                gh = sq.group.multiply(g, h)
+                for src, _, arrows in fx.pindex.paths:
+                    lift = sq.lift_arrows(arrows, g)
+                    if lift is None or sq.vertex_of(src, gh) is None \
+                            or any(a not in amap for a in lift):
+                        continue
+                    assert vmap[sq.vertex_of(src, g)] == sq.vertex_of(src, gh)
+                    assert tuple(amap[a] for a in lift) == sq.lift_arrows(arrows, gh)
+                    checked += 1
+        assert checked > len(fx.pindex), fx.name
+
+
+def _minimal_by_enumeration(space, vec):
+    support = sorted(vec.support())
+    n = len(support)
+    return not any(
+        space.member(SparseVector({support[i]: vec[support[i]]
+                                   for i in range(n) if (mask >> i) & 1}))
+        for mask in range(1, 2 ** n - 1))
+
+
+def test_minimality_by_rank_matches_enumeration():
+    # members of random spaces on <= 10 coordinates, whose intersection
+    # with the coordinates of their support is one-dimensional (certified
+    # by rank) or larger (searched), against the full enumeration
+    rng = random.Random(2010)
+    seen = set()  # (local dimension capped at 2, minimal)
+    for _ in range(300):
+        ambient = rng.randint(2, 10)
+        space = rref([SparseVector({i: rng.choice([0, 0, 1, -1, 2])
+                                    for i in range(ambient)})
+                      for _ in range(rng.randint(1, 4))])
+        vec = SparseVector()
+        for row in rng.sample(space.rows, min(len(space.rows), rng.randint(1, 3))):
+            vec = vec + row.scale(rng.choice([1, 2, -1]))
+        if vec.is_zero():
+            continue
+        minimal = _minimal_by_enumeration(space, vec)
+        assert _is_minimal_in(space, vec) == minimal
+        local = intersect_coordinates(space, vec.support()).dimension
+        seen.add((min(local, 2), minimal))
+    assert seen == {(1, True), (2, True), (2, False)}
+
+
+def test_star_crosscheck_enumerates_no_subsums(tmp_path, monkeypatch):
+    # x -> m_i -> y with generator sum_i b_i.a_i: its 24-path minimal
+    # element is certified by rank; enumeration would try 2^24 subsums
+    n = 24
+    calls = []
+    enumerate_subsums = covering._has_member_subsum
+    monkeypatch.setattr(covering, "_has_member_subsum",
+                        lambda *args: calls.append(args) or enumerate_subsums(*args))
+    path = tmp_path / "star.cov"
+    path.write_text(
+        "quiver star {\n  vertices x, y, %s;\n  arrows %s;\n}\n"
+        "group G = Z;\nweighting d on star into G {\n%s\n}\n"
+        "subcoalgebra B of star {\n  truncate 2;\n  generators: %s;\n}\n" % (
+            ", ".join("m%d" % i for i in range(n)),
+            ", ".join("a%d: x -> m%d, b%d: m%d -> y" % (i, i, i, i) for i in range(n)),
+            "\n".join("  a%d = 0;\n  b%d = 0;" % (i, i) for i in range(n)),
+            " + ".join("b%d.a%d" % (i, i) for i in range(n))))
+    assert cli.main(["cov-crosscheck", str(path), "--json", str(tmp_path / "out.json")]) == 0
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["homogeneous"] and report["coveringOK"]
+    assert calls == []

@@ -164,3 +164,11 @@ def test_fixture_files_match_programmatic_fixtures():
         assert decl.basis.dimension == fx.basis.dimension, name
         w = next(iter(ws.weightings.values())).weighting
         assert w.assignment == fx.weighting.assignment, name
+
+
+def test_parse_error_zero_denominator():
+    with pytest.raises(WorkspaceError) as err:
+        parse("quiver q { vertices x, y; arrows a: x -> y; }\n"
+              "subcoalgebra B of q { truncate 1; generators: 1/0 * a; }")
+    assert "zero denominator" in str(err.value)
+    assert (err.value.line, err.value.col) == (2, 49)
