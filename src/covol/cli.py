@@ -5,8 +5,10 @@ Commands build smash quivers and coalgebras, run the homogeneity /
 covering / connectedness checks, extract minimal elements and relators,
 compute universal grading groups, verify the covering isomorphisms, twist
 weightings, probe gradability of a comodule, and export DOT or JSON.
-Every command prints one deterministic JSON report; the exit code is 0
-iff every property the command asserts actually held.
+Every command prints one deterministic JSON report.  Exit code 0: every
+property the command asserts held; 1: one failed; 2: a usage, workspace
+or file I/O error.  All commands share one option set, but `--gamma` is
+required for `twist` only and `--liftings N >= 0` serves `csm-iso` only.
 """
 
 import argparse
@@ -190,6 +192,7 @@ def cmd_csm_iso(ws, args):
         gamma = VertexWeighting(weighting.quiver, group, named)
         liftings.append(sq.lifting_from_vertex_weighting(gamma))
 
+    expected = cover_projection_map(cover_pindex, basis.pindex, sq.morphism)
     verified = 0
     total_checked = 0
     for lifting in liftings:
@@ -200,7 +203,6 @@ def cmd_csm_iso(ws, args):
         ident = is_identity_map(compose_maps(psi, phi)) and \
             is_identity_map(compose_maps(phi, psi))
         proj = compose_maps(smash_projection_map(smash_coalg), psi)
-        expected = cover_projection_map(cover_pindex, basis.pindex, sq.morphism)
         commutes = proj == {sym: expected[sym] for sym in proj}
         if ok1 and ok2 and ident and commutes and c1 and c2:
             verified += 1
@@ -309,29 +311,36 @@ def run_command(command, ws, args):
     return report, dot, code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """One flat option set; `--gamma` and `--liftings` each serve one command."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extra = super().parse_known_args(args, namespace)
+        if (ns.command == "twist") != (ns.gamma is not None):
+            self.error("--gamma is required for twist and refused elsewhere")
+        if ns.liftings is not None and (ns.command != "csm-iso" or ns.liftings < 0):
+            self.error("--liftings is for csm-iso only and must be >= 0")
+        if ns.command == "csm-iso" and ns.liftings is None:
+            ns.liftings = 5
+        return ns, extra
+
+
 def build_arg_parser():
-    parser = argparse.ArgumentParser(
-        prog="covol",
+    parser = _ArgumentParser(
+        prog="covol", usage="%(prog)s command workspace [options]",
         description="quiver coverings, voltages, and graded path coalgebras")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in sorted(COMMANDS):
-        p = sub.add_parser(name)
-        p.add_argument("workspace", help="workspace (.cov) file")
-        p.add_argument("--window", type=int, default=3,
-                       help="window radius for infinite groups (default 3)")
-        p.add_argument("--json", help="write the JSON report to a file")
-        p.add_argument("--dot", nargs="?", const="-",
-                       help="write DOT output (smash/export) to a file")
-        p.add_argument("--quiver")
-        p.add_argument("--weighting")
-        p.add_argument("--subcoalgebra")
-        p.add_argument("--comodule")
-        if name == "twist":
-            p.add_argument("--gamma", required=True,
-                           help="vertex weighting, e.g. \"x=0,y=1\"")
-        if name == "csm-iso":
-            p.add_argument("--liftings", type=int, default=5,
-                           help="random liftings beyond the canonical one")
+    parser.add_argument("command", choices=sorted(COMMANDS))
+    parser.add_argument("workspace", help="workspace (.cov) file")
+    parser.add_argument("--window", type=int, default=3,
+                        help="window radius for infinite groups (default 3)")
+    parser.add_argument("--json", help="write the JSON report to a file")
+    parser.add_argument("--dot", nargs="?", const="-",
+                        help="write DOT output (smash/export) to a file")
+    for name in ("quiver", "weighting", "subcoalgebra", "comodule"):
+        parser.add_argument("--" + name)
+    parser.add_argument("--gamma", help="twist only, required: vertex weights x=0,y=1")
+    parser.add_argument("--liftings", type=int, help="csm-iso only: random "
+                        "liftings beyond the canonical one (default 5)")
     return parser
 
 
@@ -341,21 +350,22 @@ def main(argv=None):
         with open(args.workspace, "r", encoding="utf-8") as handle:
             ws = parse(handle.read())
         report, dot, code = run_command(args.command, ws, args)
-    except (WorkspaceError, CommandError, KeyError, ValueError) as exc:
+        # Files first, so that a failed write leaves only the error on stdout.
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if args.json:
+            with open(args.json, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            text = ""
+        if dot is not None:
+            if args.dot and args.dot != "-":
+                with open(args.dot, "w", encoding="utf-8") as handle:
+                    handle.write(dot)
+            else:
+                text += dot
+    except (WorkspaceError, CommandError, KeyError, ValueError, OSError) as exc:
         print(json.dumps({"schema": 1, "error": str(exc)}, sort_keys=True))
         return 2
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    if dot is not None:
-        if args.dot and args.dot != "-":
-            with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(dot)
-        else:
-            sys.stdout.write(dot)
+    sys.stdout.write(text)
     return code
 
 

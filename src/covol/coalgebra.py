@@ -138,7 +138,7 @@ def delta_vector(pindex, vec):
 
 
 def counit_vector(pindex, vec):
-    return sum((c for i, c in vec.items() if pindex.length(i) == 0), Fraction(0))
+    return sum((c for i, c in vec.items() if pindex.length(i) == 0), 0)
 
 
 def endpoints(pindex, vec):
@@ -154,12 +154,16 @@ class TruncatedPathCoalgebra:
 
     def __init__(self, pindex):
         self.pindex = pindex
+        self._coproduct_cache = {}
 
     def symbols(self):
         return list(range(len(self.pindex)))
 
     def coproduct(self, sym):
-        return [(_ONE, l, r) for l, r in delta_terms(self.pindex, sym)], False
+        if sym not in self._coproduct_cache:
+            self._coproduct_cache[sym] = (
+                [(_ONE, l, r) for l, r in delta_terms(self.pindex, sym)], False)
+        return self._coproduct_cache[sym]
 
     def counit(self, sym):
         return 1 if self.pindex.length(sym) == 0 else 0
@@ -559,7 +563,7 @@ def verify_coalgebra_map(linmap, source, target, symbols=None):
             continue
         if lhs != rhs:
             return False, sym, checked
-        eps = sum((c * target.counit(t) for t, c in image.items()), Fraction(0))
+        eps = sum((c * target.counit(t) for t, c in image.items()), 0)
         if eps != source.counit(sym):
             return False, sym, checked
         checked += 1

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import importlib.resources as resources
 
 import pytest
 
+from covol import cli
 from covol.cli import build_arg_parser, main, run_command
 from covol.workspace import parse
 
@@ -218,3 +220,115 @@ def test_cli_json_output_file(tmp_path):
     assert proc.returncode == 0
     report = json.loads(out.read_text())
     assert report["group"] == "Z (abelianized)"
+
+
+def test_cli_missing_workspace_exits_2(tmp_path, capsys):
+    assert main(["homog", str(tmp_path / "missing.cov")]) == 2
+    out = capsys.readouterr().out
+    assert json.loads(out)["schema"] == 1
+    assert "No such file" in json.loads(out)["error"]
+
+
+def test_cli_unwritable_dot_leaves_only_the_error(tmp_path, capsys):
+    path = fixture_path("kron", tmp_path)
+    dot = tmp_path / "missing-dir" / "x.dot"
+    assert main(["export", path, "--dot", str(dot)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"schema", "error"}
+
+
+def test_cli_negative_liftings_exits_2(tmp_path, capsys):
+    path = fixture_path("kron", tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["csm-iso", path, "--liftings", "-3"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def _subparser_oracle():
+    """The parser as it was with one subparser per command."""
+    parser = argparse.ArgumentParser(prog="covol")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in sorted(cli.COMMANDS):
+        p = sub.add_parser(name)
+        p.add_argument("workspace", help="workspace (.cov) file")
+        p.add_argument("--window", type=int, default=3)
+        p.add_argument("--json")
+        p.add_argument("--dot", nargs="?", const="-")
+        p.add_argument("--quiver")
+        p.add_argument("--weighting")
+        p.add_argument("--subcoalgebra")
+        p.add_argument("--comodule")
+        if name == "twist":
+            p.add_argument("--gamma", required=True)
+        if name == "csm-iso":
+            p.add_argument("--liftings", type=int, default=5)
+    return parser
+
+
+def _parse_or_exit(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return None
+
+
+def test_flat_parser_matches_subparser_oracle(capsys):
+    # same accept/reject and same values as one subparser per command;
+    # a negative --liftings (now refused) is the one deliberate difference
+    option_sets = [[], ["--window", "2"], ["--json", "out"], ["--dot"],
+                   ["--dot", "out.dot"], ["--quiver", "q"], ["--weighting", "w"],
+                   ["--subcoalgebra", "s"], ["--comodule", "c"],
+                   ["--gamma", "x=0"], ["--liftings", "2"],
+                   ["--window", "2", "--json", "out"]]
+    corpus = [["nosuch", "ws.cov"], ["twist", "ws.cov", "--liftings", "2"]]
+    for command in sorted(cli.COMMANDS):
+        corpus.append([command])
+        for options in option_sets:
+            corpus.append([command, "ws.cov", *options])
+            corpus.append([command, "ws.cov", *options, "--gamma", "y=1"])
+    oracle = _subparser_oracle()
+    accepted = 0
+    for argv in corpus:
+        want = _parse_or_exit(oracle, argv)
+        got = _parse_or_exit(build_arg_parser(), argv)
+        assert (want is None) == (got is None), argv
+        if want is not None:
+            for key, value in vars(want).items():
+                assert getattr(got, key) == value, (argv, key)
+            accepted += 1
+    capsys.readouterr()
+    # 10 option sets on each of 9 commands, 11 on csm-iso, 12 on twist
+    assert accepted == 9 * 10 + 11 + 12
+
+
+def _swap_phi(monkeypatch, with_psi):
+    """Wrap covering_coalgebra_iso so phi swaps the lifts of one arrow path
+    at two fibers; with_psi swaps psi to match, so both composites stay
+    identities and the projection square still commutes."""
+    iso = cli.covering_coalgebra_iso
+
+    def wrong(cover, lifting, base_pindex, cover_pindex, window):
+        psi, phi, smash, induced = iso(cover, lifting, base_pindex,
+                                       cover_pindex, window)
+        arrow = next(i for i in range(len(base_pindex)) if base_pindex.length(i))
+        s1, s2 = [(arrow, g) for g in window if (arrow, g) in phi][:2]
+        (p1,), (p2,) = phi[s1], phi[s2]
+        phi[s1], phi[s2] = phi[s2], phi[s1]
+        if with_psi:
+            psi[p1], psi[p2] = psi[p2], psi[p1]
+        return psi, phi, smash, induced
+
+    monkeypatch.setattr(cli, "covering_coalgebra_iso", wrong)
+
+
+@pytest.mark.parametrize("with_psi", [False, True])
+def test_csm_iso_catches_a_wrong_map(tmp_path, capsys, monkeypatch, with_psi):
+    path = fixture_path("kron", tmp_path)
+    assert main(["csm-iso", path, "--liftings", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] == 3
+    _swap_phi(monkeypatch, with_psi)
+    assert main(["csm-iso", path, "--liftings", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verified"] < report["liftings"] == 3

@@ -60,6 +60,12 @@ def test_counit():
     assert counit_vector(pindex, v) == 2
 
 
+def test_counits_of_an_integral_basis_are_int():
+    basis = sl2_fixture().basis
+    counits = [basis.counit(sym) for sym in basis.symbols()]
+    assert all(type(e) is int for e in counits) and 0 in counits and 1 in counits
+
+
 def test_coradical_grading():
     # splitting a path never increases total length
     fx = double_loop_fixture(truncation=4)

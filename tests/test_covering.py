@@ -19,7 +19,7 @@ from covol.fixtures import (
     sl2_fixture, tri_fixture,
 )
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
-from covol.quiver import Quiver
+from covol.quiver import Quiver, spanning_tree_pi1
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
 Z = FgAbelian(1)
@@ -534,6 +534,27 @@ def test_identity_fiber_certifies_every_fiber():
                     len(basis.row_vector(sym).support()) >= 2
                     for sym in basis.symbols())
     assert inhomogeneous and with_minimal
+
+
+def test_relators_vanish_on_every_backend():
+    # a homogeneous weighting kills every relator, on every group backend;
+    # each backend meets homogeneous instances with relators to kill
+    rng = random.Random(1083)
+    nonvacuous = [0] * 5
+    for q in _criterion_5_quivers():
+        pindex = PathIndex(q, 2)
+        pres = spanning_tree_pi1(q, 0)
+        for k, (group, sample) in enumerate(_backends()):
+            for _ in range(12):
+                w = ArrowWeighting(q, group, {a: sample(rng)
+                                              for a in range(q.num_arrows())})
+                basis = _parallel_sums(rng, pindex)
+                if not is_homogeneous(basis, w):
+                    continue
+                rels = extract_relators(basis, pres)
+                assert relators_vanish(rels, w)
+                nonvacuous[k] += bool(rels.relators)
+    assert all(nonvacuous), nonvacuous
 
 
 def test_deck_action_carries_lifts():
