@@ -88,9 +88,9 @@ class PathIndex:
         """Index of the path with the given traversal-order arrows, or None."""
         return self._index.get(tuple(arrows))
 
-    def from_names(self, names, start=None):
+    def from_names(self, names):
         """Path from arrow names in right-to-left display order; a bare
-        vertex label (with start=None) gives the length-0 path."""
+        vertex label gives the length-0 path."""
         if not names:
             raise CoalgebraError("empty path expression")
         if len(names) == 1 and names[0] in self.quiver.vertex_index:
@@ -525,21 +525,19 @@ def coproduct_of_vector(coalgebra, vec):
     return out, truncated
 
 
-def verify_coalgebra_map(linmap, source, target, symbols=None):
+def verify_coalgebra_map(linmap, source, target):
     """Check (f tensor f) . Delta = Delta . f and counit preservation on
     every symbol whose expansions avoid the window boundary on both sides.
 
     Returns (ok, witness symbol, checked count).
     """
-    if symbols is None:
-        symbols = [s for s in source.symbols() if s in linmap]
     checked = 0
-    for sym in symbols:
-        terms, truncated = source.coproduct(sym)
-        if truncated:
-            continue
+    for sym in source.symbols():
         image = linmap.get(sym)
         if image is None:
+            continue
+        terms, truncated = source.coproduct(sym)
+        if truncated:
             continue
         lhs, t2 = coproduct_of_vector(target, image)
         if t2:
@@ -570,14 +568,12 @@ def verify_coalgebra_map(linmap, source, target, symbols=None):
     return True, None, checked
 
 
-def coassociativity_ok(coalgebra, symbols=None):
+def coassociativity_ok(coalgebra):
     """Exact coassociativity and counit laws, skipping symbols whose
     two-level expansion hits the window boundary.  Returns (ok, witness,
     checked count)."""
-    if symbols is None:
-        symbols = coalgebra.symbols()
     checked = 0
-    for sym in symbols:
+    for sym in coalgebra.symbols():
         terms, truncated = coalgebra.coproduct(sym)
         if truncated:
             continue

@@ -80,7 +80,7 @@ def reach_set(base, weighting):
     return list(reach)
 
 
-def span_of_liftings(base, weighting, window=None, smash_q=None):
+def span_of_liftings(base, weighting, window=None):
     """The span of all liftings of the paths and minimal elements of the
     base subcoalgebra, cut into its (source, target) components.
 
@@ -100,9 +100,8 @@ def span_of_liftings(base, weighting, window=None, smash_q=None):
     blocks are jointly reduced, so a pair's pieces sorted by pivot are its RREF.
     """
     fibers = [weighting.group.identity()] if window is None else list(window)
-    if smash_q is None:
-        smash_q = smash_quiver(base.pindex.quiver, weighting,
-                               reach_set(base, weighting) if window is None else fibers)
+    smash_q = smash_quiver(base.pindex.quiver, weighting,
+                           reach_set(base, weighting) if window is None else fibers)
     cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
     vectors = [SparseVector.unit(i) for i in base.all_path_symbols()]
     vectors += [row for row in map(base.row_vector, base.symbols())
@@ -349,15 +348,12 @@ def universal_grading_group(base, pres):
                                  images, weighting, abelianized)
 
 
-def universal_cover(base, pres, window_radius=None, window=None):
+def universal_cover(base, pres, window_radius=None):
     """Lifted subcoalgebra over the universal weighting."""
     univ = universal_grading_group(base, pres)
-    if window is None:
-        if window_radius is None:
-            window_radius = base.pindex.truncation + 2
-        window = window_ball(univ.backend, window_radius)
-    cov = build_lifted_subcoalgebra(base, univ.weighting, window)
-    return univ, cov
+    radius = base.pindex.truncation + 2 if window_radius is None else window_radius
+    window = window_ball(univ.backend, radius)
+    return univ, build_lifted_subcoalgebra(base, univ.weighting, window)
 
 
 def relators_vanish(relator_set, weighting):
@@ -368,7 +364,7 @@ def relators_vanish(relator_set, weighting):
                for r in relator_set.relators)
 
 
-def universal_factor_map(univ, target_weighting, target_window, univ_window=None):
+def universal_factor_map(univ, target_weighting, target_window):
     """Window-local covering morphism from the universal smash cover onto
     the smash cover of a homogeneous connected weighting.
 
@@ -381,8 +377,6 @@ def universal_factor_map(univ, target_weighting, target_window, univ_window=None
     pres = univ.pres
     group = target_weighting.group
     quiver = pres.quiver
-    if univ_window is None:
-        univ_window = window_ball(univ.backend, quiver.num_arrows() + 2)
 
     if not relators_vanish(univ.relator_set, target_weighting):
         raise CoveringError("target weighting does not kill the relators")
@@ -407,7 +401,7 @@ def universal_factor_map(univ, target_weighting, target_window, univ_window=None
     window_set = set(target_window)
     checked = 0
     mapping = {}
-    for g in univ_window:
+    for g in window_ball(univ.backend, quiver.num_arrows() + 2):
         img_g = phi(g)
         for v in range(quiver.num_vertices()):
             target_fiber = group.multiply(gamma[v], img_g)

@@ -268,31 +268,46 @@ class QuiverMorphism:
                     or self.vertex_map[source.target(a)] != target.target(b)):
                 raise QuiverError("morphism does not preserve sources/targets at %r"
                                   % source.arrow_name(a))
+        self._lifts = None
 
     def fiber(self, vertex):
         return [v for v, img in enumerate(self.vertex_map) if img == vertex]
 
+    def lifts(self, v, a, sign):
+        """Domain arrows over codomain arrow a that leave domain vertex v
+        (sign 1) or enter it (sign -1).  The index is built on first use."""
+        if self._lifts is None:
+            self._lifts = {}
+            for b, ((_, s, t), image) in enumerate(zip(self.domain.arrows, self.arrow_map)):
+                for key in ((s, image, 1), (t, image, -1)):
+                    self._lifts[key] = self._lifts.get(key, ()) + (b,)
+        return self._lifts.get((v, a, sign), ())
 
-def is_covering(morphism, require_connected=True):
-    """Covering test: surjective on vertices and arrows, and locally a
-    bijection on in-arrows and out-arrows at every covering vertex.
+    def is_local_bijection(self, v):
+        """Every arrow leaving (entering) the image of v has exactly one lift
+        leaving (entering) v.  Every arrow at v lies over one of them, since
+        morphisms preserve endpoints, so this is the local bijection."""
+        img, cod = self.vertex_map[v], self.codomain
+        return all(len(self.lifts(v, a, 1)) == 1 for a in cod.out_arrows[img]) \
+            and all(len(self.lifts(v, a, -1)) == 1 for a in cod.in_arrows[img])
+
+
+def is_covering(morphism):
+    """Covering test: both quivers connected, surjective on vertices and
+    arrows, and locally a bijection on in-arrows and out-arrows at every
+    covering vertex.
 
     Returns (ok, witness_vertex).
     """
     dom, cod = morphism.domain, morphism.codomain
-    if require_connected and not (dom.is_connected() and cod.is_connected()):
+    if not (dom.is_connected() and cod.is_connected()):
         return False, None
     if set(morphism.vertex_map) != set(range(cod.num_vertices())):
         return False, None
     if set(morphism.arrow_map) != set(range(cod.num_arrows())):
         return False, None
     for v in range(dom.num_vertices()):
-        img = morphism.vertex_map[v]
-        outs = [morphism.arrow_map[a] for a in dom.out_arrows[v]]
-        ins = [morphism.arrow_map[a] for a in dom.in_arrows[v]]
-        if sorted(outs) != sorted(cod.out_arrows[img]):
-            return False, v
-        if sorted(ins) != sorted(cod.in_arrows[img]):
+        if not morphism.is_local_bijection(v):
             return False, v
     return True, None
 
@@ -306,10 +321,7 @@ def lift_walk(morphism, walk, start):
     cur = start
     steps = []
     for a, sign in walk.steps:
-        if sign == 1:
-            candidates = [b for b in dom.out_arrows[cur] if morphism.arrow_map[b] == a]
-        else:
-            candidates = [b for b in dom.in_arrows[cur] if morphism.arrow_map[b] == a]
+        candidates = morphism.lifts(cur, a, sign)
         if len(candidates) != 1:
             raise QuiverError("not a covering at vertex %r" % dom.vertices[cur])
         b = candidates[0]
@@ -333,36 +345,20 @@ def covering_automorphism(morphism, src_vertex, dst_vertex):
     while frontier:
         v = frontier.pop()
         w = vmap[v]
-        for a in dom.out_arrows[v]:
-            image = [b for b in dom.out_arrows[w]
-                     if morphism.arrow_map[b] == morphism.arrow_map[a]]
-            if len(image) != 1:
-                return None
-            b = image[0]
-            if amap.setdefault(a, b) != b:
-                return None
-            t, tb = dom.target(a), dom.target(b)
-            if t in vmap:
-                if vmap[t] != tb:
+        for arrows, sign, far in ((dom.out_arrows[v], 1, dom.target),
+                                  (dom.in_arrows[v], -1, dom.source)):
+            for a in arrows:
+                image = morphism.lifts(w, morphism.arrow_map[a], sign)
+                if len(image) != 1:
                     return None
-            else:
-                vmap[t] = tb
-                frontier.append(t)
-        for a in dom.in_arrows[v]:
-            image = [b for b in dom.in_arrows[w]
-                     if morphism.arrow_map[b] == morphism.arrow_map[a]]
-            if len(image) != 1:
-                return None
-            b = image[0]
-            if amap.setdefault(a, b) != b:
-                return None
-            s, sb = dom.source(a), dom.source(b)
-            if s in vmap:
-                if vmap[s] != sb:
+                b = image[0]
+                if amap.setdefault(a, b) != b:
                     return None
-            else:
-                vmap[s] = sb
-                frontier.append(s)
+                u, ub = far(a), far(b)
+                if u not in vmap:
+                    frontier.append(u)
+                if vmap.setdefault(u, ub) != ub:
+                    return None
     if len(vmap) != dom.num_vertices() or len(amap) != dom.num_arrows():
         return None  # only complete automorphisms count (connected: always complete)
     if sorted(vmap.values()) != list(range(dom.num_vertices())):
@@ -372,14 +368,28 @@ def covering_automorphism(morphism, src_vertex, dst_vertex):
     return vperm, aperm
 
 
-def is_galois_on_fiber(morphism, base_vertex):
-    """True iff covering automorphisms act transitively on the fiber over
-    the base vertex (finite covering quivers only)."""
+def _deck_sweep(morphism, base_vertex):
+    """The base vertex index, its fiber, and the covering automorphisms
+    moving the fiber's first vertex to each fiber vertex in turn, up to the
+    first vertex that none reaches (all of them iff Galois there)."""
     if isinstance(base_vertex, str):
         base_vertex = morphism.codomain.vertex_index[base_vertex]
     fiber = morphism.fiber(base_vertex)
     anchor = fiber[0]
-    return all(covering_automorphism(morphism, anchor, v) is not None for v in fiber)
+    autos = []
+    for v in fiber:
+        auto = covering_automorphism(morphism, anchor, v)
+        if auto is None:
+            break
+        autos.append(auto)
+    return base_vertex, fiber, autos
+
+
+def is_galois_on_fiber(morphism, base_vertex):
+    """True iff covering automorphisms act transitively on the fiber over
+    the base vertex (finite covering quivers only)."""
+    _, fiber, autos = _deck_sweep(morphism, base_vertex)
+    return len(autos) == len(fiber)
 
 
 def deck_group(morphism, base_vertex):
@@ -389,23 +399,11 @@ def deck_group(morphism, base_vertex):
     table encodes the right action: acting by table[g][h] equals acting by
     g and then by h.
     """
-    if isinstance(base_vertex, str):
-        base_vertex = morphism.codomain.vertex_index[base_vertex]
-    fiber = morphism.fiber(base_vertex)
+    base_vertex, fiber, autos = _deck_sweep(morphism, base_vertex)
+    if len(autos) != len(fiber):
+        raise QuiverError("covering is not Galois over vertex %r"
+                          % morphism.codomain.vertices[base_vertex])
     anchor = fiber[0]
-    autos = []
-    for v in fiber:
-        auto = covering_automorphism(morphism, anchor, v)
-        if auto is None:
-            raise QuiverError("covering is not Galois over vertex %r"
-                              % morphism.codomain.vertices[base_vertex])
-        autos.append(auto)
     index_of = {auto[0][anchor]: i for i, auto in enumerate(autos)}
-    table = []
-    for g, (vg, _) in enumerate(autos):
-        row = []
-        for h, (vh, _) in enumerate(autos):
-            row.append(index_of[vh[vg[anchor]]])
-        table.append(row)
-    group = FiniteTable(table)
-    return group, autos
+    table = [[index_of[vh[vg[anchor]]] for vh, _ in autos] for vg, _ in autos]
+    return FiniteTable(table), autos

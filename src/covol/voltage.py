@@ -235,7 +235,7 @@ class SmashQuiver:
     def fiber(self, base_vertex):
         if isinstance(base_vertex, str):
             base_vertex = self.base.vertex_index[base_vertex]
-        return [i for i, (v, _) in enumerate(self.vertex_pairs) if v == base_vertex]
+        return self.morphism.fiber(base_vertex)
 
     def canonical_lifting(self):
         """The lifting x |-> x # identity."""
@@ -290,16 +290,7 @@ def local_covering_ok(smash):
     """Covering property at every interior vertex: the morphism restricts
     to bijections on in-arrows and out-arrows there.  For a full window
     over a finite group this is the covering property everywhere."""
-    q = smash.quiver
-    base = smash.base
-    f = smash.morphism
-    for v in smash.interior_vertices:
-        img = f.vertex_map[v]
-        outs = sorted(f.arrow_map[a] for a in q.out_arrows[v])
-        ins = sorted(f.arrow_map[a] for a in q.in_arrows[v])
-        if outs != sorted(base.out_arrows[img]) or ins != sorted(base.in_arrows[img]):
-            return False
-    return True
+    return all(smash.morphism.is_local_bijection(v) for v in smash.interior_vertices)
 
 
 class GaloisCoverData:
@@ -311,39 +302,27 @@ class GaloisCoverData:
     moving the canonical lift of F(v) to v.
     """
 
-    def __init__(self, morphism, group, canonical_lifting, deck_of, act_vertex,
-                 act_arrow=None):
+    def __init__(self, morphism, group, deck_of, act_vertex):
         self.morphism = morphism
         self.group = group
-        self.canonical_lifting = canonical_lifting
         self.deck_of = deck_of
         self.act_vertex = act_vertex
-        self.act_arrow = act_arrow
 
     @classmethod
     def from_smash(cls, smash):
         group = smash.group
 
-        def deck_of(v):
-            return smash.fiber_coordinate(v)
-
         def act(v, g):
             base_v, h = smash.vertex_pairs[v]
             return smash.vertex_of(base_v, group.multiply(h, g))
 
-        def act_arrow(a, g):
-            base_a, h = smash.arrow_pairs[a]
-            return smash.arrow_of(base_a, group.multiply(h, g))
-
-        return cls(smash.morphism, group, smash.canonical_lifting(), deck_of,
-                   act, act_arrow)
+        return cls(smash.morphism, group, smash.fiber_coordinate, act)
 
     @classmethod
     def from_finite(cls, morphism, base_vertex=0):
         group, autos = deck_group(morphism, base_vertex)
-        canonical = {}
-        for v in range(morphism.codomain.num_vertices()):
-            canonical[v] = min(morphism.fiber(v))
+        canonical = {v: min(morphism.fiber(v))
+                     for v in range(morphism.codomain.num_vertices())}
 
         def deck_of(v):
             anchor = canonical[morphism.vertex_map[v]]
@@ -355,10 +334,7 @@ class GaloisCoverData:
         def act(v, g):
             return autos[g][0][v]
 
-        def act_arrow(a, g):
-            return autos[g][1][a]
-
-        return cls(morphism, group, canonical, deck_of, act, act_arrow)
+        return cls(morphism, group, deck_of, act)
 
 
 def weighting_from_lifting(cover, lifting):

@@ -154,34 +154,80 @@ def test_smash_comodule_roundtrip_random():
         assert back.degrees == graded.degrees
 
 
-def test_from_smash_with_basis_change():
-    fx = sl2_fixture(4)
-    M = weyl_comodule(fx)
-    smash = smash_coalgebra(fx.basis, fx.weighting, fx.window(4))
-    graded = GradedComodule(M, [zint(0), zint(0)], smash.weight_of, Z)
-    N = to_smash_comodule(graded, smash)
-    # mix the basis: m0' = m0 + m1, m1' = m1 (still a valid comodule)
-    mixed = {}
-    P = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    Pinv = [[Fraction(1), Fraction(0)], [Fraction(-1), Fraction(1)]]
-    for (i, j), coeff in N.coaction.items():
-        for s in range(2):
-            for t in range(2):
+def change_basis(coaction, P, Pinv):
+    """Coaction on the basis m'_t = sum_j P[j][t] m_j: the coefficient of
+    m'_s in rho(m'_t) is sum_ij Pinv[s][i] c_ij P[j][t]."""
+    out = {}
+    n = len(P)
+    for (i, j), coeff in coaction.items():
+        for s in range(n):
+            for t in range(n):
                 f = Pinv[s][i] * P[j][t]
                 if f:
-                    cell = mixed.setdefault((s, t), {})
+                    cell = out.setdefault((s, t), {})
                     for sym, c in coeff.items():
                         v = cell.get(sym, 0) + f * c
                         if v:
                             cell[sym] = v
                         else:
                             del cell[sym]
-    N2 = Comodule(smash, ["p0", "p1"], mixed)
+    return {k: cell for k, cell in out.items() if cell}
+
+
+# mix the basis: m0' = m0 + m1, m1' = m1 (still a valid comodule)
+MIX = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
+MIX_INV = [[Fraction(1), Fraction(0)], [Fraction(-1), Fraction(1)]]
+
+
+def test_from_smash_with_basis_change():
+    fx = sl2_fixture(4)
+    M = weyl_comodule(fx)
+    smash = smash_coalgebra(fx.basis, fx.weighting, fx.window(4))
+    graded = GradedComodule(M, [zint(0), zint(0)], smash.weight_of, Z)
+    N = to_smash_comodule(graded, smash)
+    N2 = Comodule(smash, ["p0", "p1"], change_basis(N.coaction, MIX, MIX_INV))
     ok, failure = verify_comodule(N2)
     assert ok, failure
     back, change = from_smash_comodule(N2)
     assert back.verify()[0]
     assert sorted(Z.format(d) for d in back.degrees) == ["0", "0"]
+
+
+def test_from_smash_diagonalizes_a_mixed_group_coaction():
+    # simples at x0 and x1 in degrees 0 and 1, mixed across degrees, so
+    # the group coaction is not diagonal and the basis must change
+    fx = sl2_fixture(4)
+    x0 = unit_symbol(fx.basis, fx.pindex.vertex_path("x0"))
+    x1 = unit_symbol(fx.basis, fx.pindex.vertex_path("x1"))
+    M = Comodule(fx.basis, ["m0", "m1"],
+                 {(0, 0): {x0: Fraction(1)}, (1, 1): {x1: Fraction(1)}})
+    smash = smash_coalgebra(fx.basis, fx.weighting, fx.window(4))
+    N = to_smash_comodule(GradedComodule(M, [zint(0), zint(1)], smash.weight_of, Z),
+                          smash)
+    mixed = Comodule(smash, ["p0", "p1"], change_basis(N.coaction, MIX, MIX_INV))
+    ok, failure = verify_comodule(mixed)
+    assert ok, failure
+    back, change = from_smash_comodule(mixed)
+    assert change is not None
+    assert sorted(Z.format(d) for d in back.degrees) == ["0", "1"]
+    assert back.verify()[0]
+    assert back.comodule.labels == ["n0", "n1"]
+    assert back.comodule.coaction == M.coaction  # the unmixed simples
+    # undoing the change on the recovered coaction gives the mixed
+    # comodule's coaction with the group coordinate forgotten
+    projected = {}
+    for key, coeff in mixed.coaction.items():
+        cell = {}
+        for (sym, _), c in coeff.items():
+            cell[sym] = cell.get(sym, 0) + c
+        cell = {sym: c for sym, c in cell.items() if c}
+        if cell:
+            projected[key] = cell
+    (a, b), (c, d) = change
+    det = a * d - b * c
+    change_inv = [[Fraction(d, det), Fraction(-b, det)],
+                  [Fraction(-c, det), Fraction(a, det)]]
+    assert change_basis(back.comodule.coaction, change_inv, change) == projected
 
 
 def test_to_smash_rejects_degree_outside_window():

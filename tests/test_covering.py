@@ -479,9 +479,8 @@ def test_span_of_liftings_matches_global_rref():
                 w = ArrowWeighting(q, group, {a: sample(rng)
                                               for a in range(q.num_arrows())})
                 basis = _parallel_sums(rng, pindex)
-                sq = smash_quiver(q, w, window)
-                cov = span_of_liftings(basis, w, window, smash_q=sq)
-                want, blocks = _global_lifted_spans(basis, sq, cov.cover_pindex)
+                cov = span_of_liftings(basis, w, window)
+                want, blocks = _global_lifted_spans(basis, cov.smash, cov.cover_pindex)
                 assert list(cov.lifted_spans) == sorted(want)
                 for pair, space in want.items():
                     got = cov.lifted_spans[pair]

@@ -172,3 +172,76 @@ def test_parse_error_zero_denominator():
               "subcoalgebra B of q { truncate 1; generators: 1/0 * a; }")
     assert "zero denominator" in str(err.value)
     assert (err.value.line, err.value.col) == (2, 49)
+
+
+def _weighting_source(group_spec, values):
+    return ("quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"
+            "group G = %s;\n"
+            "weighting d on kron into G { a = %s; b = %s; }\n" % ((group_spec,) + values))
+
+
+def test_parse_tuple_weights_in_z2():
+    ws = parse(_weighting_source("Z^2", ("(1, -2)", "(0,3)")))
+    z2 = ws.groups["G"].group
+    w = ws.weightings["d"].weighting
+    assert w.of(0) == z2.element(free=[1, -2])
+    assert w.of(1) == z2.element(free=[0, 3])
+    text = emit(ws)
+    assert "a = (1,-2);" in text
+    assert parse(text) == ws and emit(parse(text)) == text
+
+
+def test_parse_tuple_arity_and_bare_integer_errors():
+    with pytest.raises(WorkspaceError) as err:
+        parse(_weighting_source("Z^2", ("(1, 2, 3)", "(0, 0)")))
+    assert "element needs 2 coordinates" in str(err.value)
+    assert (err.value.line, err.value.col) == (3, 34)  # at the opening "("
+    with pytest.raises(WorkspaceError) as err:
+        parse(_weighting_source("Z^2", ("1", "(0, 0)")))
+    assert "element needs tuple syntax" in str(err.value)
+
+
+def test_parse_cyclic_residues():
+    ws = parse(_weighting_source("Z/5", ("7", "-1")))
+    z5 = ws.groups["G"].group
+    w = ws.weightings["d"].weighting
+    assert w.of(0) == z5.element(torsion=[2])
+    assert w.of(1) == z5.element(torsion=[4])
+    text = emit(ws)
+    assert "a = 2;" in text and "b = 4;" in text
+    assert parse(text) == ws
+
+
+def test_parse_trivial_group_literal():
+    ws = parse(_weighting_source("trivial", ("0", "1")))
+    trivial = ws.groups["G"].group
+    w = ws.weightings["d"].weighting
+    assert w.of(0) == w.of(1) == trivial.identity()
+    assert parse(emit(ws)) == ws
+    with pytest.raises(WorkspaceError) as err:
+        parse(_weighting_source("trivial", ("0", "2")))
+    assert "trivial group has only 0" in str(err.value)
+
+
+def test_rational_coefficients_reach_the_closure_exactly():
+    from fractions import Fraction
+
+    from covol.coalgebra import SparseVector
+    ws = parse("""
+quiver tri { vertices x, y, z; arrows c: x -> y, a: y -> z, b: y -> z; }
+subcoalgebra B of tri { truncate 2; generators: 1/2 * a.c + -3/4 * b.c; }
+""")
+    decl = ws.subcoalgebras["B"]
+    pindex, basis = decl.pindex, decl.basis
+    ac, bc = pindex.from_names(["a", "c"]), pindex.from_names(["b", "c"])
+    gen = SparseVector({ac: Fraction(1, 2), bc: Fraction(-3, 4)})
+    assert basis.dimension == 7  # vertices, arrows and the generator
+    assert basis.coordinates(gen) is not None
+    assert basis.coordinates(SparseVector.unit(ac)) is None
+    row = next(basis.row_vector(s) for s in basis.symbols()
+               if ac in basis.row_vector(s).support())
+    assert dict(row.items()) == {ac: 1, bc: Fraction(-3, 2)}
+    assert decl.generator_texts == ["1/2*a.c + -3/4*b.c"]
+    text = emit(ws)
+    assert "generators: 1/2*a.c + -3/4*b.c;" in text
+    assert parse(text) == ws and emit(parse(text)) == text
