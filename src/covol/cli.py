@@ -184,11 +184,18 @@ def cmd_csm_iso(ws, args):
     rng = random.Random(seed)
 
     liftings = [sq.canonical_lifting()]
+    # A random lift is drawn among the small elements whose vertex is
+    # interior, so that every arrow at it lifts inside the window.
+    candidates = []
+    for v in range(weighting.quiver.num_vertices() if args.liftings else 0):
+        candidates.append([g for g in window if _small_window_element(group, g)
+                           and sq.vertex_of(v, g) in sq.interior_vertices])
+        if not candidates[v]:
+            raise CommandError("no small window element lifts vertex %r to the "
+                               "interior at window %d"
+                               % (weighting.quiver.vertices[v], args.window))
     for _ in range(args.liftings):
-        named = {}
-        for v in range(weighting.quiver.num_vertices()):
-            named[v] = rng.choice([g for g in window
-                                   if _small_window_element(group, g)])
+        named = {v: rng.choice(small) for v, small in enumerate(candidates)}
         gamma = VertexWeighting(weighting.quiver, group, named)
         liftings.append(sq.lifting_from_vertex_weighting(gamma))
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .exactlin import SparseVector, Subspace, _Echelon, \
     intersect_coordinates, finest_block_partition
-from .quiver import QuiverError, Walk, lift_walk
+from .quiver import Walk
 from .voltage import path_weight, twist_weighting, weighting_from_lifting
 
 
@@ -83,6 +83,14 @@ class PathIndex:
         if isinstance(a, str):
             a = self.quiver.arrow_index[a]
         return self._index[(a,)]
+
+    def prefix(self, i):
+        """Index of path i without its last arrow (a vertex for an arrow),
+        or None for a vertex.  It always precedes path i."""
+        src, _, arrows = self.paths[i]
+        if not arrows:
+            return None
+        return self._index[arrows[:-1] if len(arrows) > 1 else ("v", src)]
 
     def path_of(self, arrows):
         """Index of the path with the given traversal-order arrows, or None."""
@@ -531,23 +539,22 @@ def verify_coalgebra_map(linmap, source, target):
 
     Returns (ok, witness symbol, checked count).
     """
+    get, source_coproduct, target_counit = linmap.get, source.coproduct, target.counit
     checked = 0
     for sym in source.symbols():
-        image = linmap.get(sym)
+        image = get(sym)
         if image is None:
             continue
-        terms, truncated = source.coproduct(sym)
+        terms, truncated = source_coproduct(sym)
         if truncated:
             continue
         lhs, t2 = coproduct_of_vector(target, image)
         if t2:
             continue
         rhs = {}
-        skip = False
         for coeff, l, r in terms:
-            il, ir = linmap.get(l), linmap.get(r)
+            il, ir = get(l), get(r)
             if il is None or ir is None:
-                skip = True
                 break
             for a, ca in il.items():
                 for b, cb in ir.items():
@@ -557,14 +564,17 @@ def verify_coalgebra_map(linmap, source, target):
                         rhs[key] = s
                     else:
                         del rhs[key]
-        if skip:
-            continue
-        if lhs != rhs:
-            return False, sym, checked
-        eps = sum((c * target.counit(t) for t, c in image.items()), 0)
-        if eps != source.counit(sym):
-            return False, sym, checked
-        checked += 1
+        else:
+            if lhs != rhs:
+                return False, sym, checked
+            eps = 0
+            for t, c in image.items():
+                e = target_counit(t)
+                if e:
+                    eps += c * e
+            if eps != source.counit(sym):
+                return False, sym, checked
+            checked += 1
     return True, None, checked
 
 
@@ -682,42 +692,62 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
     deck displacement of its start from the lifted start), and
     phi: smash symbols -> cover paths lifts a path at the deck translate
     of the lifted source.  Both are partial near the window boundary.
+
+    The deck displacement depends only on a path's source, so psi computes
+    it once per cover vertex.  phi lifts base paths in `PathIndex` order,
+    where every prefix comes before its one-arrow extensions: the lift of
+    a path extends its prefix's lift by the unique lift of its last arrow,
+    and a path whose prefix did not lift, or whose last arrow has no
+    unique lift there, has no image.  phi reads only the deck action and
+    the unique-lift index, never psi.
     """
     group = cover.group
+    morphism = cover.morphism
     induced = weighting_from_lifting(cover, lifting)
     smash_coalg = smash_path_coalgebra(base_pindex, induced, window)
     window_set = set(window)
 
-    projection = cover_projection_map(cover_pindex, base_pindex, cover.morphism)
+    lifted_inverse = [group.inverse(cover.deck_of(lifting[u]))
+                      for u in range(morphism.codomain.num_vertices())]
+    displacement = []
+    for v, u in enumerate(morphism.vertex_map):
+        sigma = group.multiply(lifted_inverse[u], cover.deck_of(v))
+        displacement.append(sigma if sigma in window_set else None)
+    cover_paths = cover_pindex.paths
+    projection = cover_projection_map(cover_pindex, base_pindex, morphism)
     psi_pairs = []
     for i, image in projection.items():
-        src = cover_pindex.source(i)
-        base_src = cover.morphism.vertex_map[src]
-        sigma = group.multiply(group.inverse(cover.deck_of(lifting[base_src])),
-                               cover.deck_of(src))
-        if sigma in window_set:
+        sigma = displacement[cover_paths[i][0]]
+        if sigma is not None:
             psi_pairs.append((i, (next(iter(image)), sigma)))
     psi = basis_map(psi_pairs)
 
+    base_paths = base_pindex.paths
+    prefix = [base_pindex.prefix(i) for i in range(len(base_paths))]
+    lifts, path_of = morphism.lifts, cover_pindex.path_of
     phi_pairs = []
     for g in window:
-        for i in range(len(base_pindex)):
-            src, _, arrows = base_pindex.paths[i]
-            start = cover.act_vertex(lifting[src], g)
-            if start is None:
-                continue
+        lifted = [None] * len(base_paths)
+        for i, (src, _, arrows) in enumerate(base_paths):
             if not arrows:
-                phi_pairs.append(((i, g), cover_pindex.vertex_path(start)))
-                continue
-            try:
-                lifted = lift_walk(cover.morphism, base_pindex.walk(i), start)
-            except QuiverError:
-                continue
-            idx = cover_pindex.path_of(tuple(a for a, _ in lifted.steps))
-            if idx is not None:
-                phi_pairs.append(((i, g), idx))
-    phi = basis_map(phi_pairs)
-    return psi, phi, smash_coalg, induced
+                start = cover.act_vertex(lifting[src], g)
+                if start is None:
+                    continue
+                idx = cover_pindex.vertex_path(start)
+            else:
+                p = lifted[prefix[i]]
+                if p is None:
+                    continue
+                _, end, path = cover_paths[p]
+                candidates = lifts(end, arrows[-1], 1)
+                if len(candidates) != 1:
+                    continue
+                idx = path_of(path + candidates)
+                if idx is None:
+                    continue
+            lifted[i] = idx
+            phi_pairs.append(((i, g), idx))
+    return psi, basis_map(phi_pairs), smash_coalg, induced
 
 
 def twist_iso(base_pindex, weighting, vertex_weighting, window):

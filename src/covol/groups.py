@@ -9,6 +9,8 @@ the descriptor.  Free words are tuples of nonzero signed generator numbers
 tuples with torsion residues in canonical range.
 """
 
+from operator import add, neg
+
 from .exactlin import smith_normal_form, matmul_int, det_int
 
 
@@ -106,12 +108,16 @@ class FgAbelian:
         return ((0,) * self.free_rank, (0,) * len(self.torsion))
 
     def multiply(self, a, b):
-        free = tuple(x + y for x, y in zip(a[0], b[0]))
-        tors = tuple((x + y) % t for x, y, t in zip(a[1], b[1], self.torsion))
-        return (free, tors)
+        free = tuple(map(add, a[0], b[0]))
+        if not self.torsion:
+            return (free, ())
+        return (free, tuple((x + y) % t for x, y, t in zip(a[1], b[1], self.torsion)))
 
     def inverse(self, a):
-        return (tuple(-x for x in a[0]), tuple((-x) % t for x, t in zip(a[1], self.torsion)))
+        free = tuple(map(neg, a[0]))
+        if not self.torsion:
+            return (free, ())
+        return (free, tuple((-x) % t for x, t in zip(a[1], self.torsion)))
 
     def is_finite(self):
         return self.free_rank == 0
@@ -183,7 +189,14 @@ class FreeGroup:
         return ()
 
     def multiply(self, a, b):
-        return reduce_word(list(a) + list(b))
+        """Product of two reduced words.  Each factor is already reduced, so
+        only the junction can cancel: the scan stops at the first letter of
+        `b` that does not cancel the matching tail letter of `a`, in time
+        proportional to the cancellation."""
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[-1 - k] == -b[k]:
+            k += 1
+        return a[:len(a) - k] + b[k:]
 
     def inverse(self, a):
         return tuple(-x for x in reversed(a))

@@ -371,14 +371,14 @@ def covering_automorphism(morphism, src_vertex, dst_vertex):
 def _deck_sweep(morphism, base_vertex):
     """The base vertex index, its fiber, and the covering automorphisms
     moving the fiber's first vertex to each fiber vertex in turn, up to the
-    first vertex that none reaches (all of them iff Galois there)."""
+    first vertex that none reaches (all of them iff Galois there).  An
+    empty fiber has no automorphisms and is never Galois."""
     if isinstance(base_vertex, str):
         base_vertex = morphism.codomain.vertex_index[base_vertex]
     fiber = morphism.fiber(base_vertex)
-    anchor = fiber[0]
     autos = []
     for v in fiber:
-        auto = covering_automorphism(morphism, anchor, v)
+        auto = covering_automorphism(morphism, fiber[0], v)
         if auto is None:
             break
         autos.append(auto)
@@ -389,7 +389,7 @@ def is_galois_on_fiber(morphism, base_vertex):
     """True iff covering automorphisms act transitively on the fiber over
     the base vertex (finite covering quivers only)."""
     _, fiber, autos = _deck_sweep(morphism, base_vertex)
-    return len(autos) == len(fiber)
+    return bool(fiber) and len(autos) == len(fiber)
 
 
 def deck_group(morphism, base_vertex):
@@ -400,7 +400,7 @@ def deck_group(morphism, base_vertex):
     g and then by h.
     """
     base_vertex, fiber, autos = _deck_sweep(morphism, base_vertex)
-    if len(autos) != len(fiber):
+    if not fiber or len(autos) != len(fiber):
         raise QuiverError("covering is not Galois over vertex %r"
                           % morphism.codomain.vertices[base_vertex])
     anchor = fiber[0]

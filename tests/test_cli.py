@@ -9,6 +9,7 @@ import pytest
 
 from covol import cli
 from covol.cli import build_arg_parser, main, run_command
+from covol.voltage import smash_quiver, window_ball
 from covol.workspace import parse
 
 FIXTURES = ["loop", "dbl", "kron", "tri_ac", "tri_acbc", "sl2"]
@@ -109,6 +110,41 @@ def test_csm_iso(tmp_path):
     report, _, code = run("csm-iso", "kron", tmp_path, "--liftings", "2")
     assert code == 0
     assert report["verified"] == report["liftings"] == 3
+
+
+@pytest.mark.parametrize("window", ["1", "2"])
+def test_csm_iso_small_windows(tmp_path, window):
+    # Random lifts are drawn at interior vertices only, so no lifting
+    # meets the window boundary.
+    for name in FIXTURES:
+        report, _, code = run("csm-iso", name, tmp_path, "--window", window)
+        assert code == 0, (name, report)
+        assert report["verified"] == report["liftings"] == 6, (name, report)
+
+
+def test_csm_iso_default_window_keeps_every_small_element(tmp_path):
+    # At the default window every small element lifts each vertex to the
+    # interior, so the random draws are those of the unfiltered lists.
+    for name in FIXTURES:
+        with open(fixture_path(name, tmp_path), encoding="utf-8") as handle:
+            weighting = parse(handle.read()).sole("weighting", None).weighting
+        group = weighting.group
+        sq = smash_quiver(weighting.quiver, weighting, window_ball(group, 3))
+        for v in range(weighting.quiver.num_vertices()):
+            for g in sq.window:
+                if cli._small_window_element(group, g):
+                    assert sq.vertex_of(v, g) in sq.interior_vertices, (name, v, g)
+
+
+def test_csm_iso_without_interior_lift_exits_2(tmp_path, capsys):
+    ws = tmp_path / "wide.cov"
+    ws.write_text("quiver q { vertices x, y; arrows a: x -> y, b: y -> y; }\n"
+                  "group G = Z;\n"
+                  "weighting d on q into G { a = 0; b = 2; }\n"
+                  "subcoalgebra B of q { truncate 1; generators: a; }\n")
+    assert main(["csm-iso", str(ws), "--window", "1"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "no small window element lifts vertex 'y' to the interior at window 1")
 
 
 def test_twist(tmp_path):

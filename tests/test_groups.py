@@ -71,6 +71,62 @@ def test_group_axioms_random():
             assert g.multiply(g.inverse(a), a) == g.identity()
 
 
+def _random_reduced_word(rng, rank, max_len):
+    return reduce_word([rng.choice([1, -1]) * rng.randint(1, rank)
+                        for _ in range(rng.randint(0, max_len))])
+
+
+def test_free_multiply_cancels_only_at_the_junction():
+    free = FreeGroup(3)
+    rng = random.Random(2011)
+    kinds = {"full": 0, "partial": 0, "none": 0, "identity": 0}
+    for k in range(2000):
+        a = _random_reduced_word(rng, 3, 8)
+        shape = k % 5
+        if shape == 0:  # a . a^-1
+            b = free.inverse(a)
+        elif shape == 1:  # a^-1 tail, then fresh letters
+            cut = rng.randint(0, len(a))
+            b = reduce_word(list(free.inverse(a[cut:]))
+                            + list(_random_reduced_word(rng, 3, 5)))
+        elif shape == 2:
+            a, b = free.identity(), a
+        elif shape == 3:
+            b = free.identity()
+        else:
+            b = _random_reduced_word(rng, 3, 8)
+        got = free.multiply(a, b)
+        assert got == reduce_word(a + b), (a, b)
+        assert isinstance(got, tuple)
+        if not a or not b:
+            kinds["identity"] += 1
+        elif not got:
+            kinds["full"] += 1
+        elif len(got) < len(a) + len(b):
+            kinds["partial"] += 1
+        else:
+            kinds["none"] += 1
+    assert all(kinds.values()), kinds
+
+
+@pytest.mark.parametrize("free_rank, torsion", [(1, ()), (2, ()), (2, (2,))])
+def test_abelian_kernels_match_componentwise_reference(free_rank, torsion):
+    group = FgAbelian(free_rank, torsion)
+    rng = random.Random(2012 + free_rank + len(torsion))
+
+    def pick():
+        return group.element(free=[rng.randint(-9, 9) for _ in range(free_rank)],
+                             torsion=[rng.randrange(t) for t in torsion])
+
+    for _ in range(500):
+        a, b = pick(), pick()
+        want = (tuple(x + y for x, y in zip(a[0], b[0])),
+                tuple((x + y) % t for x, y, t in zip(a[1], b[1], torsion)))
+        assert group.multiply(a, b) == want
+        assert group.inverse(a) == (tuple(-x for x in a[0]),
+                                    tuple((-x) % t for x, t in zip(a[1], torsion)))
+
+
 def test_generates_abelian():
     z = FgAbelian(1)
     assert generates(z, [z.element(free=[2]), z.element(free=[3])])  # gcd 1

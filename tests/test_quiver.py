@@ -177,6 +177,16 @@ def test_deck_group_cyclic():
     assert rotation[0] == [3, 4, 5, 0, 1, 2]
 
 
+def test_empty_fiber_is_not_galois():
+    # One domain vertex over x of x -> y: nothing lies over y.
+    base = Quiver(["x", "y"], [("a", "x", "y")])
+    f = QuiverMorphism(Quiver(["x0"], []), base, [0], [])
+    assert is_galois_on_fiber(f, 0)
+    assert is_galois_on_fiber(f, "y") is False
+    with pytest.raises(QuiverError, match="not Galois over vertex 'y'"):
+        deck_group(f, 1)
+
+
 def test_dot_export():
     q = kronecker_quiver()
     dot = q.to_dot("kron")

@@ -6,6 +6,9 @@ by scanning the arrows there.  Seeded random morphisms (permutation
 covers, Galois or not; collapsed, missing and duplicated lifts;
 disconnected domains; morphisms missing vertices or arrows of the base)
 must give the same results, witnesses and raised errors under both.
+One difference is deliberate: over a base vertex with an empty fiber the
+oracles raise `IndexError`, while `is_galois_on_fiber` says False and
+`deck_group` raises `QuiverError`.
 """
 
 import random
@@ -268,7 +271,7 @@ def test_covering_layer_matches_scan_oracles():
     seen = {"covering": 0, "not_covering": 0, "local_witness": 0,
             "disconnected_domain": 0, "vertex_gap": 0, "arrow_gap": 0,
             "galois_cover": 0, "non_galois_cover": 0, "lift_ok": 0, "lift_raised": 0,
-            "automorphisms": 0}
+            "automorphisms": 0, "empty_fiber": 0}
     kinds = set()
     for kind, rng, f in _random_morphisms(1108, 400):
         kinds.add(kind)
@@ -290,11 +293,20 @@ def test_covering_layer_matches_scan_oracles():
         for b in range(cod.num_vertices()):
             name = cod.vertices[b] if rng.random() < 0.5 else b
             galois = _outcome(is_galois_on_fiber, f, name)
+            deck = _outcome(deck_group, f, name)
+            want = _outcome(oracle_deck_group, f, name)
+            if not f.fiber(b):
+                # Deliberate difference: the oracles index the empty fiber.
+                index_error = ("raised", "IndexError", "list index out of range")
+                assert _outcome(oracle_is_galois_on_fiber, f, name) == index_error
+                assert want == index_error
+                assert galois == ("ok", False), kind
+                assert deck[:2] == ("raised", "QuiverError"), kind
+                seen["empty_fiber"] += 1
+                continue
             assert galois == _outcome(oracle_is_galois_on_fiber, f, name), kind
             if got[0]:
                 seen["galois_cover" if galois[1] else "non_galois_cover"] += 1
-            deck = _outcome(deck_group, f, name)
-            want = _outcome(oracle_deck_group, f, name)
             if deck[0] == "ok" and want[0] == "ok":
                 assert deck[1][0].table == want[1][0].table and deck[1][1] == want[1][1]
             else:
