@@ -32,6 +32,10 @@ class PathIndex:
     Paths are (source, target, arrows) with arrows in traversal order;
     vertices are the length-0 paths and come first, then arrows, then
     longer paths generated in enumeration order.
+
+    The index keeps one coproduct table, filled on first use by `_split`,
+    that every coalgebra, closure and coproduct over it reads, and the
+    images of its paths under the last covering asked (`_projection`).
     """
 
     def __init__(self, quiver, truncation):
@@ -50,6 +54,8 @@ class PathIndex:
                 for a in quiver.out_arrows[tgt]:
                     nxt.append(self._append(src, quiver.target(a), arrows + (a,)))
             frontier = nxt
+        self._coproducts = [None] * len(self.paths)
+        self._images = None
 
     def _append(self, src, tgt, arrows):
         idx = len(self.paths)
@@ -124,25 +130,34 @@ class PathIndex:
         src, _, arrows = self.paths[i]
         return Walk(self.quiver, src, tuple((a, 1) for a in arrows))
 
+    def _split(self, i):
+        """Fill and return path i's entry of the coproduct table: all its
+        (later part, earlier part) splittings, including the two vertex
+        boundary terms, as ([(1, later, earlier), ...], False); a vertex is
+        group-like.  Read the table as `_coproducts[i] or _split(i)`; the
+        entries are shared, so no caller may mutate them."""
+        src, tgt, arrows = self.paths[i]
+        if not arrows:
+            terms = [(_ONE, i, i)]
+        else:
+            terms = [(_ONE, self.vertex_path(tgt), i), (_ONE, i, self.vertex_path(src))]
+            for k in range(1, len(arrows)):
+                terms.append((_ONE, self.path_of(arrows[k:]), self.path_of(arrows[:k])))
+        entry = self._coproducts[i] = (terms, False)
+        return entry
+
 
 def delta_terms(pindex, i):
-    """Splittings of a path: all (later part, earlier part) pairs including
-    the two vertex boundary terms; a vertex is group-like."""
-    src, tgt, arrows = pindex.paths[i]
-    if not arrows:
-        return [(i, i)]
-    out = [(pindex.vertex_path(tgt), i), (i, pindex.vertex_path(src))]
-    for k in range(1, len(arrows)):
-        early = pindex.path_of(arrows[:k])
-        late = pindex.path_of(arrows[k:])
-        out.append((late, early))
-    return out
+    """Splittings of a path as (later part, earlier part) pairs, read from
+    the index's coproduct table."""
+    return [(l, r) for _, l, r in (pindex._coproducts[i] or pindex._split(i))[0]]
 
 
 def delta_vector(pindex, vec):
     """Coproduct of a path vector as a dict (left, right) -> coefficient.
     A splitting composes to its own path, so no two terms share a key."""
-    return {key: c for i, c in vec.items() for key in delta_terms(pindex, i)}
+    table, split = pindex._coproducts, pindex._split
+    return {(l, r): c for i, c in vec.items() for _, l, r in (table[i] or split(i))[0]}
 
 
 def counit_vector(pindex, vec):
@@ -162,19 +177,17 @@ class TruncatedPathCoalgebra:
 
     def __init__(self, pindex):
         self.pindex = pindex
-        self._coproduct_cache = {}
+        self._paths = pindex.paths
+        self._table = pindex._coproducts
 
     def symbols(self):
         return list(range(len(self.pindex)))
 
     def coproduct(self, sym):
-        if sym not in self._coproduct_cache:
-            self._coproduct_cache[sym] = (
-                [(_ONE, l, r) for l, r in delta_terms(self.pindex, sym)], False)
-        return self._coproduct_cache[sym]
+        return self._table[sym] or self.pindex._split(sym)
 
     def counit(self, sym):
-        return 1 if self.pindex.length(sym) == 0 else 0
+        return 0 if self._paths[sym][2] else 1
 
     def label(self, sym):
         return self.pindex.label(sym)
@@ -202,6 +215,7 @@ class SubcoalgebraBasis:
                 self._pivot_of[p] = len(self.basis_rows)
                 self.basis_rows.append((pair, k))
         self._coproduct_cache = {}
+        self._counits = {}
 
     @property
     def dimension(self):
@@ -265,7 +279,10 @@ class SubcoalgebraBasis:
         return self._coproduct_cache[sym]
 
     def counit(self, sym):
-        return counit_vector(self.pindex, self.row_vector(sym))
+        e = self._counits.get(sym)
+        if e is None:
+            e = self._counits[sym] = counit_vector(self.pindex, self.row_vector(sym))
+        return e
 
     def all_path_symbols(self):
         """Path indices whose unit vectors lie in the subcoalgebra."""
@@ -425,6 +442,7 @@ class SmashCoalgebra:
         self._symbols = [(c, g) for g in self.window for c in base.symbols()]
         self._symbol_pos = {s: i for i, s in enumerate(self._symbols)}
         self._coproduct_cache = {}
+        self._base_counit = base.counit
 
     def symbols(self):
         return list(self._symbols)
@@ -433,22 +451,24 @@ class SmashCoalgebra:
         return sym in self._symbol_pos
 
     def coproduct(self, sym):
-        if sym in self._coproduct_cache:
-            return self._coproduct_cache[sym]
+        cached = self._coproduct_cache.get(sym)
+        if cached is not None:
+            return cached
         c, g = sym
+        multiply, weight_of, window_pos = self.group.multiply, self.weight_of, self.window_pos
         terms = []
         base_terms, truncated = self.base.coproduct(c)
         for coeff, c1, c2 in base_terms:
-            shifted = self.group.multiply(self.weight_of(c2), g)
-            if shifted in self.window_pos:
+            shifted = multiply(weight_of(c2), g)
+            if shifted in window_pos:
                 terms.append((coeff, (c1, shifted), (c2, g)))
             else:
                 truncated = True
-        self._coproduct_cache[sym] = (terms, truncated)
-        return self._coproduct_cache[sym]
+        entry = self._coproduct_cache[sym] = (terms, truncated)
+        return entry
 
     def counit(self, sym):
-        return self.base.counit(sym[0])
+        return self._base_counit(sym[0])
 
     def is_interior(self, sym):
         return not self.coproduct(sym)[1]
@@ -516,6 +536,38 @@ def is_identity_map(linmap):
     return all(image == {sym: _ONE} for sym, image in linmap.items())
 
 
+def composite_agrees(get, first, want):
+    """Whether compose_maps(second, first) equals want(sym) at every symbol
+    of its domain, where `get` is second's lookup, decided by one lookup
+    per image term without building the composite.  A symbol whose image
+    leaves second's domain is skipped, as compose_maps skips it.
+
+    Returns (ok, number of symbols compared), so that an empty composite,
+    which agrees vacuously, can be told apart.
+    """
+    compared = 0
+    for sym, image in first.items():
+        acc = {}
+        for t, c in image.items():
+            back = get(t)
+            if back is None:
+                break
+            if c == 1 and len(image) == 1:  # a basis map: the image as it stands
+                acc = back
+                continue
+            for s, d in back.items():
+                v = acc.get(s, 0) + c * d
+                if v:
+                    acc[s] = v
+                else:
+                    del acc[s]
+        else:
+            if acc != want(sym):
+                return False, compared
+            compared += 1
+    return True, compared
+
+
 def coproduct_of_vector(coalgebra, vec):
     """Coproduct of a symbol-coefficient dict; (tensor dict, truncated)."""
     out = {}
@@ -539,7 +591,8 @@ def verify_coalgebra_map(linmap, source, target):
 
     Returns (ok, witness symbol, checked count).
     """
-    get, source_coproduct, target_counit = linmap.get, source.coproduct, target.counit
+    get, source_coproduct, source_counit = linmap.get, source.coproduct, source.counit
+    target_coproduct, target_counit = target.coproduct, target.counit
     checked = 0
     for sym in source.symbols():
         image = get(sym)
@@ -548,8 +601,19 @@ def verify_coalgebra_map(linmap, source, target):
         terms, truncated = source_coproduct(sym)
         if truncated:
             continue
-        lhs, t2 = coproduct_of_vector(target, image)
-        if t2:
+        lhs = {}
+        for t, c in image.items():
+            image_terms, truncated = target_coproduct(t)
+            if truncated:
+                break
+            for coeff, l, r in image_terms:
+                key = (l, r)
+                s = lhs.get(key, 0) + c * coeff
+                if s:
+                    lhs[key] = s
+                else:
+                    del lhs[key]
+        if truncated:
             continue
         rhs = {}
         for coeff, l, r in terms:
@@ -572,7 +636,7 @@ def verify_coalgebra_map(linmap, source, target):
                 e = target_counit(t)
                 if e:
                     eps += c * e
-            if eps != source.counit(sym):
+            if eps != source_counit(sym):
                 return False, sym, checked
             checked += 1
     return True, None, checked
@@ -663,17 +727,27 @@ def smash_to_cover_paths(smash_q, base_pindex, cover_pindex):
     return basis_map(pairs)
 
 
+def _projection(cover_pindex, base_pindex, morphism):
+    """Base path index of the arrow-wise image of every cover path.  It
+    does not depend on a lifting, so the cover index keeps the table with
+    the (base index, morphism) pair it was built for, and builds it again
+    only when asked about another pair."""
+    held = cover_pindex._images
+    if held is None or held[0] is not base_pindex or held[1] is not morphism:
+        images = []
+        for src, _, arrows in cover_pindex.paths:
+            if not arrows:
+                images.append(base_pindex.vertex_path(morphism.vertex_map[src]))
+            else:
+                images.append(base_pindex.path_of(
+                    tuple(morphism.arrow_map[a] for a in arrows)))
+        held = cover_pindex._images = (base_pindex, morphism, images)
+    return held[2]
+
+
 def cover_projection_map(cover_pindex, base_pindex, morphism):
     """Path-coalgebra map induced by a quiver covering: arrow-wise image."""
-    pairs = []
-    for i in range(len(cover_pindex)):
-        src, _, arrows = cover_pindex.paths[i]
-        if not arrows:
-            img = base_pindex.vertex_path(morphism.vertex_map[src])
-        else:
-            img = base_pindex.path_of(tuple(morphism.arrow_map[a] for a in arrows))
-        pairs.append((i, img))
-    return basis_map(pairs)
+    return basis_map(enumerate(_projection(cover_pindex, base_pindex, morphism)))
 
 
 def smash_projection_map(smash_coalg):
@@ -694,12 +768,13 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
     of the lifted source.  Both are partial near the window boundary.
 
     The deck displacement depends only on a path's source, so psi computes
-    it once per cover vertex.  phi lifts base paths in `PathIndex` order,
-    where every prefix comes before its one-arrow extensions: the lift of
-    a path extends its prefix's lift by the unique lift of its last arrow,
-    and a path whose prefix did not lift, or whose last arrow has no
-    unique lift there, has no image.  phi reads only the deck action and
-    the unique-lift index, never psi.
+    it once per cover vertex; psi's projection is the cover index's table
+    (`_projection`), built once for all liftings.  phi lifts base paths in
+    `PathIndex` order, where every prefix comes before its one-arrow
+    extensions: the lift of a path extends its prefix's lift by the unique
+    lift of its last arrow, and a path whose prefix did not lift, or whose
+    last arrow has no unique lift there, has no image.  phi reads only the
+    deck action and the unique-lift index, never psi.
     """
     group = cover.group
     morphism = cover.morphism
@@ -714,12 +789,12 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
         sigma = group.multiply(lifted_inverse[u], cover.deck_of(v))
         displacement.append(sigma if sigma in window_set else None)
     cover_paths = cover_pindex.paths
-    projection = cover_projection_map(cover_pindex, base_pindex, morphism)
+    projection = _projection(cover_pindex, base_pindex, morphism)
     psi_pairs = []
-    for i, image in projection.items():
+    for i, image in enumerate(projection):
         sigma = displacement[cover_paths[i][0]]
         if sigma is not None:
-            psi_pairs.append((i, (next(iter(image)), sigma)))
+            psi_pairs.append((i, (image, sigma)))
     psi = basis_map(psi_pairs)
 
     base_paths = base_pindex.paths

@@ -1,0 +1,274 @@
+"""The `csm-iso` inverse and projection-square checks, and the shared
+path coproduct table.
+
+`cmd_csm_iso` decides "psi and phi are mutually inverse" and "psi lies
+over the cover projection" by lookup (`composite_agrees`), without
+building `compose_maps` composites.  These tests take the composites as
+the oracle: on every shipped fixture, with the canonical and the 5
+seeded liftings the command itself draws, and on mutated copies of the
+maps, both must give the same verdict.  A check that compares no symbol
+must not count as a pass.
+
+Path splittings are computed once per `PathIndex` into a table that
+every coalgebra over the index reads; the tests count the computations
+and compare the table with a fresh computation.
+"""
+
+import collections
+import io
+import contextlib
+import importlib.resources as resources
+
+import pytest
+
+from covol import cli
+from covol.coalgebra import (
+    PathIndex, TruncatedPathCoalgebra, compose_maps, composite_agrees,
+    counit_vector, delta_terms, delta_vector, is_identity_map,
+    smash_path_coalgebra, smash_projection_map,
+)
+from covol.exactlin import SparseVector
+from covol.fixtures import loop_fixture
+from covol.voltage import smash_quiver, window_ball
+from covol.workspace import parse
+
+FIXTURES = ["loop", "dbl", "kron", "tri_ac", "tri_acbc", "sl2"]
+
+
+def _fixture_path(name, tmp_path):
+    text = (resources.files("covol") / "fixtures" / ("%s.cov" % name)).read_text()
+    path = tmp_path / ("%s.cov" % name)
+    path.write_text(text)
+    return str(path)
+
+
+def _run_csm_iso(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["csm-iso", path])
+    return code, out.getvalue()
+
+
+def _captured_isos(monkeypatch, tmp_path, name):
+    """(psi, phi, smash coalgebra, expected projection) for every lifting
+    `csm-iso` checks on a fixture, as the command computes them."""
+    iso, projection = cli.covering_coalgebra_iso, cli.cover_projection_map
+    seen, expected = [], []
+
+    def record_iso(*args):
+        result = iso(*args)
+        seen.append(result[:3])
+        return result
+
+    def record_projection(*args):
+        expected.append(projection(*args))
+        return expected[-1]
+
+    monkeypatch.setattr(cli, "covering_coalgebra_iso", record_iso)
+    monkeypatch.setattr(cli, "cover_projection_map", record_projection)
+    code, _ = _run_csm_iso(_fixture_path(name, tmp_path))
+    monkeypatch.undo()
+    assert code == 0 and len(seen) == 6 and len(expected) == 1
+    return [(psi, phi, smash, expected[0]) for psi, phi, smash in seen]
+
+
+# ---------------------------------------------------------------------------
+# oracles: the composites the command used to build
+
+
+def _unit_at(sym):
+    return {sym: 1}
+
+
+def _oracle_checks(psi, phi, smash, expected):
+    psi_phi, phi_psi = compose_maps(psi, phi), compose_maps(phi, psi)
+    proj = compose_maps(smash_projection_map(smash), psi)
+    return ((is_identity_map(psi_phi), len(psi_phi)),
+            (is_identity_map(phi_psi), len(phi_psi)),
+            (proj == {sym: expected[sym] for sym in proj}, len(proj)))
+
+
+def _lookup_checks(psi, phi, smash, expected):
+    def base_of(sym):
+        return {sym[0]: 1} if smash.has_symbol(sym) else None
+
+    return (composite_agrees(psi.get, phi, _unit_at),
+            composite_agrees(phi.get, psi, _unit_at),
+            composite_agrees(base_of, psi, expected.__getitem__))
+
+
+def _assert_same_verdicts(psi, phi, smash, expected):
+    oracle = _oracle_checks(psi, phi, smash, expected)
+    lookup = _lookup_checks(psi, phi, smash, expected)
+    for (want_ok, size), (ok, compared) in zip(oracle, lookup):
+        assert ok == want_ok
+        if ok:  # a passing check compared every symbol of the composite
+            assert compared == size
+    verdict = all(ok and size for ok, size in oracle)
+    assert cli._inverse_over_base(psi, phi, smash, expected) == verdict
+    return [ok for ok, _ in oracle]
+
+
+# ---------------------------------------------------------------------------
+# mutations of a basis map; each returns a new map
+
+
+def _swap_two(linmap):
+    a, b = list(linmap)[:2]
+    out = dict(linmap)
+    out[a], out[b] = linmap[b], linmap[a]
+    return out
+
+
+def _drop_one(linmap):
+    out = dict(linmap)
+    del out[next(iter(out))]
+    return out
+
+
+def _scale_one(linmap):
+    out = dict(linmap)
+    sym = next(iter(out))
+    out[sym] = {t: 2 * c for t, c in out[sym].items()}
+    return out
+
+
+def _two_terms(linmap):
+    """One image gains a second term, the image of another symbol."""
+    out = dict(linmap)
+    a, b = list(linmap)[:2]
+    out[a] = dict(linmap[a])
+    out[a].update(linmap[b])
+    return out
+
+
+def _two_terms_one_outside(linmap):
+    """One image gains a second term outside every map's domain, so the
+    composite skips that symbol."""
+    out = dict(linmap)
+    sym = next(iter(out))
+    out[sym] = dict(out[sym])
+    out[sym][("outside",)] = 1
+    return out
+
+
+MUTATIONS = [_swap_two, _drop_one, _scale_one, _two_terms, _two_terms_one_outside]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_lookup_checks_match_composites(monkeypatch, tmp_path, name):
+    failed = collections.Counter()
+    for psi, phi, smash, expected in _captured_isos(monkeypatch, tmp_path, name):
+        assert _assert_same_verdicts(psi, phi, smash, expected) == [True] * 3
+        for mutate in MUTATIONS:
+            for verdicts in (_assert_same_verdicts(psi, mutate(phi), smash, expected),
+                             _assert_same_verdicts(mutate(psi), phi, smash, expected)):
+                failed[mutate.__name__] += not all(verdicts)
+    # A dropped symbol is skipped, by the composites as by the lookups;
+    # every other mutation fails a check on every lifting.
+    assert failed.pop("_drop_one") == 0
+    assert set(failed.values()) == {12}, failed
+
+
+def test_lookup_checks_catch_a_scaled_coefficient_and_an_empty_image():
+    psi = {0: {("p", 0): 1}, 1: {("p", 1): 1}}
+    phi = {("p", 0): {0: 1}, ("p", 1): {1: 2}}
+    assert composite_agrees(psi.get, phi, _unit_at) == (False, 1)
+    assert not is_identity_map(compose_maps(psi, phi))
+    phi[("p", 1)] = {1: 1}
+    assert composite_agrees(psi.get, phi, _unit_at) == (True, 2)
+    phi[("p", 1)] = {}  # an empty image composes to zero, not to the identity
+    assert composite_agrees(psi.get, phi, _unit_at) == (False, 1)
+    assert not is_identity_map(compose_maps(psi, phi))
+
+
+def test_disjoint_domains_do_not_pass_vacuously():
+    fx = loop_fixture()
+    smash = smash_path_coalgebra(fx.pindex, fx.weighting, fx.window(1))
+    e = fx.group.identity()
+    # psi's image lies outside phi's domain and the other way round
+    psi = {0: {(1, e): 1}}
+    phi = {(0, e): {1: 1}}
+    expected = {0: {1: 1}, 1: {1: 1}}
+    assert is_identity_map(compose_maps(psi, phi))  # the old checks held vacuously
+    assert is_identity_map(compose_maps(phi, psi))
+    assert composite_agrees(psi.get, phi, _unit_at) == (True, 0)
+    assert composite_agrees(phi.get, psi, _unit_at) == (True, 0)
+    assert not cli._inverse_over_base(psi, phi, smash, expected)
+    # the same maps made inverse on one symbol, over the right base path
+    psi, phi = {0: {(0, e): 1}}, {(0, e): {0: 1}}
+    assert cli._inverse_over_base(psi, phi, smash, {0: {0: 1}})
+    assert not cli._inverse_over_base(psi, phi, smash, {0: {1: 1}})
+    # psi's image is no smash symbol: the square compares nothing
+    assert not cli._inverse_over_base({0: {(0, "outside"): 1}},
+                                      {(0, "outside"): {0: 1}}, smash, {0: {0: 1}})
+
+
+# ---------------------------------------------------------------------------
+# one coproduct table per PathIndex
+
+
+def _oracle_delta_terms(pindex, i):
+    """The splittings, computed fresh as before the shared table."""
+    src, tgt, arrows = pindex.paths[i]
+    if not arrows:
+        return [(i, i)]
+    out = [(pindex.vertex_path(tgt), i), (i, pindex.vertex_path(src))]
+    for k in range(1, len(arrows)):
+        out.append((pindex.path_of(arrows[k:]), pindex.path_of(arrows[:k])))
+    return out
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_one_csm_iso_run_splits_each_path_once(monkeypatch, tmp_path, name):
+    split = PathIndex._split
+    computed = collections.Counter()
+
+    def counting(pindex, i):
+        computed[pindex, i] += 1
+        return split(pindex, i)
+
+    monkeypatch.setattr(PathIndex, "_split", counting)
+    code, _ = _run_csm_iso(_fixture_path(name, tmp_path))
+    assert code == 0
+    assert set(computed.values()) == {1}
+    by_index = collections.Counter(pindex for pindex, _ in computed)
+    # the base index, read by the closure and all six liftings' smash
+    # coalgebras, had every path split, each exactly once
+    base = min(by_index, key=len)
+    assert by_index[base] == len(base)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_shared_table_matches_a_fresh_computation(tmp_path, name):
+    with open(_fixture_path(name, tmp_path), encoding="utf-8") as handle:
+        ws = parse(handle.read())
+    basis = ws.sole("subcoalgebra", None).basis
+    weighting = ws.sole("weighting", None).weighting
+    pindex = basis.pindex
+    sq = smash_quiver(weighting.quiver, weighting, window_ball(weighting.group, 1))
+    for index in (pindex, PathIndex(sq.quiver, pindex.truncation)):
+        coalg = TruncatedPathCoalgebra(index)
+        for i in range(len(index)):
+            fresh = _oracle_delta_terms(index, i)
+            unit = SparseVector.unit(i)
+            assert delta_terms(index, i) == fresh
+            assert coalg.coproduct(i) == ([(1, l, r) for l, r in fresh], False)
+            assert coalg.coproduct(i) is coalg.coproduct(i)
+            assert delta_vector(index, unit) == {key: 1 for key in fresh}
+            assert coalg.counit(i) == counit_vector(index, unit)
+    smash = smash_path_coalgebra(pindex, weighting, window_ball(weighting.group, 1))
+    for sym in smash.symbols():
+        assert smash.counit(sym) == counit_vector(pindex, SparseVector.unit(sym[0]))
+    for sym in basis.symbols():
+        row = basis.row_vector(sym)
+        want = {key: c for i, c in row.items() for key in _oracle_delta_terms(pindex, i)}
+        terms, truncated = basis.coproduct(sym)
+        assert not truncated
+        rebuilt = collections.Counter()
+        for coeff, sl, sr in terms:
+            for i, a in basis.row_vector(sl).items():
+                for j, b in basis.row_vector(sr).items():
+                    rebuilt[i, j] += coeff * a * b
+        assert {k: v for k, v in rebuilt.items() if v} == want
+        assert basis.counit(sym) == counit_vector(pindex, row) == basis.counit(sym)
