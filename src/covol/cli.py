@@ -39,17 +39,17 @@ class CommandError(ValueError):
 
 
 def _weighting_of(ws, args):
-    decl = ws.sole("weighting", getattr(args, "weighting", None))
+    decl = ws.sole("weighting", args.weighting)
     return decl.weighting
 
 
 def _basis_of(ws, args):
-    decl = ws.sole("subcoalgebra", getattr(args, "subcoalgebra", None))
+    decl = ws.sole("subcoalgebra", args.subcoalgebra)
     return decl.basis
 
 
 def _pres_of(ws, args):
-    decl = ws.sole("subcoalgebra", getattr(args, "subcoalgebra", None))
+    decl = ws.sole("subcoalgebra", args.subcoalgebra)
     quiver = ws.quivers[decl.quiver_name].quiver
     return spanning_tree_pi1(quiver, 0)
 
@@ -66,8 +66,7 @@ def cmd_smash(ws, args):
         "window": len(sq.window),
         "localCovering": local_covering_ok(sq),
     }
-    basis_decl = ws.sole("subcoalgebra", getattr(args, "subcoalgebra", None),
-                         required=False)
+    basis_decl = ws.sole("subcoalgebra", args.subcoalgebra, required=False)
     if basis_decl is not None and is_homogeneous(basis_decl.basis, weighting):
         coalg = smash_coalgebra(basis_decl.basis, weighting, sq.window)
         ok, _, checked = coassociativity_ok(coalg)
@@ -274,7 +273,7 @@ def cmd_twist(ws, args):
 
 
 def cmd_gradable(ws, args):
-    decl = ws.sole("comodule", getattr(args, "comodule", None))
+    decl = ws.sole("comodule", args.comodule)
     weighting = _weighting_of(ws, args)
     rep = decl.representation
     radius = args.window
@@ -300,12 +299,11 @@ def cmd_gradable(ws, args):
 
 
 def cmd_export(ws, args):
-    quiver_decl = ws.sole("quiver", getattr(args, "quiver", None))
+    quiver_decl = ws.sole("quiver", args.quiver)
     dot = quiver_decl.quiver.to_dot(name=quiver_decl.name) if args.dot else None
     report = ws.structure()
     report["command"] = "export"
-    basis_decl = ws.sole("subcoalgebra", getattr(args, "subcoalgebra", None),
-                         required=False)
+    basis_decl = ws.sole("subcoalgebra", args.subcoalgebra, required=False)
     if basis_decl is not None:
         report["subcoalgebra"] = subcoalgebra_to_json(basis_decl.basis)
     return report, None if args.dot is None else dot, 0

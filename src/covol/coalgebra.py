@@ -9,6 +9,11 @@ A coalgebra-with-basis exposes `symbols()`, `coproduct(sym)` returning
 `counit(sym)`.  Window-truncated coproduct terms are flagged, never
 silently dropped: every verifier skips symbols whose expansion hits the
 window boundary.
+
+Zero rule for sparse sums: terms are added as `out[k] = out.get(k, 0) + v`
+and no sum deletes a key; a finished sum keeps only its nonzero values
+(`_nonzero`), and a verifier sums lhs - rhs in one dict and fails exactly
+when a value is nonzero.  Only the echelon in `exactlin` deletes keys.
 """
 
 from fractions import Fraction
@@ -24,6 +29,11 @@ _ONE = 1
 
 class CoalgebraError(ValueError):
     pass
+
+
+def _nonzero(sums):
+    """The nonzero values of a finished sparse sum, as a new dict."""
+    return {k: v for k, v in sums.items() if v}
 
 
 class PathIndex:
@@ -257,22 +267,17 @@ class SubcoalgebraBasis:
     def coproduct(self, sym):
         if sym in self._coproduct_cache:
             return self._coproduct_cache[sym]
-        matrix = delta_vector(self.pindex, self.row_vector(sym))
+        diff = delta_vector(self.pindex, self.row_vector(sym))
         pivot_of = self._pivot_of
-        terms = [(c, pivot_of[pl], pivot_of[pr]) for (pl, pr), c in matrix.items()
+        terms = [(c, pivot_of[pl], pivot_of[pr]) for (pl, pr), c in diff.items()
                  if pl in pivot_of and pr in pivot_of]
-        rebuilt = {}
-        for coeff, sl, sr in terms:
+        for coeff, sl, sr in terms:  # diff becomes the coproduct minus its rebuild
             lvec, rvec = self.row_vector(sl), self.row_vector(sr)
             for i, a in lvec.items():
                 for j, b in rvec.items():
                     key = (i, j)
-                    s = rebuilt.get(key, 0) + coeff * a * b
-                    if s:
-                        rebuilt[key] = s
-                    else:
-                        del rebuilt[key]
-        if rebuilt != matrix:
+                    diff[key] = diff.get(key, 0) - coeff * a * b
+        if any(diff.values()):
             raise CoalgebraError("coproduct escapes the subcoalgebra at %r"
                                  % self.label(sym))
         self._coproduct_cache[sym] = (terms, False)
@@ -503,25 +508,24 @@ def smash_path_coalgebra(pindex, weighting, window):
 # linear maps between coalgebras-with-basis
 
 
-def apply_map(linmap, vec):
+def apply_map(get, vec):
+    """Image of a symbol-coefficient dict under the map with lookup `get`,
+    or None when a symbol has no image; a sum without a zero is not copied."""
     out = {}
     for sym, c in vec.items():
-        image = linmap.get(sym)
+        image = get(sym)
         if image is None:
             return None
         for t, d in image.items():
-            s = out.get(t, 0) + c * d
-            if s:
-                out[t] = s
-            else:
-                del out[t]
-    return out
+            out[t] = out.get(t, 0) + c * d
+    return _nonzero(out) if 0 in out.values() else out
 
 
 def compose_maps(second, first):
+    get = second.get
     out = {}
     for sym, image in first.items():
-        acc = apply_map(second, image)
+        acc = apply_map(get, image)
         if acc is not None:
             out[sym] = acc
     return out
@@ -547,24 +551,15 @@ def composite_agrees(get, first, want):
     """
     compared = 0
     for sym, image in first.items():
-        acc = {}
-        for t, c in image.items():
-            back = get(t)
-            if back is None:
-                break
-            if c == 1 and len(image) == 1:  # a basis map: the image as it stands
-                acc = back
-                continue
-            for s, d in back.items():
-                v = acc.get(s, 0) + c * d
-                if v:
-                    acc[s] = v
-                else:
-                    del acc[s]
+        if len(image) == 1 and _ONE in image.values():  # a basis map: as it stands
+            acc = get(next(iter(image)))
         else:
-            if acc != want(sym):
-                return False, compared
-            compared += 1
+            acc = apply_map(get, image)
+        if acc is None:
+            continue
+        if acc != want(sym):
+            return False, compared
+        compared += 1
     return True, compared
 
 
@@ -577,12 +572,8 @@ def coproduct_of_vector(coalgebra, vec):
         truncated |= t
         for coeff, l, r in terms:
             key = (l, r)
-            s = out.get(key, 0) + c * coeff
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out, truncated
+            out[key] = out.get(key, 0) + c * coeff
+    return _nonzero(out), truncated
 
 
 def verify_coalgebra_map(linmap, source, target):
@@ -601,21 +592,16 @@ def verify_coalgebra_map(linmap, source, target):
         terms, truncated = source_coproduct(sym)
         if truncated:
             continue
-        lhs = {}
+        diff = {}  # Delta . f minus (f tensor f) . Delta
         for t, c in image.items():
             image_terms, truncated = target_coproduct(t)
             if truncated:
                 break
             for coeff, l, r in image_terms:
                 key = (l, r)
-                s = lhs.get(key, 0) + c * coeff
-                if s:
-                    lhs[key] = s
-                else:
-                    del lhs[key]
+                diff[key] = diff.get(key, 0) + c * coeff
         if truncated:
             continue
-        rhs = {}
         for coeff, l, r in terms:
             il, ir = get(l), get(r)
             if il is None or ir is None:
@@ -623,13 +609,9 @@ def verify_coalgebra_map(linmap, source, target):
             for a, ca in il.items():
                 for b, cb in ir.items():
                     key = (a, b)
-                    s = rhs.get(key, 0) + coeff * ca * cb
-                    if s:
-                        rhs[key] = s
-                    else:
-                        del rhs[key]
+                    diff[key] = diff.get(key, 0) - coeff * ca * cb
         else:
-            if lhs != rhs:
+            if any(diff.values()):
                 return False, sym, checked
             eps = 0
             for t, c in image.items():
@@ -646,52 +628,39 @@ def coassociativity_ok(coalgebra):
     """Exact coassociativity and counit laws, skipping symbols whose
     two-level expansion hits the window boundary.  Returns (ok, witness,
     checked count)."""
+    coproduct, counit = coalgebra.coproduct, coalgebra.counit
     checked = 0
     for sym in coalgebra.symbols():
-        terms, truncated = coalgebra.coproduct(sym)
+        terms, truncated = coproduct(sym)
         if truncated:
             continue
-        left, right = {}, {}
-        skip = False
+        diff = {}  # (Delta x id) Delta minus (id x Delta) Delta
         for coeff, l, r in terms:
-            lt, t1 = coalgebra.coproduct(l)
-            rt, t2 = coalgebra.coproduct(r)
+            lt, t1 = coproduct(l)
+            rt, t2 = coproduct(r)
             if t1 or t2:
-                skip = True
                 break
             for c2, a, b in lt:
                 key = (a, b, r)
-                s = left.get(key, 0) + coeff * c2
-                if s:
-                    left[key] = s
-                else:
-                    del left[key]
+                diff[key] = diff.get(key, 0) + coeff * c2
             for c2, a, b in rt:
                 key = (l, a, b)
-                s = right.get(key, 0) + coeff * c2
-                if s:
-                    right[key] = s
-                else:
-                    del right[key]
-        if skip:
-            continue
-        if left != right:
-            return False, sym, checked
-        # counit laws: (eps x id) Delta = id = (id x eps) Delta
-        lsum, rsum = {}, {}
-        for coeff, l, r in terms:
-            e = coalgebra.counit(l)
-            if e:
-                lsum[r] = lsum.get(r, 0) + coeff * e
-            e = coalgebra.counit(r)
-            if e:
-                rsum[l] = rsum.get(l, 0) + coeff * e
-        ident = {sym: _ONE}
-        if {k: v for k, v in lsum.items() if v} != ident:
-            return False, sym, checked
-        if {k: v for k, v in rsum.items() if v} != ident:
-            return False, sym, checked
-        checked += 1
+                diff[key] = diff.get(key, 0) - coeff * c2
+        else:
+            if any(diff.values()):
+                return False, sym, checked
+            # counit laws: (eps x id) Delta - id = 0 = (id x eps) Delta - id
+            lsum, rsum = {sym: -1}, {sym: -1}
+            for coeff, l, r in terms:
+                e = counit(l)
+                if e:
+                    lsum[r] = lsum.get(r, 0) + coeff * e
+                e = counit(r)
+                if e:
+                    rsum[l] = rsum.get(l, 0) + coeff * e
+            if any(lsum.values()) or any(rsum.values()):
+                return False, sym, checked
+            checked += 1
     return True, None, checked
 
 

@@ -13,20 +13,20 @@ the smash-comodule structure map coassociative.
 import math
 from fractions import Fraction
 
-from .coalgebra import CoalgebraError, coproduct_of_vector, apply_map, \
-    rational_str
-from .exactlin import SparseVector, _axpy, matmul_int, rref, solve_affine
+from .coalgebra import CoalgebraError, _nonzero, coproduct_of_vector, \
+    apply_map, rational_str
+from .exactlin import SparseVector, matmul_int, rref, solve_affine
 from .groups import FgAbelian
 
 
 class Comodule:
     """Right comodule: rho(m_j) = sum_i m_i (x) c_ij with coefficients
-    c_ij given as symbol-coefficient dicts over the coalgebra's basis."""
+    c_ij as symbol-coefficient dicts over the coalgebra's basis, zeros dropped."""
 
     def __init__(self, coalgebra, labels, coaction):
         self.coalgebra = coalgebra
         self.labels = list(labels)
-        self.coaction = {k: dict(v) for k, v in coaction.items() if v}
+        self.coaction = {k: cell for k, v in coaction.items() if (cell := _nonzero(v))}
 
     @property
     def dimension(self):
@@ -53,22 +53,22 @@ def verify_comodule(M):
     n = M.dimension
     for j in range(n):
         for i in range(n):
-            eps = sum((c * C.counit(sym) for sym, c in M.coefficient(i, j).items()),
-                      Fraction(0))
+            eps = sum(c * C.counit(sym) for sym, c in M.coefficient(i, j).items())
             if eps != (1 if i == j else 0):
                 return False, ("counit", i, j)
     for j in range(n):
         for i in range(n):
             cij = M.coefficient(i, j)
-            lhs, truncated = coproduct_of_vector(C, cij)
+            diff, truncated = coproduct_of_vector(C, cij)  # minus sum_k c_ik (x) c_kj
             if truncated:
                 continue
-            rhs = {}
             for k in range(n):
-                cik, ckj = M.coefficient(i, k), M.coefficient(k, j)
-                for s1, a in cik.items():
-                    _axpy(rhs, a, {(s1, s2): b for s2, b in ckj.items()})
-            if lhs != rhs:
+                ckj = M.coefficient(k, j)
+                for s1, a in M.coefficient(i, k).items():
+                    for s2, b in ckj.items():
+                        key = (s1, s2)
+                        diff[key] = diff.get(key, 0) - a * b
+            if any(diff.values()):
                 return False, ("coassociativity", i, j)
     return True, None
 
@@ -193,21 +193,17 @@ def from_smash_comodule(N):
                     f = Pinv[s][i] * P[j][t]
                     if not f:
                         continue
-                    _axpy(coaction.setdefault((s, t), {}), f, coeff)
-        coaction = {k: v for k, v in coaction.items() if v}
+                    cell = coaction.setdefault((s, t), {})
+                    for sym, c in coeff.items():
+                        cell[sym] = cell.get(sym, 0) + f * c
         labels = ["n%d" % t for t in range(n)]
         M = Comodule(smash, labels, coaction)
         change = P
     projected = {}
     for (i, j), coeff in M.coaction.items():
-        cell = {}
-        for (sym, g), c in coeff.items():
-            v = cell.get(sym, 0) + c
-            if v:
-                cell[sym] = v
-            else:
-                del cell[sym]
-        projected[(i, j)] = cell
+        cell = projected[(i, j)] = {}
+        for (sym, _), c in coeff.items():
+            cell[sym] = cell.get(sym, 0) + c
     under = Comodule(base, M.labels, projected)
     graded = GradedComodule(under, degrees, smash.weight_of, group)
     return graded, change
@@ -230,7 +226,7 @@ def push_down(N, projection, target):
     verified coalgebra projection map."""
     coaction = {}
     for (i, j), coeff in N.coaction.items():
-        image = apply_map(projection, coeff)
+        image = apply_map(projection.get, coeff)
         if image is None:
             raise CoalgebraError("projection undefined on a coefficient")
         coaction[(i, j)] = image
@@ -266,12 +262,6 @@ class QuiverRepresentation:
             self.offsets.append(total)
             total += d
         self.total_dim = total
-
-    def basis_vertex(self, index):
-        for v in range(len(self.dims) - 1, -1, -1):
-            if index >= self.offsets[v]:
-                return v
-        raise IndexError(index)
 
     def labels(self):
         out = []

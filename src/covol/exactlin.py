@@ -136,7 +136,7 @@ def _axpy(target, c, source):
         if s:
             target[k] = s
         else:
-            del target[k]
+            target.pop(k, None)
 
 
 class _Echelon:

@@ -466,8 +466,11 @@ class Parser:
         self.expect("name", "of")
         quiver_name, quiver = self.quiver_ref(ws, head)
         self.expect("{")
-        self.expect("name", "truncate")
+        keyword = self.expect("name", "truncate")
         truncation = self.expect("int").value
+        if truncation < 1 and quiver.num_arrows():
+            raise WorkspaceError("an admissible subcoalgebra needs truncate >= 1 when "
+                                 "the quiver has arrows", keyword.line, keyword.col)
         self.expect(";")
         pindex = PathIndex(quiver, truncation)
         generators = []

@@ -246,6 +246,25 @@ def test_cli_zero_denominator_exits_2(tmp_path, capsys):
     assert report["error"] == "line 2, column 49: zero denominator"
 
 
+def test_cli_truncate_zero_with_arrows_exits_2(tmp_path, capsys):
+    bad = tmp_path / "trunc0.cov"
+    bad.write_text("quiver q { vertices x, y; arrows a: x -> y; }\n"
+                   "subcoalgebra B of q { truncate 0; }\n")
+    assert main(["export", str(bad)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == ("line 2, column 23: an admissible subcoalgebra needs "
+                               "truncate >= 1 when the quiver has arrows")
+
+
+def test_cli_truncate_zero_without_arrows_exits_0(tmp_path, capsys):
+    good = tmp_path / "trunc0.cov"
+    good.write_text("quiver q { vertices x, y; }\n"
+                    "subcoalgebra B of q { truncate 0; }\n")
+    assert main(["export", str(good)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["subcoalgebra"]["dimension"] == 2
+
+
 def test_cli_json_output_file(tmp_path):
     path = fixture_path("sl2", tmp_path)
     out = tmp_path / "report.json"

@@ -76,6 +76,18 @@ def test_dropped_counit_term_fails():
     assert not ok and failure[0] == "counit"
 
 
+def test_zero_coefficient_is_dropped_at_construction():
+    fx = kronecker_fixture()
+    x = unit_symbol(fx.basis, fx.pindex.vertex_path("x"))
+    a = unit_symbol(fx.basis, fx.pindex.arrow_path("a"))
+    with_zero = Comodule(fx.basis, ["m"], {(0, 0): {x: 1, a: 0}})
+    plain = Comodule(fx.basis, ["m"], {(0, 0): {x: 1}})
+    assert with_zero == plain
+    assert with_zero.coaction == {(0, 0): {x: 1}}
+    assert Comodule(fx.basis, ["m"], {(0, 0): {x: 1}, (0, 1): {a: 0}}) == plain
+    assert verify_comodule(with_zero) == verify_comodule(plain) == (True, None)
+
+
 def test_broken_coassociativity_fails():
     fx = sl2_fixture(4)
     pindex = fx.pindex
