@@ -313,14 +313,16 @@ def subcoalgebra_closure(pindex, generators):
     work += [SparseVector.unit(pindex.arrow_path(a))
              for a in range(pindex.quiver.num_arrows())]
     work += list(generators)
+    table, split = pindex._coproducts, pindex._split
     while work:
         row = echelon.add(work.pop())
         if row is None:
             continue
         rows, cols = {}, {}
-        for (l, r), c in delta_vector(pindex, row).items():
-            rows.setdefault(l, {})[r] = c
-            cols.setdefault(r, {})[l] = c
+        for i, c in row.entries.items():  # a splitting composes to path i, so none repeats
+            for _, l, r in (table[i] or split(i))[0]:
+                rows.setdefault(l, {})[r] = c
+                cols.setdefault(r, {})[l] = c
         work += map(SparseVector._wrap, rows.values())
         work += map(SparseVector._wrap, cols.values())
     by_pair = {}
@@ -436,6 +438,11 @@ class SmashCoalgebra:
     the sum over base coproduct terms (c1, c2) of (c1, w(c2) g) tensor
     (c2, g); terms whose shifted window element escapes the window are
     dropped and the symbol is flagged truncated.
+
+    The shifts come from a table, window element g -> weight w -> w g (None
+    outside the window), filled on first use: each distinct (weight,
+    window element) product is computed once per instance, and no
+    coproduct term multiplies in the group.
     """
 
     def __init__(self, base, weight_of, group, window):
@@ -447,6 +454,7 @@ class SmashCoalgebra:
         self._symbols = [(c, g) for g in self.window for c in base.symbols()]
         self._symbol_pos = {s: i for i, s in enumerate(self._symbols)}
         self._coproduct_cache = {}
+        self._shifts = {}
         self._base_counit = base.counit
 
     def symbols(self):
@@ -460,15 +468,20 @@ class SmashCoalgebra:
         if cached is not None:
             return cached
         c, g = sym
-        multiply, weight_of, window_pos = self.group.multiply, self.weight_of, self.window_pos
+        shifts = self._shifts.setdefault(g, {})
+        weight_of = self.weight_of
         terms = []
         base_terms, truncated = self.base.coproduct(c)
         for coeff, c1, c2 in base_terms:
-            shifted = multiply(weight_of(c2), g)
-            if shifted in window_pos:
-                terms.append((coeff, (c1, shifted), (c2, g)))
-            else:
+            w = weight_of(c2)
+            if w not in shifts:
+                shifted = self.group.multiply(w, g)
+                shifts[w] = shifted if shifted in self.window_pos else None
+            shifted = shifts[w]
+            if shifted is None:
                 truncated = True
+            else:
+                terms.append((coeff, (c1, shifted), (c2, g)))
         entry = self._coproduct_cache[sym] = (terms, truncated)
         return entry
 
@@ -537,14 +550,17 @@ def basis_map(pairs):
 
 
 def is_identity_map(linmap):
-    return all(image == {sym: _ONE} for sym, image in linmap.items())
+    """Whether every symbol maps to itself, zero coefficients aside."""
+    return all(image == {sym: _ONE} or _nonzero(image) == {sym: _ONE}
+               for sym, image in linmap.items())
 
 
 def composite_agrees(get, first, want):
     """Whether compose_maps(second, first) equals want(sym) at every symbol
     of its domain, where `get` is second's lookup, decided by one lookup
     per image term without building the composite.  A symbol whose image
-    leaves second's domain is skipped, as compose_maps skips it.
+    leaves second's domain is skipped, as compose_maps skips it, and images
+    are compared through `_nonzero`, as compose_maps builds them.
 
     Returns (ok, number of symbols compared), so that an empty composite,
     which agrees vacuously, can be told apart.
@@ -553,6 +569,8 @@ def composite_agrees(get, first, want):
     for sym, image in first.items():
         if len(image) == 1 and _ONE in image.values():  # a basis map: as it stands
             acc = get(next(iter(image)))
+            if acc is not None and 0 in acc.values():
+                acc = _nonzero(acc)
         else:
             acc = apply_map(get, image)
         if acc is None:

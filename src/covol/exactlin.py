@@ -10,7 +10,10 @@ Fraction-valued.
 
 One kernel writes every subspace: the incremental echelon `_Echelon`, whose
 rows stay fully reduced after each `add`.  `rref`, `intersect_coordinates`
-and the coalgebra closure worklist read their subspaces off it.
+and the coalgebra closure worklist read their subspaces off it.  The
+echelon keeps a holder index, each non-pivot column to the pivots whose
+rows hold it, so a new pivot is back-substituted only into the rows that
+hold its column, not into every row.
 """
 
 from fractions import Fraction
@@ -45,7 +48,7 @@ class SparseVector:
     @classmethod
     def _wrap(cls, entries):
         """Vector over an entry dict that holds no zeros, without copying."""
-        vec = cls()
+        vec = object.__new__(cls)
         vec.entries = entries
         return vec
 
@@ -145,20 +148,26 @@ class _Echelon:
 
     A row's pivot is its first column under `key` (natural order by
     default).  Read the result with `subspace`; its rows share the entry
-    dicts, so read it after the last `add`."""
+    dicts, so read it after the last `add`.
 
-    __slots__ = ("rows", "key")
+    `_holders` maps each non-pivot column that some row holds to the set of
+    pivots whose rows hold it, so a new pivot is eliminated from exactly
+    the rows that hold its column.  Each such row changes independently of
+    the others, so the set order never reaches a result."""
+
+    __slots__ = ("rows", "key", "_holders")
 
     def __init__(self, vectors=(), key=None):
         self.rows = {}
         self.key = key
+        self._holders = {}
         for vec in vectors:
             self.add(vec)
 
     def add(self, vec):
         """Reduce vec; return its new normalised row, which later adds may
         change, or None when vec already lies in the span."""
-        reduced = self.rows
+        reduced, holders = self.rows, self._holders
         entries = dict(vec.entries)
         for p in [c for c in entries if c in reduced]:
             _axpy(entries, -entries[p], reduced[p])
@@ -171,10 +180,23 @@ class _Echelon:
         else:
             inv = Fraction(1) / p
             row = {k: _exact(v * inv) for k, v in entries.items()}
-        for other in reduced.values():
-            c = other.get(col)
-            if c:
-                _axpy(other, -c, row)
+        stale = holders.pop(col, ())
+        for k in row:
+            if k != col:
+                holders.setdefault(k, set()).add(col)
+        for q in stale:  # other -= other[col] * row; col itself cancels
+            other = reduced[q]
+            c = -other[col]
+            for k, v in row.items():
+                s = other.get(k, 0) + c * v
+                if s:
+                    if k not in other:
+                        holders[k].add(q)
+                    other[k] = s
+                else:
+                    del other[k]
+                    if k != col:
+                        holders[k].discard(q)
         reduced[col] = row
         return SparseVector._wrap(row)
 

@@ -166,41 +166,37 @@ class SmashQuiver:
         if group.identity() not in self.window_pos:
             raise QuiverError("window must contain the identity")
 
-        labels = []
-        self.vertex_pairs = []
-        for g in self.window:
-            for v in range(base.num_vertices()):
-                labels.append("%s#%s" % (base.vertices[v], group.format(g)))
-                self.vertex_pairs.append((v, g))
+        nv = base.num_vertices()
+        names = [group.format(g) for g in self.window]
+        labels = ["%s#%s" % (x, name) for name in names for x in base.vertices]
+        self.vertex_pairs = [(v, g) for g in self.window for v in range(nv)]
         self._vertex_of = {pair: i for i, pair in enumerate(self.vertex_pairs)}
 
+        # vertex (v, g) has index window_pos[g] * nv + v
         arrows = []
         self.arrow_pairs = []
-        vertex_map = [v for v, _ in self.vertex_pairs]
         arrow_map = []
-        for g in self.window:
-            for a in range(base.num_arrows()):
-                shifted = group.multiply(weighting.of(a), g)
-                if shifted not in self.window_pos:
+        weights = [weighting.of(a) for a in range(base.num_arrows())]
+        for k, g in enumerate(self.window):
+            for a, (arrow_name, s, t) in enumerate(base.arrows):
+                j = self.window_pos.get(group.multiply(weights[a], g))
+                if j is None:
                     continue
-                name = "%s#%s" % (base.arrow_name(a), group.format(g))
-                src = self._vertex_of[(base.source(a), g)]
-                tgt = self._vertex_of[(base.target(a), shifted)]
-                arrows.append((name, src, tgt))
+                src, tgt = k * nv + s, j * nv + t
+                arrows.append(("%s#%s" % (arrow_name, names[k]), src, tgt))
                 self.arrow_pairs.append((a, g))
                 arrow_map.append(a)
         self.quiver = Quiver(labels, arrows)
         self._arrow_of = {pair: i for i, pair in enumerate(self.arrow_pairs)}
-        self.morphism = QuiverMorphism(self.quiver, base, vertex_map, arrow_map)
+        self.morphism = QuiverMorphism(self.quiver, base, [v for v, _ in self.vertex_pairs],
+                                       arrow_map)
 
-        interior = set()
-        for i, (v, g) in enumerate(self.vertex_pairs):
-            outs_ok = all(group.multiply(weighting.of(a), g) in self.window_pos
-                          for a in base.out_arrows[v])
-            ins_ok = all(group.multiply(group.inverse(weighting.of(a)), g) in self.window_pos
-                         for a in base.in_arrows[v])
-            if outs_ok and ins_ok:
-                interior.add(i)
+        # (v, g) is interior when every arrow at v lifts there: (a, g) for a
+        # leaving v, (a, w(a)^-1 g) for a entering v, both inside the window
+        cover = self.quiver
+        interior = {i for i, (v, _) in enumerate(self.vertex_pairs)
+                    if len(cover.out_arrows[i]) == len(base.out_arrows[v])
+                    and len(cover.in_arrows[i]) == len(base.in_arrows[v])}
         self.interior_vertices = interior
         if not interior:
             raise QuiverError("window has empty interior")

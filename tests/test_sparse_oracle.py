@@ -21,7 +21,7 @@ from covol.coalgebra import (
     CoalgebraError, SubcoalgebraBasis, TruncatedPathCoalgebra,
     apply_map, basis_map, coassociativity_ok, compose_maps, composite_agrees,
     coproduct_of_vector, delta_vector, is_homogeneous, smash_coalgebra,
-    smash_projection_map, verify_coalgebra_map,
+    is_identity_map, smash_projection_map, verify_coalgebra_map,
 )
 from covol.exactlin import SparseVector, rref
 from covol.fixtures import all_fixtures, kronecker_fixture
@@ -468,3 +468,20 @@ def test_zero_coefficient_gives_the_zero_free_answer():
     assert composite_agrees(second.get, first, want) == (True, 1)
     assert compose_maps(second, first) == {0: {5: 1}}
 
+
+def test_zero_coefficient_in_a_unit_image_agrees_with_compose_maps():
+    # a unit image is read as it stands, so its zero must not count
+    second, first = {0: {5: 1, 6: 0}}, {0: {0: 1}}
+    assert compose_maps(second, first) == {0: {5: 1}}
+    assert composite_agrees(second.get, first, lambda s: {5: 1}) == (True, 1)
+    assert composite_agrees(second.get, first, lambda s: {5: 1, 6: 0}) == (False, 0)
+    assert composite_agrees(second.get, {0: {0: 2}}, lambda s: {5: 2}) == (True, 1)
+    assert composite_agrees({0: {5: 0}}.get, first, lambda s: {}) == (True, 1)
+
+
+def test_identity_map_ignores_zero_coefficients():
+    assert is_identity_map({0: {0: 1, 1: 0}, 1: {1: 1}})
+    assert is_identity_map({})
+    assert not is_identity_map({0: {0: 1, 1: 2}})
+    assert not is_identity_map({0: {0: 0}})
+    assert not is_identity_map({0: {1: 1, 0: 0}})
