@@ -385,7 +385,9 @@ def main(argv=None):
             else:
                 text += dot
     except (WorkspaceError, CommandError, KeyError, ValueError, OSError) as exc:
-        print(json.dumps({"schema": 1, "error": str(exc)}, sort_keys=True))
+        # str() of a KeyError is the repr of its message; report the message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(json.dumps({"schema": 1, "error": str(message)}, sort_keys=True))
         return 2
     sys.stdout.write(text)
     return code

@@ -43,18 +43,24 @@ class PathIndex:
     vertices are the length-0 paths and come first, then arrows, then
     longer paths generated in enumeration order.
 
+    With `sources`, only the paths starting at those vertices are indexed,
+    in the same relative order as in the full index.  Such a rooted index
+    is not closed under splitting (a later part starts elsewhere), so
+    `_split` refuses it.
+
     The index keeps one coproduct table, filled on first use by `_split`,
     that every coalgebra, closure and coproduct over it reads, and the
     images of its paths under the last covering asked (`_projection`).
     """
 
-    def __init__(self, quiver, truncation):
+    def __init__(self, quiver, truncation, sources=None):
         self.quiver = quiver
         self.truncation = truncation
+        self.rooted = sources is not None
         self.paths = []
         self._index = {}
         self.by_pair = {}
-        for v in range(quiver.num_vertices()):
+        for v in range(quiver.num_vertices()) if sources is None else sorted(sources):
             self._append(v, v, ())
         frontier = list(range(len(self.paths)))
         for _ in range(truncation):
@@ -146,6 +152,8 @@ class PathIndex:
         boundary terms, as ([(1, later, earlier), ...], False); a vertex is
         group-like.  Read the table as `_coproducts[i] or _split(i)`; the
         entries are shared, so no caller may mutate them."""
+        if self.rooted:
+            raise CoalgebraError("a rooted path index is not closed under splitting")
         src, tgt, arrows = self.paths[i]
         if not arrows:
             terms = [(_ONE, i, i)]
@@ -289,15 +297,6 @@ class SubcoalgebraBasis:
             e = self._counits[sym] = counit_vector(self.pindex, self.row_vector(sym))
         return e
 
-    def all_path_symbols(self):
-        """Path indices whose unit vectors lie in the subcoalgebra."""
-        out = []
-        for pair, space in sorted(self.spaces.items()):
-            for i in self.pindex.by_pair.get(pair, []):
-                if space.member(SparseVector.unit(i)):
-                    out.append(i)
-        return out
-
 
 def subcoalgebra_closure(pindex, generators):
     """Smallest admissible subcoalgebra containing the generators: adds all
@@ -394,25 +393,28 @@ def is_homogeneous(basis, weighting, return_witness=False):
 
     Primary test: the dimension of the subcoalgebra equals the sum over
     (source, target, weight) of the dimensions of its intersections with
-    the fixed-weight coordinate spans.  The witness on failure is a basis
-    row whose support mixes weights.
+    the fixed-weight coordinate spans.  A pair whose supported paths share
+    one weight adds its whole dimension without intersecting.  The witness
+    on failure is a basis row whose support mixes weights.
     """
     total = 0
     witness = None
+    weight = {}  # supported path -> weight, each computed once
     for pair, space in sorted(basis.spaces.items()):
-        supported = set()
-        for row in space.rows:
-            supported |= row.support()
         by_weight = {}
-        for i in sorted(supported):
-            w = basis.pindex.weight(weighting, i)
-            by_weight.setdefault(w, set()).add(i)
-        for w in by_weight:
-            total += intersect_coordinates(space, by_weight[w]).dimension
+        for row in space.rows:
+            for i in row.support():
+                if i not in weight:
+                    weight[i] = basis.pindex.weight(weighting, i)
+                by_weight.setdefault(weight[i], set()).add(i)
+        if len(by_weight) == 1:
+            total += space.dimension
+            continue
+        for coords in by_weight.values():
+            total += intersect_coordinates(space, coords).dimension
         if witness is None:
             for row in space.rows:
-                weights = {basis.pindex.weight(weighting, i) for i in row.support()}
-                if len(weights) > 1:
+                if len({weight[i] for i in row.support()}) > 1:
                     witness = row
                     break
     homogeneous = total == basis.dimension

@@ -81,33 +81,36 @@ def reach_set(base, weighting):
 
 
 def span_of_liftings(base, weighting, window=None):
-    """The span of all liftings of the paths and minimal elements of the
-    base subcoalgebra, cut into its (source, target) components.
+    """The span of all liftings of the base subcoalgebra's RREF rows, cut
+    into its (source, target) components.
 
-    Vectors are lifted through every fiber of the window whose lift stays
+    Rows are lifted through every fiber of the window whose lift stays
     inside, or without a window from the identity fiber alone, over the
-    smash quiver on `reach_set`, where every lift materializes.
+    smash quiver on `reach_set`, where every lift materializes; its path
+    index then holds only the paths leaving the identity fiber.
 
-    Every RREF row with support of size >= 2 is a minimal element (any
-    member supported inside a row's support is a multiple of that row),
-    and lifting is linear on path coordinates, so lifting all rows and all
-    member paths spans the same space as lifting all minimal elements.
-    For a homogeneous base this coincides with the lifted subcoalgebra.
+    The rows are fully reduced with unit pivots, so a path's unit vector
+    is a member exactly when it is a row, and every row with support of
+    size >= 2 is a minimal element (any member supported inside a row's
+    support is a multiple of that row).  Lifting is linear on path
+    coordinates, so the rows' lifts span the lifts of all member paths and
+    minimal elements.  For a homogeneous base this coincides with the
+    lifted subcoalgebra.
 
     The span is the direct sum of its pieces on its finest block partition:
     a block inside one pair joins it unchanged, and only a block straddling
     pairs is intersected with each pair's coordinates.  Rows of disjoint
     blocks are jointly reduced, so a pair's pieces sorted by pivot are its RREF.
     """
+    quiver = base.pindex.quiver
     fibers = [weighting.group.identity()] if window is None else list(window)
-    smash_q = smash_quiver(base.pindex.quiver, weighting,
+    smash_q = smash_quiver(quiver, weighting,
                            reach_set(base, weighting) if window is None else fibers)
-    cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
-    vectors = [SparseVector.unit(i) for i in base.all_path_symbols()]
-    vectors += [row for row in map(base.row_vector, base.symbols())
-                if len(row.support()) >= 2]
+    sources = None if window is not None else \
+        [smash_q.vertex_of(v, fibers[0]) for v in range(quiver.num_vertices())]
+    cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation, sources)
     generators = []
-    for vec in vectors:
+    for vec in map(base.row_vector, base.symbols()):
         for g in fibers:
             lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
             if lifted is not None:

@@ -398,9 +398,16 @@ class Parser:
         named = {}
         while not self.accept("}"):
             arrow = self.known_arrow(quiver, self.expect("name"))
+            if arrow.value in named:
+                raise WorkspaceError("arrow %r is weighted twice" % arrow.value,
+                                     arrow.line, arrow.col)
             self.expect("=")
             named[arrow.value] = self.group_element(group)
             self.expect(";")
+        for arrow_name, _, _ in quiver.arrows:
+            if arrow_name not in named:
+                raise WorkspaceError("weighting misses arrow %r" % arrow_name,
+                                     head.line, head.col)
         weighting = ArrowWeighting.by_name(quiver, group, named)
         return Declaration("weighting", name, head.line, head.col,
                            quiver_name=quiver_name, group_name=group_name,

@@ -387,3 +387,26 @@ def test_csm_iso_catches_a_wrong_map(tmp_path, capsys, monkeypatch, with_psi):
     assert main(["csm-iso", path, "--liftings", "2"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["verified"] < report["liftings"] == 3
+
+
+def test_cli_lookup_errors_report_the_message(tmp_path, capsys):
+    # a failed workspace lookup prints its message, not the KeyError repr
+    kron, loop = fixture_path("kron", tmp_path), fixture_path("loop", tmp_path)
+    assert main(["homog", kron, "--weighting", "nope"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "no weighting named 'nope' in workspace")
+    assert main(["gradable", loop]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "workspace needs exactly one comodule (found 0); pass an explicit name")
+
+
+@pytest.mark.parametrize("body, error", [
+    ("a = 0;", "line 3, column 1: weighting misses arrow 'b'"),
+    ("a = 0; b = 1; a = 5;", "line 3, column 44: arrow 'a' is weighted twice"),
+])
+def test_cli_weighting_assigns_each_arrow_once(tmp_path, capsys, body, error):
+    bad = tmp_path / "weights.cov"
+    bad.write_text("quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"
+                   "group G = Z;\nweighting d on kron into G { %s }\n" % body)
+    assert main(["export", str(bad)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == error

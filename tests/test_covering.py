@@ -418,7 +418,8 @@ def _global_lifted_spans(base, smash_q, cover_pindex):
             out[cover_pindex.path_of(tuple(lifted))] = c
         return SparseVector(out)
 
-    vectors = [SparseVector.unit(i) for i in base.all_path_symbols()]
+    vectors = [SparseVector.unit(i) for pair, space in sorted(base.spaces.items())
+               for i in base.pindex.by_pair[pair] if space.member(SparseVector.unit(i))]
     vectors += [base.row_vector(sym) for sym in base.symbols()]
     lifts = [lift(vec, g) for vec in vectors for g in smash_q.window]
     total = rref([v for v in lifts if v is not None])

@@ -1,0 +1,209 @@
+"""Differential test of the rooted cover index, the row lift and the
+single-weight shortcut in `is_homogeneous`.
+
+Without a window, `span_of_liftings` indexes only the cover paths that
+leave the identity fiber, and lifts the base's RREF rows as they stand.
+`is_homogeneous` weighs each supported path once and adds a pair's whole
+dimension when all its supported paths share one weight.  The versions
+that preceded them (a cover index over every fiber of the reach set, the
+unit vectors of every member path plus the rows of support >= 2, one
+intersection per (pair, weight)) are copied below as oracles.  Cover
+indices now differ, so lifted spans are compared by (cover source vertex,
+cover arrow tuple).
+"""
+
+import itertools
+import random
+
+import pytest
+
+from covol.coalgebra import CoalgebraError, PathIndex, SparseVector, \
+    is_homogeneous, subcoalgebra_closure
+from covol.covering import CoalgebraCovering, _lift_vector, is_coalgebra_covering, \
+    reach_set, span_of_liftings
+from covol.exactlin import Subspace, finest_block_partition, intersect_coordinates, rref
+from covol.fixtures import all_fixtures, double_loop_fixture, sl2_fixture, tri_fixture
+from covol.groups import FgAbelian, FiniteTable, FreeGroup
+from covol.quiver import Quiver
+from covol.voltage import ArrowWeighting, smash_quiver
+
+
+def oracle_all_path_symbols(base):
+    """Path indices whose unit vectors lie in the subcoalgebra."""
+    out = []
+    for pair, space in sorted(base.spaces.items()):
+        for i in base.pindex.by_pair.get(pair, []):
+            if space.member(SparseVector.unit(i)):
+                out.append(i)
+    return out
+
+
+def oracle_span_of_liftings(base, weighting):
+    """The identity-fiber span over the full reach-set cover index, lifting
+    member path units and the rows of support >= 2."""
+    fibers = [weighting.group.identity()]
+    smash_q = smash_quiver(base.pindex.quiver, weighting, reach_set(base, weighting))
+    cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
+    vectors = [SparseVector.unit(i) for i in oracle_all_path_symbols(base)]
+    vectors += [row for row in map(base.row_vector, base.symbols())
+                if len(row.support()) >= 2]
+    generators = []
+    for vec in vectors:
+        for g in fibers:
+            lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
+            if lifted is not None:
+                generators.append(lifted)
+    total = rref(generators)
+    blocks = finest_block_partition(total)
+    block_of = {c: n for n, block in enumerate(blocks) for c in block}
+    block_rows = [[] for _ in blocks]
+    for row, p in zip(total.rows, total.pivots):
+        block_rows[block_of[p]].append(row)
+    pieces = {}
+    for block, rows in zip(blocks, block_rows):
+        coords = {}
+        for c in block:
+            pair = (cover_pindex.source(c), cover_pindex.target(c))
+            coords.setdefault(pair, []).append(c)
+        if len(coords) == 1:
+            pieces.setdefault(next(iter(coords)), []).extend(rows)
+            continue
+        space = Subspace(rows, [row.leading() for row in rows])
+        for pair, cs in coords.items():
+            pieces.setdefault(pair, []).extend(intersect_coordinates(space, cs).rows)
+    spans = {pair: Subspace(sorted(rows, key=SparseVector.leading),
+                            sorted(row.leading() for row in rows))
+             for pair, rows in sorted(pieces.items()) if rows}
+    return CoalgebraCovering(smash_q, base, cover_pindex, spans, fibers)
+
+
+def oracle_is_homogeneous(basis, weighting):
+    """One intersection per (pair, weight), witness from every pair."""
+    total = 0
+    witness = None
+    for pair, space in sorted(basis.spaces.items()):
+        supported = set()
+        for row in space.rows:
+            supported |= row.support()
+        by_weight = {}
+        for i in sorted(supported):
+            w = basis.pindex.weight(weighting, i)
+            by_weight.setdefault(w, set()).add(i)
+        for w in by_weight:
+            total += intersect_coordinates(space, by_weight[w]).dimension
+        if witness is None:
+            for row in space.rows:
+                weights = {basis.pindex.weight(weighting, i) for i in row.support()}
+                if len(weights) > 1:
+                    witness = row
+                    break
+    homogeneous = total == basis.dimension
+    return homogeneous, (None if homogeneous else witness)
+
+
+def _s3():
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteTable([[index[tuple(a[b[k]] for k in range(3))] for b in perms]
+                        for a in perms])
+
+
+def _backends():
+    """(group, weight sampler) for Z, Z/5, S3, Z^2 and free(2)."""
+    z, z5, z2, f2, s3 = FgAbelian(1), FgAbelian(0, (5,)), FgAbelian(2), FreeGroup(2), _s3()
+    f2_letters = [f2.identity(), f2.generator(0), f2.generator(1),
+                  f2.inverse(f2.generator(0)), f2.inverse(f2.generator(1))]
+    return [
+        (z, lambda rng: z.element(free=[rng.randint(-1, 1)])),
+        (z5, lambda rng: z5.element(torsion=[rng.randrange(5)])),
+        (s3, lambda rng: rng.randrange(6)),
+        (z2, lambda rng: z2.element(free=[rng.randint(0, 1), rng.randint(0, 1)])),
+        (f2, lambda rng: rng.choice(f2_letters)),
+    ]
+
+
+def _quivers():
+    return [
+        sl2_fixture(4).quiver,
+        tri_fixture("ac").quiver,
+        double_loop_fixture().quiver,
+        Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "u")]),
+    ]
+
+
+def _parallel_sums(rng, pindex):
+    """Closure of two combinations of 2-3 parallel paths."""
+    gens = []
+    for _ in range(2):
+        pair = rng.choice(sorted(pindex.by_pair))
+        same = [i for i in pindex.by_pair[pair] if pindex.length(i)]
+        support = rng.sample(same, min(len(same), rng.randint(2, 3)))
+        gens.append(SparseVector({i: rng.choice([1, 2, -1]) for i in support}))
+    return subcoalgebra_closure(pindex, gens)
+
+
+def _instances():
+    """(base, weighting) for every fixture, then seeded random instances on
+    every backend, homogeneous or not."""
+    out = [(fx.basis, fx.weighting) for fx in all_fixtures()]
+    rng = random.Random(1311)
+    for quiver in _quivers():
+        pindex = PathIndex(quiver, 2)
+        for group, sample in _backends():
+            for _ in range(6):
+                w = ArrowWeighting(quiver, group, {a: sample(rng)
+                                                   for a in range(quiver.num_arrows())})
+                out.append((_parallel_sums(rng, pindex), w))
+    return out
+
+
+def _keyed_spans(cov):
+    """Lifted spans with every cover path named by (source vertex, arrows)."""
+    pindex = cov.cover_pindex
+
+    def key(i):
+        return pindex.source(i), pindex.arrows(i)
+
+    return {pair: ([{key(i): c for i, c in row.items()} for row in space.rows],
+                   [key(p) for p in space.pivots])
+            for pair, space in cov.lifted_spans.items()}
+
+
+def test_rooted_cover_matches_full_reach_set_cover():
+    verdicts, smaller = set(), 0
+    for base, weighting in _instances():
+        got = span_of_liftings(base, weighting)
+        want = oracle_span_of_liftings(base, weighting)
+        identity = weighting.group.identity()
+        full, rooted = want.cover_pindex, got.cover_pindex
+        assert rooted.rooted and not full.rooted
+        assert rooted.paths == [path for path in full.paths
+                                if got.smash.fiber_coordinate(path[0]) == identity]
+        smaller += len(rooted) < len(full)
+        assert _keyed_spans(got) == _keyed_spans(want)
+        assert got.lifted_dimension == want.lifted_dimension
+        verdict = is_coalgebra_covering(got)
+        assert verdict == is_coalgebra_covering(want)
+        verdicts.add(verdict[0])
+        for i in range(len(rooted)):
+            with pytest.raises(CoalgebraError):
+                rooted._split(i)
+    assert verdicts == {True, False} and smaller
+
+
+def test_single_weight_shortcut_matches_per_weight_intersections():
+    single = several = homogeneous_several = 0
+    verdicts = set()
+    for base, weighting in _instances():
+        ok, witness = is_homogeneous(base, weighting, return_witness=True)
+        assert (ok, witness) == oracle_is_homogeneous(base, weighting)
+        assert is_homogeneous(base, weighting) == ok
+        verdicts.add(ok)
+        for space in base.spaces.values():
+            weights = {base.pindex.weight(weighting, i)
+                       for row in space.rows for i in row.support()}
+            single += len(weights) == 1
+            several += len(weights) > 1
+            homogeneous_several += ok and len(weights) > 1
+    assert verdicts == {True, False}
+    assert single and several and homogeneous_several

@@ -245,3 +245,18 @@ subcoalgebra B of tri { truncate 2; generators: 1/2 * a.c + -3/4 * b.c; }
     text = emit(ws)
     assert "generators: 1/2*a.c + -3/4*b.c;" in text
     assert parse(text) == ws and emit(parse(text)) == text
+
+
+def test_weighting_assigns_each_arrow_exactly_once():
+    # a missing arrow is reported at the weighting head, a repeated one at
+    # its second assignment
+    with pytest.raises(WorkspaceError) as err:
+        parse("quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"
+              "group G = Z;\nweighting d on kron into G { a = 0; }\n")
+    assert "weighting misses arrow 'b'" in str(err.value)
+    assert (err.value.line, err.value.col) == (3, 1)
+    with pytest.raises(WorkspaceError) as err:
+        parse("quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"
+              "group G = Z;\nweighting d on kron into G {\n  a = 0;\n  b = 1;\n  a = 5;\n}\n")
+    assert "arrow 'a' is weighted twice" in str(err.value)
+    assert (err.value.line, err.value.col) == (6, 3)
