@@ -257,6 +257,8 @@ def cmd_twist(ws, args):
         vertex = parser.expect("name")
         if vertex.value not in quiver.vertex_index:
             raise CommandError("unknown vertex %r in --gamma" % vertex.value)
+        if vertex.value in named:
+            raise CommandError("vertex %r is assigned twice in --gamma" % vertex.value)
         parser.expect("=")
         named[vertex.value] = parser.group_element(group)
         if not parser.accept(","):

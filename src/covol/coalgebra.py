@@ -373,21 +373,6 @@ def minimal_elements(basis):
     return out
 
 
-def minimal_rows(basis):
-    """Every RREF row with support of size >= 2, as (endpoint pair, row).
-
-    Each such row is a minimal element: a member supported inside a row's
-    support reduces to a multiple of that row, so no proper subsum lies in
-    the subcoalgebra.  A block can carry several of these.
-    """
-    out = []
-    for sym in basis.symbols():
-        row = basis.row_vector(sym)
-        if len(row.support()) >= 2:
-            out.append((basis.row_endpoints(sym), row))
-    return out
-
-
 def is_homogeneous(basis, weighting, return_witness=False):
     """Homogeneity of a subcoalgebra under an arrow weighting.
 
@@ -502,14 +487,12 @@ class SmashCoalgebra:
 
 
 def smash_coalgebra(basis, weighting, window):
-    """Smash coproduct coalgebra of a homogeneous subcoalgebra."""
-    ok, witness = is_homogeneous(basis, weighting, return_witness=True)
-    if not ok:
-        raise CoalgebraError("subcoalgebra is not homogeneous; witness %r"
-                             % {basis.pindex.label(i): str(witness[i])
-                                for i in sorted(witness.support())})
-    weights = {sym: row_weight(basis, weighting, sym) for sym in basis.symbols()}
-    return SmashCoalgebra(basis, lambda s: weights[s], weighting.group, window)
+    """Smash coproduct coalgebra of a homogeneous subcoalgebra.  Weighing
+    the rows decides homogeneity: RREF is unique, so a space is homogeneous
+    exactly when each row has one weight, and the first mixed row (the
+    witness of `is_homogeneous`) raises `CoalgebraError`."""
+    weights = [row_weight(basis, weighting, sym) for sym in basis.symbols()]
+    return SmashCoalgebra(basis, weights.__getitem__, weighting.group, window)
 
 
 def smash_path_coalgebra(pindex, weighting, window):

@@ -270,49 +270,32 @@ class QuiverRepresentation:
                 out.append("%s.%d" % (self.quiver.vertices[v], k))
         return out
 
-    def path_matrix(self, arrows):
-        """Composite matrix of a directed path (right-to-left product)."""
-        mat = None
-        for a in arrows:
-            mat = self.maps[a] if mat is None else matmul_int(self.maps[a], mat)
-        return mat
-
     def as_comodule(self, coalgebra, pindex):
         """Path-expanded coaction over a truncated path coalgebra; raises
         when a composite survives past the truncation (not locally
-        nilpotent at this truncation level)."""
+        nilpotent at this truncation level).  A path's matrix is its last
+        arrow's times its prefix's (a vertex's is the identity), and the
+        paths one arrow past the truncation extend the full-length ones."""
         coaction = {}
-        for i in range(len(pindex)):
-            src, tgt, arrows = pindex.paths[i]
-            if not arrows:
-                for k in range(self.dims[src]):
-                    idx = self.offsets[src] + k
-                    coaction.setdefault((idx, idx), {})[i] = Fraction(1)
-                continue
-            mat = self.path_matrix(arrows)
-            for r in range(self.dims[tgt]):
-                for c in range(self.dims[src]):
-                    if mat[r][c]:
-                        row = self.offsets[tgt] + r
-                        col = self.offsets[src] + c
-                        coaction.setdefault((row, col), {})[i] = mat[r][c]
-        self._check_nilpotent(pindex.truncation)
+        mats = []
+        for i, (src, tgt, arrows) in enumerate(pindex.paths):
+            if arrows:
+                mat = matmul_int(self.maps[arrows[-1]], mats[pindex.prefix(i)])
+            else:
+                mat = [[Fraction(int(r == c)) for c in range(self.dims[src])]
+                       for r in range(self.dims[src])]
+            mats.append(mat)
+            for r, row in enumerate(mat):  # no columns through a 0-dim vertex
+                for c, x in enumerate(row):
+                    if x:
+                        coaction.setdefault((self.offsets[tgt] + r,
+                                             self.offsets[src] + c), {})[i] = x
+            if len(arrows) == pindex.truncation and any(
+                    x for a in self.quiver.out_arrows[tgt]
+                    for row in matmul_int(self.maps[a], mat) for x in row):
+                raise CoalgebraError("representation is not nilpotent within "
+                                     "truncation %d" % pindex.truncation)
         return Comodule(coalgebra, self.labels(), coaction)
-
-    def _check_nilpotent(self, truncation):
-        current = [(v, None) for v in range(len(self.dims))]
-        for _ in range(truncation + 1):
-            nxt = []
-            for v, mat in current:
-                for a in self.quiver.out_arrows[v]:
-                    m2 = self.maps[a] if mat is None else matmul_int(self.maps[a], mat)
-                    if any(x for row in m2 for x in row):
-                        nxt.append((self.quiver.target(a), m2))
-            current = nxt
-            if not current:
-                return
-        raise CoalgebraError(
-            "representation is not nilpotent within truncation %d" % truncation)
 
 
 class Gradable:
@@ -414,13 +397,14 @@ def gradability_probe(rep, weighting, window):
                 equations.append((SparseVector(coeffs), Fraction(-w) * T[i][j]))
     solved = solve_affine(equations, nvars)
 
+    vectors = _enumerate_dimension_vectors(rep.dims, window_values)
     fast_refutations = _refute_single_degree_vectors(rep, weighting, group,
-                                                     window_values)
+                                                     vectors)
 
     if solved is None:
         # no degree operator at all: every dimension vector is infeasible
         refuted = []
-        for vector in _enumerate_dimension_vectors(rep.dims, window_values):
+        for vector in vectors:
             reason = fast_refutations.get(vector,
                                           "no degree operator satisfies the "
                                           "arrow commutation relations")
@@ -433,19 +417,17 @@ def gradability_probe(rep, weighting, window):
     if witness is not None:
         return witness
 
-    vectors = _enumerate_dimension_vectors(rep.dims, window_values)
     if all(v in fast_refutations for v in vectors):
         return Ungradable([(v, fast_refutations[v]) for v in vectors])
     return Unknown("no witness found and some dimension vectors need an "
                    "undecided subspace search")
 
 
-def _refute_single_degree_vectors(rep, weighting, group, window_values):
-    """Complete feasibility decision for dimension vectors concentrated in
-    a single degree per vertex: the splitting is forced, so only the arrow
-    constraints matter.  Returns a dict of refuted vectors -> reason."""
+def _refute_single_degree_vectors(rep, weighting, group, vectors):
+    """Complete feasibility decision for the dimension vectors concentrated
+    in a single degree per vertex: the splitting is forced, so only the
+    arrow constraints matter.  Returns a dict of refuted vectors -> reason."""
     out = {}
-    vectors = _enumerate_dimension_vectors(rep.dims, window_values)
     for vector in vectors:
         if any(len(profile) > 1 for profile in vector):
             continue  # needs a genuine subspace search

@@ -13,8 +13,7 @@ over the reach set alone, certifies every fiber, and ignores `--window`.
 
 from .coalgebra import (
     PathIndex, SparseVector, is_homogeneous, lift_path, minimal_elements,
-    minimal_rows, smash_coalgebra, smash_projection_map, vector_label,
-    verify_coalgebra_map,
+    smash_coalgebra, smash_projection_map, vector_label, verify_coalgebra_map,
 )
 from .exactlin import Subspace, finest_block_partition, intersect_coordinates, \
     rref, smith_normal_form
@@ -43,14 +42,17 @@ def _lift_vector(smash_q, cover_pindex, base_pindex, vec, start_fiber):
 
 class CoalgebraCovering:
     """A smash-quiver covering together with a base subcoalgebra and the
-    span of its liftings through `fibers`, in the covering path coalgebra."""
+    span of its liftings through `fibers`, in the covering path coalgebra.
+    `lifts` lists (base row, cover start vertex, lift) for each row of
+    support >= 2 and each fiber it lifts through, in (symbol, fiber) order."""
 
-    def __init__(self, smash_q, base, cover_pindex, lifted_spans, fibers):
+    def __init__(self, smash_q, base, cover_pindex, lifted_spans, fibers, lifts):
         self.smash = smash_q
         self.base = base
         self.cover_pindex = cover_pindex
         self.lifted_spans = lifted_spans
         self.fibers = fibers
+        self.lifts = lifts
 
     @property
     def lifted_dimension(self):
@@ -95,7 +97,8 @@ def span_of_liftings(base, weighting, window=None):
     support is a multiple of that row).  Lifting is linear on path
     coordinates, so the rows' lifts span the lifts of all member paths and
     minimal elements.  For a homogeneous base this coincides with the
-    lifted subcoalgebra.
+    lifted subcoalgebra.  The lifts of the rows of support >= 2 are kept
+    (`CoalgebraCovering.lifts`) for the covering test.
 
     The span is the direct sum of its pieces on its finest block partition:
     a block inside one pair joins it unchanged, and only a block straddling
@@ -109,12 +112,15 @@ def span_of_liftings(base, weighting, window=None):
     sources = None if window is not None else \
         [smash_q.vertex_of(v, fibers[0]) for v in range(quiver.num_vertices())]
     cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation, sources)
-    generators = []
-    for vec in map(base.row_vector, base.symbols()):
+    generators, lifts = [], []
+    for sym in base.symbols():
+        vec, (src, _) = base.row_vector(sym), base.row_endpoints(sym)
         for g in fibers:
             lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
             if lifted is not None:
                 generators.append(lifted)
+                if len(vec.support()) >= 2:
+                    lifts.append((vec, smash_q.vertex_of(src, g), lifted))
     total = rref(generators)
     blocks = finest_block_partition(total)
     block_of = {c: n for n, block in enumerate(blocks) for c in block}
@@ -136,7 +142,7 @@ def span_of_liftings(base, weighting, window=None):
     spans = {pair: Subspace(sorted(rows, key=SparseVector.leading),
                             sorted(row.leading() for row in rows))
              for pair, rows in sorted(pieces.items()) if rows}
-    return CoalgebraCovering(smash_q, base, cover_pindex, spans, fibers)
+    return CoalgebraCovering(smash_q, base, cover_pindex, spans, fibers, lifts)
 
 
 def build_lifted_subcoalgebra(base, weighting, window):
@@ -179,22 +185,17 @@ def is_coalgebra_covering(cov):
     """Every minimal element of the base lifts to a minimal element of the
     lifted span at every fiber of `cov.fibers` where its support paths
     materialize: common endpoint, membership, and minimality.  Quantifies
-    over all minimal rows (a block can carry several).  Returns (ok,
-    witness) with witness = (minimal element, fiber vertex) on failure."""
-    base = cov.base
-    smash_q = cov.smash
+    over every base row of support >= 2 (a block can carry several), each
+    a minimal element, through the lifts `span_of_liftings` kept
+    (`cov.lifts`).  Returns (ok, witness) with witness = (minimal element,
+    fiber vertex) on failure."""
     cover_pindex = cov.cover_pindex
-    for (src, _), rep in minimal_rows(base):
-        for g in cov.fibers:
-            start = smash_q.vertex_of(src, g)
-            candidate = _lift_vector(smash_q, cover_pindex, base.pindex, rep, g)
-            if candidate is None:
-                continue
-            ends = {cover_pindex.target(i) for i in candidate.support()}
-            space = cov.lifted_spans.get((start, ends.pop())) if len(ends) == 1 else None
-            if space is None or not space.member(candidate) \
-                    or not _is_minimal_in(space, candidate):
-                return False, (rep, start)
+    for rep, start, candidate in cov.lifts:
+        ends = {cover_pindex.target(i) for i in candidate.support()}
+        space = cov.lifted_spans.get((start, ends.pop())) if len(ends) == 1 else None
+        if space is None or not space.member(candidate) \
+                or not _is_minimal_in(space, candidate):
+            return False, (rep, start)
     return True, None
 
 

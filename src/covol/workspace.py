@@ -253,6 +253,13 @@ class Parser:
         self.expect("*")
         return coeff
 
+    def unique_name(self, seen, kind):
+        """The next name token, refused at its position if already in seen."""
+        tok = self.expect("name")
+        if tok.value in seen:
+            raise WorkspaceError("duplicate %s %r" % (kind, tok.value), tok.line, tok.col)
+        return tok
+
     def name_list(self):
         names = [self.expect("name").value]
         while self.accept(","):
@@ -264,30 +271,35 @@ class Parser:
         name = self.expect("name").value
         self.expect("{")
         vertices = []
-        arrows = []
+        arrows = {}  # arrow name -> (source token, target token)
         while not self.accept("}"):
             section = self.expect("name")
             if section.value == "vertices":
-                vertices.extend(self.name_list())
+                while True:
+                    vertex = self.unique_name(vertices, "vertex label")
+                    vertices.append(vertex.value)
+                    if not self.accept(","):
+                        break
                 self.expect(";")
             elif section.value == "arrows":
                 while True:
-                    aname = self.expect("name").value
+                    arrow = self.unique_name(arrows, "arrow name")
                     self.expect(":")
-                    src = self.expect("name").value
+                    src = self.expect("name")
                     self.expect("->")
-                    tgt = self.expect("name").value
-                    arrows.append((aname, src, tgt))
+                    arrows[arrow.value] = (src, self.expect("name"))
                     if not self.accept(","):
                         break
                 self.expect(";")
             else:
                 raise WorkspaceError("found %r" % section.value, section.line,
                                      section.col, expected={"vertices", "arrows"})
-        for aname, src, tgt in arrows:
-            if src not in vertices or tgt not in vertices:
-                raise WorkspaceError("arrow %s uses an undeclared vertex" % aname,
-                                     head.line, head.col)
+        for aname, ends in arrows.items():  # vertices may follow the arrows
+            for tok in ends:
+                if tok.value not in vertices:
+                    raise WorkspaceError("arrow %s uses undeclared vertex %r"
+                                         % (aname, tok.value), tok.line, tok.col)
+        arrows = [(aname, src.value, tgt.value) for aname, (src, tgt) in arrows.items()]
         quiver = Quiver(vertices, arrows)
         return Declaration("quiver", name, head.line, head.col,
                            vertices=vertices, arrows=arrows, quiver=quiver)
@@ -506,7 +518,7 @@ class Parser:
         self.expect("name", "basis")
         basis = []
         while True:
-            label = self.expect("name").value
+            label = self.unique_name([b[0] for b in basis], "basis label").value
             self.expect("@")
             vertex = self.expect("name")
             if vertex.value not in quiver.vertex_index:

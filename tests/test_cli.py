@@ -153,6 +153,14 @@ def test_twist(tmp_path):
     assert report["weighting"] == {"a": "-1", "b": "0"}
 
 
+def test_twist_refuses_a_vertex_assigned_twice(tmp_path, capsys):
+    kron = fixture_path("kron", tmp_path)
+    assert main(["twist", kron, "--gamma", "x=0,x=5,y=1"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "vertex 'x' is assigned twice in --gamma")
+    assert main(["twist", kron, "--gamma", "x=0,y=1"]) == 0
+
+
 def test_gradable(tmp_path):
     report, _, code = run("gradable", "kron", tmp_path)
     assert code == 0

@@ -1,5 +1,7 @@
-"""Differential test of the rooted cover index, the row lift and the
-single-weight shortcut in `is_homogeneous`.
+"""Differential test of the rooted cover index, the row lift, the
+single-weight shortcut in `is_homogeneous`, the covering test on the lifts
+`span_of_liftings` keeps, and the one-pass homogeneity test in
+`smash_coalgebra`.
 
 Without a window, `span_of_liftings` indexes only the cover paths that
 leave the identity fiber, and lifts the base's RREF rows as they stand.
@@ -10,6 +12,11 @@ unit vectors of every member path plus the rows of support >= 2, one
 intersection per (pair, weight)) are copied below as oracles.  Cover
 indices now differ, so lifted spans are compared by (cover source vertex,
 cover arrow tuple).
+
+`is_coalgebra_covering` reads the lifts of the rows of support >= 2 that
+`span_of_liftings` keeps; the version that found those rows again
+(`minimal_rows`) and lifted each once more is copied below.  So is the
+`smash_coalgebra` that ran `is_homogeneous` before weighing the rows.
 """
 
 import itertools
@@ -17,15 +24,15 @@ import random
 
 import pytest
 
-from covol.coalgebra import CoalgebraError, PathIndex, SparseVector, \
-    is_homogeneous, subcoalgebra_closure
-from covol.covering import CoalgebraCovering, _lift_vector, is_coalgebra_covering, \
-    reach_set, span_of_liftings
+from covol.coalgebra import CoalgebraError, PathIndex, SmashCoalgebra, SparseVector, \
+    is_homogeneous, row_weight, smash_coalgebra, subcoalgebra_closure, vector_label
+from covol.covering import CoalgebraCovering, _is_minimal_in, _lift_vector, \
+    is_coalgebra_covering, reach_set, span_of_liftings
 from covol.exactlin import Subspace, finest_block_partition, intersect_coordinates, rref
 from covol.fixtures import all_fixtures, double_loop_fixture, sl2_fixture, tri_fixture
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.quiver import Quiver
-from covol.voltage import ArrowWeighting, smash_quiver
+from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
 
 def oracle_all_path_symbols(base):
@@ -74,7 +81,48 @@ def oracle_span_of_liftings(base, weighting):
     spans = {pair: Subspace(sorted(rows, key=SparseVector.leading),
                             sorted(row.leading() for row in rows))
              for pair, rows in sorted(pieces.items()) if rows}
-    return CoalgebraCovering(smash_q, base, cover_pindex, spans, fibers)
+    # the oracle covering test below lifts again and reads no kept lifts
+    return CoalgebraCovering(smash_q, base, cover_pindex, spans, fibers, None)
+
+
+def oracle_minimal_rows(basis):
+    """Every RREF row with support of size >= 2, as (endpoint pair, row)."""
+    out = []
+    for sym in basis.symbols():
+        row = basis.row_vector(sym)
+        if len(row.support()) >= 2:
+            out.append((basis.row_endpoints(sym), row))
+    return out
+
+
+def oracle_is_coalgebra_covering(cov):
+    """The covering test that finds the minimal rows and lifts each again."""
+    base = cov.base
+    smash_q = cov.smash
+    cover_pindex = cov.cover_pindex
+    for (src, _), rep in oracle_minimal_rows(base):
+        for g in cov.fibers:
+            start = smash_q.vertex_of(src, g)
+            candidate = _lift_vector(smash_q, cover_pindex, base.pindex, rep, g)
+            if candidate is None:
+                continue
+            ends = {cover_pindex.target(i) for i in candidate.support()}
+            space = cov.lifted_spans.get((start, ends.pop())) if len(ends) == 1 else None
+            if space is None or not space.member(candidate) \
+                    or not _is_minimal_in(space, candidate):
+                return False, (rep, start)
+    return True, None
+
+
+def oracle_smash_coalgebra(basis, weighting, window):
+    """The smash coalgebra behind an `is_homogeneous` pre-pass."""
+    ok, witness = is_homogeneous(basis, weighting, return_witness=True)
+    if not ok:
+        raise CoalgebraError("subcoalgebra is not homogeneous; witness %r"
+                             % {basis.pindex.label(i): str(witness[i])
+                                for i in sorted(witness.support())})
+    weights = {sym: row_weight(basis, weighting, sym) for sym in basis.symbols()}
+    return SmashCoalgebra(basis, lambda s: weights[s], weighting.group, window)
 
 
 def oracle_is_homogeneous(basis, weighting):
@@ -183,7 +231,7 @@ def test_rooted_cover_matches_full_reach_set_cover():
         assert _keyed_spans(got) == _keyed_spans(want)
         assert got.lifted_dimension == want.lifted_dimension
         verdict = is_coalgebra_covering(got)
-        assert verdict == is_coalgebra_covering(want)
+        assert verdict == oracle_is_coalgebra_covering(want)
         verdicts.add(verdict[0])
         for i in range(len(rooted)):
             with pytest.raises(CoalgebraError):
@@ -207,3 +255,47 @@ def test_single_weight_shortcut_matches_per_weight_intersections():
             homogeneous_several += ok and len(weights) > 1
     assert verdicts == {True, False}
     assert single and several and homogeneous_several
+
+
+def test_kept_lifts_match_lifting_again():
+    """Identity-fiber spans on every instance, windowed spans on every
+    fixture at radii 1-4 and on every instance at radius 2."""
+    verdicts, kept, windowed = set(), 0, 0
+    fixtures = len(all_fixtures())  # _instances() lists the fixtures first
+    for n, (base, weighting) in enumerate(_instances()):
+        radii = [1, 2, 3, 4] if n < fixtures else [2]
+        for window in [None] + [window_ball(weighting.group, r) for r in radii]:
+            cov = span_of_liftings(base, weighting, window)
+            verdict = is_coalgebra_covering(cov)
+            assert verdict == oracle_is_coalgebra_covering(cov)
+            rows = [base.row_vector(sym) for sym in base.symbols()
+                    if len(base.row_vector(sym).support()) >= 2]
+            assert [rep for rep, _, _ in cov.lifts] == \
+                [row for row in rows for g in cov.fibers
+                 if _lift_vector(cov.smash, cov.cover_pindex, base.pindex, row, g)
+                 is not None]
+            verdicts.add(verdict[0])
+            kept += len(cov.lifts)
+            windowed += window is not None
+    assert verdicts == {True, False} and kept and windowed
+
+
+def test_smash_coalgebra_raises_exactly_when_inhomogeneous():
+    raised = built = 0
+    for base, weighting in _instances():
+        window = window_ball(weighting.group, 1)
+        ok, witness = is_homogeneous(base, weighting, return_witness=True)
+        if not ok:
+            with pytest.raises(CoalgebraError) as err:
+                smash_coalgebra(base, weighting, window)
+            assert repr(vector_label(base.pindex, witness)) in str(err.value)
+            raised += 1
+            continue
+        got = smash_coalgebra(base, weighting, window)
+        want = oracle_smash_coalgebra(base, weighting, window)
+        assert got.symbols() == want.symbols()
+        for sym in want.symbols():
+            assert got.coproduct(sym) == want.coproduct(sym)
+            assert got.weight_of(sym[0]) == want.weight_of(sym[0])
+        built += 1
+    assert raised and built

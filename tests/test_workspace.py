@@ -260,3 +260,36 @@ def test_weighting_assigns_each_arrow_exactly_once():
               "group G = Z;\nweighting d on kron into G {\n  a = 0;\n  b = 1;\n  a = 5;\n}\n")
     assert "arrow 'a' is weighted twice" in str(err.value)
     assert (err.value.line, err.value.col) == (6, 3)
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("quiver Q { vertices x, x; }", "duplicate vertex label 'x'", (1, 24)),
+    ("quiver Q { vertices x;\n  vertices y, x; }", "duplicate vertex label 'x'", (2, 15)),
+    ("quiver Q { vertices x, y;\n  arrows a: x -> y, a: y -> x; }",
+     "duplicate arrow name 'a'", (2, 21)),
+    ("quiver Q { vertices x, y;\n  arrows a: x -> z; }",
+     "arrow a uses undeclared vertex 'z'", (2, 18)),
+    ("quiver Q { vertices x, y;\n  arrows a: w -> y; }",
+     "arrow a uses undeclared vertex 'w'", (2, 13)),
+])
+def test_quiver_block_errors_point_at_the_token(text, message, position):
+    with pytest.raises(WorkspaceError) as err:
+        parse(text)
+    assert message in str(err.value)
+    assert (err.value.line, err.value.col) == position
+
+
+def test_quiver_block_may_declare_vertices_after_arrows():
+    ws = parse("quiver Q { arrows a: x -> y; vertices x, y; }")
+    quiver = ws.quivers["Q"].quiver
+    assert quiver.vertices == ["x", "y"] and quiver.num_arrows() == 1
+
+
+@pytest.mark.parametrize("maps", ["", " map a: m -> m;"])
+def test_comodule_refuses_a_repeated_basis_label(maps):
+    with pytest.raises(WorkspaceError) as err:
+        parse("quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"
+              "comodule M on kron {\n  basis m @ x, m @ y;%s }\n" % maps)
+    assert "duplicate basis label 'm'" in str(err.value)
+    assert (err.value.line, err.value.col) == (3, 16)
+
