@@ -305,25 +305,46 @@ def subcoalgebra_closure(pindex, generators):
 
     A worklist over one echelon: each vector is reduced once, and only a
     row that enlarged the span has its components queued.  Components are
-    linear, so the rows added span a space closed under them."""
-    echelon = _Echelon()
-    work = [SparseVector.unit(pindex.vertex_path(v))
-            for v in range(pindex.quiver.num_vertices())]
-    work += [SparseVector.unit(pindex.arrow_path(a))
-             for a in range(pindex.quiver.num_arrows())]
-    work += list(generators)
+    linear, so the rows added span a space closed under them.
+
+    The echelon starts with every vertex and arrow, and the worklist skips
+    a component that already lies in the final span:
+    - one supported on paths of length <= 1, the first |Q0| + |Q1| indices
+      of a full index: those paths were added first;
+    - one equal to the row just added: an endpoint-pure row is its own
+      restriction to its target and to its source;
+    - a second component {k: c} once one unit component at path k is
+      queued: both are multiples of e_k, which the first adds.
+    So the space is the one spanned without the skips, and the RREF rows,
+    being unique, are the same."""
+    quiver, echelon = pindex.quiver, _Echelon()
+    for v in range(quiver.num_vertices()):
+        echelon.add(SparseVector._wrap({pindex.vertex_path(v): 1}))
+    for a in range(quiver.num_arrows()):
+        echelon.add(SparseVector._wrap({pindex.arrow_path(a): 1}))
+    short = quiver.num_vertices() + quiver.num_arrows()
+    work = list(generators)
+    queued = set()  # paths k with a unit component {k: c} queued
     table, split = pindex._coproducts, pindex._split
     while work:
         row = echelon.add(work.pop())
         if row is None:
             continue
+        entries = row.entries
         rows, cols = {}, {}
-        for i, c in row.entries.items():  # a splitting composes to path i, so none repeats
+        for i, c in entries.items():  # a splitting composes to path i, so none repeats
             for _, l, r in (table[i] or split(i))[0]:
                 rows.setdefault(l, {})[r] = c
                 cols.setdefault(r, {})[l] = c
-        work += map(SparseVector._wrap, rows.values())
-        work += map(SparseVector._wrap, cols.values())
+        for comp in (*rows.values(), *cols.values()):
+            if max(comp) < short or comp == entries:
+                continue
+            if len(comp) == 1:
+                (k,) = comp
+                if k in queued:
+                    continue
+                queued.add(k)
+            work.append(SparseVector._wrap(comp))
     by_pair = {}
     for row in echelon.subspace().rows:  # pivot order, so each pair's rows are its RREF
         pair = endpoints(pindex, row)
@@ -409,12 +430,16 @@ def is_homogeneous(basis, weighting, return_witness=False):
 
 
 def row_weight(basis, weighting, sym):
-    """Weight of a basis row of a homogeneous subcoalgebra."""
+    """Weight of a basis row of a homogeneous subcoalgebra.  A row whose
+    support mixes weights raises `CoalgebraError` with the row's label as
+    its `witness`."""
     weights = {basis.pindex.weight(weighting, i)
                for i in basis.row_vector(sym).support()}
     if len(weights) != 1:
-        raise CoalgebraError("basis row %r is not weight-homogeneous"
-                             % basis.label(sym))
+        label = basis.label(sym)
+        exc = CoalgebraError("basis row %r is not weight-homogeneous" % label)
+        exc.witness = label
+        raise exc
     return next(iter(weights))
 
 

@@ -12,8 +12,9 @@ over the reach set alone, certifies every fiber, and ignores `--window`.
 """
 
 from .coalgebra import (
-    PathIndex, SparseVector, is_homogeneous, lift_path, minimal_elements,
-    smash_coalgebra, smash_projection_map, vector_label, verify_coalgebra_map,
+    CoalgebraError, PathIndex, SparseVector, is_homogeneous, lift_path,
+    minimal_elements, smash_coalgebra, smash_projection_map, vector_label,
+    verify_coalgebra_map,
 )
 from .exactlin import Subspace, finest_block_partition, intersect_coordinates, \
     rref, smith_normal_form
@@ -148,13 +149,14 @@ def span_of_liftings(base, weighting, window=None):
 def build_lifted_subcoalgebra(base, weighting, window):
     """Lifted subcoalgebra of a homogeneous base: its span of liftings
     through every fiber of the window.  The projection down to the base is
-    verified as a coalgebra map on interior symbols."""
-    ok, witness = is_homogeneous(base, weighting, return_witness=True)
-    if not ok:
+    verified as a coalgebra map on interior symbols.  Building the smash
+    coalgebra decides homogeneity, before anything is lifted."""
+    try:
+        smash_coalg = smash_coalgebra(base, weighting, window)
+    except CoalgebraError as exc:
         raise CoveringError("base subcoalgebra is not homogeneous; witness %s"
-                            % vector_label(base.pindex, witness))
+                            % exc.witness) from None
     cov = span_of_liftings(base, weighting, window)
-    smash_coalg = smash_coalgebra(base, weighting, window)
     proj = smash_projection_map(smash_coalg)
     ok, bad, _ = verify_coalgebra_map(proj, smash_coalg, base)
     if not ok:

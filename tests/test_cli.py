@@ -308,6 +308,19 @@ def test_cli_negative_liftings_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command, name", [
+    ("smash", "kron"), ("check-cover", "kron"), ("csm-iso", "kron"),
+    ("gradable", "kron"), ("smash", "dbl"), ("check-cover", "dbl")])
+def test_cli_negative_window_exits_2_naming_the_option(tmp_path, capsys, command, name):
+    # the parser refuses it before any window is built, gradable included
+    path = fixture_path(name, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--window", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--window must be >= 0" in captured.err
+
+
 def _subparser_oracle():
     """The parser as it was with one subparser per command."""
     parser = argparse.ArgumentParser(prog="covol")

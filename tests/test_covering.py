@@ -1,5 +1,7 @@
+import importlib.resources as resources
 import itertools
 import json
+import os
 import random
 
 import pytest
@@ -48,6 +50,44 @@ def test_build_lifted_rejects_inhomogeneous():
     fx = tri_fixture("ac+bc")
     with pytest.raises(CoveringError):
         build_lifted_subcoalgebra(fx.basis, fx.weighting, fx.window(4))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("called")
+
+
+def test_build_lifted_decides_homogeneity_once(monkeypatch):
+    # the smash coalgebra's row weights decide it, with is_homogeneous's
+    # witness and message, before anything is lifted
+    fx = tri_fixture("ac+bc")
+    ok, witness = is_homogeneous(fx.basis, fx.weighting, return_witness=True)
+    assert not ok
+    want = "base subcoalgebra is not homogeneous; witness %s" % \
+        covering.vector_label(fx.basis.pindex, witness)
+    monkeypatch.setattr(covering, "is_homogeneous", _refuse)
+    monkeypatch.setattr(covering, "span_of_liftings", _refuse)
+    with pytest.raises(CoveringError) as exc:
+        build_lifted_subcoalgebra(fx.basis, fx.weighting, fx.window(4))
+    assert str(exc.value) == want
+    monkeypatch.undo()
+    fx = kronecker_fixture()
+    monkeypatch.setattr(covering, "is_homogeneous", _refuse)
+    assert build_lifted_subcoalgebra(fx.basis, fx.weighting, fx.window(4)).lifted_dimension > 0
+
+
+@pytest.mark.parametrize("name", ["tri_acbc", "kron"])
+def test_smash_command_decides_homogeneity_once(monkeypatch, name):
+    # the report equals the golden: an inhomogeneous subcoalgebra still
+    # leaves out the coalgebra keys
+    text = (resources.files("covol") / "fixtures" / ("%s.cov" % name)).read_text()
+    args = cli.build_arg_parser().parse_args(["smash", "ws.cov"])
+    monkeypatch.setattr(cli, "is_homogeneous", _refuse)
+    report, _, code = cli.run_command("smash", cli.parse(text), args)
+    golden = os.path.join(os.path.dirname(__file__), "golden", "%s.smash.out" % name)
+    with open(golden, encoding="utf-8") as handle:
+        assert report == json.load(handle)
+    assert code == 0
+    assert ("coalgebraSymbols" in report) == (name == "kron")
 
 
 def test_build_lifted_sl2_contains_minimal_lifts():

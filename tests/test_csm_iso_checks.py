@@ -6,8 +6,8 @@ over the cover projection" by lookup (`composite_agrees`), without
 building `compose_maps` composites.  These tests take the composites as
 the oracle: on every shipped fixture, with the canonical and the 5
 seeded liftings the command itself draws, and on mutated copies of the
-maps, both must give the same verdict.  A check that compares no symbol
-must not count as a pass.
+maps, both must give the same verdict.  A check that compares no symbol,
+or skips a symbol of its first map, must not count as a pass.
 
 Path splittings are computed once per `PathIndex` into a table that
 every coalgebra over the index reads; the tests count the computations
@@ -17,6 +17,7 @@ and compare the table with a fresh computation.
 import collections
 import io
 import contextlib
+import json
 import importlib.resources as resources
 
 import pytest
@@ -104,9 +105,11 @@ def _assert_same_verdicts(psi, phi, smash, expected):
         assert ok == want_ok
         if ok:  # a passing check compared every symbol of the composite
             assert compared == size
-    verdict = all(ok and size for ok, size in oracle)
+    # each composite must be defined on every symbol of its first map
+    verdict = all(ok and 0 < size == len(first)
+                  for (ok, size), first in zip(oracle, (phi, psi, psi)))
     assert cli._inverse_over_base(psi, phi, smash, expected) == verdict
-    return [ok for ok, _ in oracle]
+    return [ok for ok, _ in oracle] + [verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +162,14 @@ MUTATIONS = [_swap_two, _drop_one, _scale_one, _two_terms, _two_terms_one_outsid
 def test_lookup_checks_match_composites(monkeypatch, tmp_path, name):
     failed = collections.Counter()
     for psi, phi, smash, expected in _captured_isos(monkeypatch, tmp_path, name):
-        assert _assert_same_verdicts(psi, phi, smash, expected) == [True] * 3
+        assert _assert_same_verdicts(psi, phi, smash, expected) == [True] * 4
         for mutate in MUTATIONS:
             for verdicts in (_assert_same_verdicts(psi, mutate(phi), smash, expected),
                              _assert_same_verdicts(mutate(psi), phi, smash, expected)):
                 failed[mutate.__name__] += not all(verdicts)
-    # A dropped symbol is skipped, by the composites as by the lookups;
-    # every other mutation fails a check on every lifting.
-    assert failed.pop("_drop_one") == 0
+    # A dropped symbol is skipped, by the composites as by the lookups, so
+    # only the count of compared symbols catches it; every mutation fails
+    # the command's verdict on every lifting.
     assert set(failed.values()) == {12}, failed
 
 
@@ -180,6 +183,23 @@ def test_lookup_checks_catch_a_scaled_coefficient_and_an_empty_image():
     phi[("p", 1)] = {}  # an empty image composes to zero, not to the identity
     assert composite_agrees(psi.get, phi, _unit_at) == (False, 1)
     assert not is_identity_map(compose_maps(psi, phi))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_csm_iso_fails_when_phi_misses_a_symbol(monkeypatch, tmp_path, name):
+    """Deleting one symbol from each phi fails every lifting; it must not
+    merely shrink checkedSymbols."""
+    iso = cli.covering_coalgebra_iso
+
+    def drop_from_phi(*args):
+        psi, phi, smash, weighting = iso(*args)
+        return psi, _drop_one(phi), smash, weighting
+
+    monkeypatch.setattr(cli, "covering_coalgebra_iso", drop_from_phi)
+    code, out = _run_csm_iso(_fixture_path(name, tmp_path))
+    report = json.loads(out)
+    assert code == 1
+    assert (report["liftings"], report["verified"]) == (6, 0)
 
 
 def test_disjoint_domains_do_not_pass_vacuously():
