@@ -203,6 +203,12 @@ def cmd_csm_iso(ws, args):
         liftings.append(sq.lifting_from_vertex_weighting(gamma))
 
     expected = cover_projection_map(cover_pindex, basis.pindex, sq.morphism)
+    # phi lifts (p, g) from the translate by g of p's lifted source, so it
+    # has one symbol per cover path leaving such a translate inside the
+    # window: count the cover paths at each vertex once per command.
+    paths_at = [0] * sq.quiver.num_vertices()
+    for src, _, _ in cover_pindex.paths:
+        paths_at[src] += 1
     verified = 0
     total_checked = 0
     for lifting in liftings:
@@ -210,7 +216,10 @@ def cmd_csm_iso(ws, args):
             cover, lifting, basis.pindex, cover_pindex, window)
         ok1, _, c1 = verify_coalgebra_map(psi, cover_coalg, smash_coalg)
         ok2, _, c2 = verify_coalgebra_map(phi, smash_coalg, cover_coalg)
-        if ok1 and ok2 and c1 and c2 and _inverse_over_base(psi, phi, smash_coalg, expected):
+        lifted = sum(paths_at[v] for start in lifting.values() for g in window
+                     if (v := cover.act_vertex(start, g)) is not None)
+        if ok1 and ok2 and c1 and c2 and len(phi) == lifted \
+                and _inverse_over_base(psi, phi, smash_coalg, expected):
             verified += 1
         total_checked += c1 + c2
     report = {

@@ -43,24 +43,18 @@ class PathIndex:
     vertices are the length-0 paths and come first, then arrows, then
     longer paths generated in enumeration order.
 
-    With `sources`, only the paths starting at those vertices are indexed,
-    in the same relative order as in the full index.  Such a rooted index
-    is not closed under splitting (a later part starts elsewhere), so
-    `_split` refuses it.
-
     The index keeps one coproduct table, filled on first use by `_split`,
     that every coalgebra, closure and coproduct over it reads, and the
     images of its paths under the last covering asked (`_projection`).
     """
 
-    def __init__(self, quiver, truncation, sources=None):
+    def __init__(self, quiver, truncation):
         self.quiver = quiver
         self.truncation = truncation
-        self.rooted = sources is not None
         self.paths = []
         self._index = {}
         self.by_pair = {}
-        for v in range(quiver.num_vertices()) if sources is None else sorted(sources):
+        for v in range(quiver.num_vertices()):
             self._append(v, v, ())
         frontier = list(range(len(self.paths)))
         for _ in range(truncation):
@@ -152,8 +146,6 @@ class PathIndex:
         boundary terms, as ([(1, later, earlier), ...], False); a vertex is
         group-like.  Read the table as `_coproducts[i] or _split(i)`; the
         entries are shared, so no caller may mutate them."""
-        if self.rooted:
-            raise CoalgebraError("a rooted path index is not closed under splitting")
         src, tgt, arrows = self.paths[i]
         if not arrows:
             terms = [(_ONE, i, i)]

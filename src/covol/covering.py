@@ -5,10 +5,12 @@ quiver, the covering test for minimal elements, the equivalence report
 blocks, universal grading groups, and window-local factor maps between
 covers.
 
-Right translation u#g -> u#gh is a deck transformation of the smash
-quiver, so the span of liftings at (u, g) is the g-translate of its piece
-at (u, e).  The crosscheck (`cov-crosscheck`) lifts from the identity fiber
-over the reach set alone, certifies every fiber, and ignores `--window`.
+A base minimal element lifts to a minimal element of the cover exactly
+when its lift ends at one cover vertex, that is, when its paths share one
+weight; the covering test reads only those endpoints.  Right translation
+u#g -> u#gh is a deck transformation of the smash quiver, so the
+crosscheck (`cov-crosscheck`) lifts from the identity fiber over the reach
+set alone, certifies every fiber, and ignores `--window`.
 """
 
 from .coalgebra import (
@@ -43,17 +45,14 @@ def _lift_vector(smash_q, cover_pindex, base_pindex, vec, start_fiber):
 
 class CoalgebraCovering:
     """A smash-quiver covering together with a base subcoalgebra and the
-    span of its liftings through `fibers`, in the covering path coalgebra.
-    `lifts` lists (base row, cover start vertex, lift) for each row of
-    support >= 2 and each fiber it lifts through, in (symbol, fiber) order."""
+    span of its liftings through `fibers`, in the covering path coalgebra."""
 
-    def __init__(self, smash_q, base, cover_pindex, lifted_spans, fibers, lifts):
+    def __init__(self, smash_q, base, cover_pindex, lifted_spans, fibers):
         self.smash = smash_q
         self.base = base
         self.cover_pindex = cover_pindex
         self.lifted_spans = lifted_spans
         self.fibers = fibers
-        self.lifts = lifts
 
     @property
     def lifted_dimension(self):
@@ -83,14 +82,10 @@ def reach_set(base, weighting):
     return list(reach)
 
 
-def span_of_liftings(base, weighting, window=None):
-    """The span of all liftings of the base subcoalgebra's RREF rows, cut
-    into its (source, target) components.
-
-    Rows are lifted through every fiber of the window whose lift stays
-    inside, or without a window from the identity fiber alone, over the
-    smash quiver on `reach_set`, where every lift materializes; its path
-    index then holds only the paths leaving the identity fiber.
+def span_of_liftings(base, weighting, window):
+    """The span of all liftings of the base subcoalgebra's RREF rows through
+    every fiber of the window whose lift stays inside, cut into its
+    (source, target) components.
 
     The rows are fully reduced with unit pivots, so a path's unit vector
     is a member exactly when it is a row, and every row with support of
@@ -98,30 +93,23 @@ def span_of_liftings(base, weighting, window=None):
     support is a multiple of that row).  Lifting is linear on path
     coordinates, so the rows' lifts span the lifts of all member paths and
     minimal elements.  For a homogeneous base this coincides with the
-    lifted subcoalgebra.  The lifts of the rows of support >= 2 are kept
-    (`CoalgebraCovering.lifts`) for the covering test.
+    lifted subcoalgebra.
 
     The span is the direct sum of its pieces on its finest block partition:
     a block inside one pair joins it unchanged, and only a block straddling
     pairs is intersected with each pair's coordinates.  Rows of disjoint
     blocks are jointly reduced, so a pair's pieces sorted by pivot are its RREF.
     """
-    quiver = base.pindex.quiver
-    fibers = [weighting.group.identity()] if window is None else list(window)
-    smash_q = smash_quiver(quiver, weighting,
-                           reach_set(base, weighting) if window is None else fibers)
-    sources = None if window is not None else \
-        [smash_q.vertex_of(v, fibers[0]) for v in range(quiver.num_vertices())]
-    cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation, sources)
-    generators, lifts = [], []
+    fibers = list(window)
+    smash_q = smash_quiver(base.pindex.quiver, weighting, fibers)
+    cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
+    generators = []
     for sym in base.symbols():
-        vec, (src, _) = base.row_vector(sym), base.row_endpoints(sym)
+        vec = base.row_vector(sym)
         for g in fibers:
             lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
             if lifted is not None:
                 generators.append(lifted)
-                if len(vec.support()) >= 2:
-                    lifts.append((vec, smash_q.vertex_of(src, g), lifted))
     total = rref(generators)
     blocks = finest_block_partition(total)
     block_of = {c: n for n, block in enumerate(blocks) for c in block}
@@ -143,7 +131,7 @@ def span_of_liftings(base, weighting, window=None):
     spans = {pair: Subspace(sorted(rows, key=SparseVector.leading),
                             sorted(row.leading() for row in rows))
              for pair, rows in sorted(pieces.items()) if rows}
-    return CoalgebraCovering(smash_q, base, cover_pindex, spans, fibers, lifts)
+    return CoalgebraCovering(smash_q, base, cover_pindex, spans, fibers)
 
 
 def build_lifted_subcoalgebra(base, weighting, window):
@@ -164,55 +152,58 @@ def build_lifted_subcoalgebra(base, weighting, window):
     return cov
 
 
-def _is_minimal_in(space, vec):
-    """No proper nonempty subsum of vec, a member of the space, lies in it.
-    Such subsums lie in the space's intersection with the coordinates of
-    vec's support; when that is one-dimensional it is vec's span."""
-    local = intersect_coordinates(space, vec.support())
-    return local.dimension == 1 or not _has_member_subsum(local, vec)
-
-
-def _has_member_subsum(space, vec):
-    """Whether a proper nonempty subsum of vec, a member of the space, lies
-    in it.  A subsum is a member iff its complement is, so the subsums
-    without the last coordinate suffice."""
-    support = sorted(vec.support())
-    n = len(support)
-    return any(space.member(SparseVector({support[i]: vec[support[i]]
-                                          for i in range(n) if (mask >> i) & 1}))
-               for mask in range(1, 2 ** (n - 1)))
+def _lifts_end_together(smash_q, base, fibers):
+    """(ok, witness): the lift of each base row of support >= 2 from each
+    fiber ends at one cover vertex.  A lift that leaves the window is
+    skipped; witness = (row, cover start vertex) is the first failure in
+    (symbol, fiber) order."""
+    target, arrows = smash_q.quiver.target, base.pindex.arrows
+    for sym in base.symbols():
+        row = base.row_vector(sym)
+        if len(row.entries) < 2:
+            continue
+        for g in fibers:
+            start = smash_q.vertex_of(base.row_endpoints(sym)[0], g)
+            lifts = [smash_q.lift_arrows(arrows(i), g) for i in row.entries]
+            if None not in lifts and len({target(p[-1]) if p else start
+                                          for p in lifts}) > 1:
+                return False, (row, start)
+    return True, None
 
 
 def is_coalgebra_covering(cov):
-    """Every minimal element of the base lifts to a minimal element of the
-    lifted span at every fiber of `cov.fibers` where its support paths
-    materialize: common endpoint, membership, and minimality.  Quantifies
-    over every base row of support >= 2 (a block can carry several), each
-    a minimal element, through the lifts `span_of_liftings` kept
-    (`cov.lifts`).  Returns (ok, witness) with witness = (minimal element,
-    fiber vertex) on failure."""
-    cover_pindex = cov.cover_pindex
-    for rep, start, candidate in cov.lifts:
-        ends = {cover_pindex.target(i) for i in candidate.support()}
-        space = cov.lifted_spans.get((start, ends.pop())) if len(ends) == 1 else None
-        if space is None or not space.member(candidate) \
-                or not _is_minimal_in(space, candidate):
-            return False, (rep, start)
-    return True, None
+    """Every base minimal element lifts to a minimal element of the lifted
+    span at every fiber of `cov.fibers` where it materializes, read from
+    the lifts' endpoints (see `covering_crosscheck`).  Returns (ok,
+    witness) with witness = (minimal element, fiber vertex) on failure."""
+    return _lifts_end_together(cov.smash, cov.base, cov.fibers)
 
 
 def covering_crosscheck(base, weighting, pres, window=None):
     """Evaluate homogeneity, connectedness of the weighting, and the
-    covering property of the span of liftings; homogeneity and the
-    covering property must agree.
+    covering property; homogeneity and the covering property must agree.
 
-    The covering property is certified from the identity fiber, which
-    covers every fiber; `window` is accepted for positional callers only.
-    Returns a JSON-ready report dict.
+    The covering property is read from where the lifts from the identity
+    fiber end, over the smash quiver on `reach_set` (`window` is accepted
+    for positional callers only).  No cover index or span is built, since
+    only that endpoint test can fail.  The lift of a base path p from fiber
+    g is the unique cover path from (s(p), g); it ends at (t(p), w(p)g) and
+    determines p and g, so lifts from distinct coordinates or fibers have
+    disjoint supports.  Each base RREF row holds a pivot no other row holds,
+    so its lift holds a lifted pivot no other lift holds, and the span of
+    liftings meets the coordinates of that lift's support in the lift's
+    span: the lift of a row of support >= 2 (a minimal element) is minimal,
+    and a member of its pair's piece once it ends at one vertex, that is,
+    once w is constant on the row's support.  Deck translation carries the
+    identity fiber to every fiber.  Independently of `is_homogeneous`,
+    which weighs paths in the group and intersects each pair's space with
+    the coordinates of one weight, this reads the smash quiver's arrows
+    through `SmashQuiver.lift_arrows`.  Returns a JSON-ready report dict.
     """
     homogeneous, witness = is_homogeneous(base, weighting, return_witness=True)
     connected = is_connected_weighting(weighting, pres)
-    covering_ok, _ = is_coalgebra_covering(span_of_liftings(base, weighting))
+    smash_q = smash_quiver(base.pindex.quiver, weighting, reach_set(base, weighting))
+    covering_ok, _ = _lifts_end_together(smash_q, base, [weighting.group.identity()])
     if homogeneous != covering_ok:
         raise CoveringError(
             "homogeneity and covering property disagree: %r vs %r"

@@ -71,9 +71,9 @@ def tokenize(text):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: int() would take any Unicode digit
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(Token("int", int(text[start:i]), line, col))
             col += i - start

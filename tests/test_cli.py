@@ -254,6 +254,16 @@ def test_cli_zero_denominator_exits_2(tmp_path, capsys):
     assert report["error"] == "line 2, column 49: zero denominator"
 
 
+def test_cli_non_ascii_digit_exits_2_with_a_position(tmp_path, capsys):
+    bad = tmp_path / "digit.cov"
+    bad.write_text("quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"
+                   "group G = Z;\nweighting d on kron into G { a = \u00b2; b = 0; }\n",
+                   encoding="utf-8")
+    assert main(["export", str(bad)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "line 3, column 34: unexpected character '\u00b2'"
+
+
 def test_cli_truncate_zero_with_arrows_exits_2(tmp_path, capsys):
     bad = tmp_path / "trunc0.cov"
     bad.write_text("quiver q { vertices x, y; arrows a: x -> y; }\n"

@@ -27,6 +27,8 @@ from covol.fixtures import (
 )
 from covol.quiver import Quiver
 
+from test_identity_fiber_oracle import RootedPathIndex
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -235,8 +237,8 @@ def test_closure_raises_as_the_oracle_does(monkeypatch):
     bare = Quiver(["x", "y"], [])
     cases = [
         (PathIndex(q, 0), []),  # truncation 0 with arrows
-        (PathIndex(q, 2, sources=[0]), [SparseVector.unit(3)]),  # rooted
-        (PathIndex(sl2_fixture(3).quiver, 2, sources=[0]), []),  # a vertex left out
+        (RootedPathIndex(q, 2, [0]), [SparseVector.unit(3)]),  # rooted
+        (RootedPathIndex(sl2_fixture(3).quiver, 2, [0]), []),  # a vertex left out
     ]
     for pindex, gens in cases:
         _, (rows, error) = _compare(counter, pindex, gens)

@@ -10,7 +10,7 @@ from covol.coalgebra import PathIndex, SparseVector, is_homogeneous, \
     subcoalgebra_closure
 from covol import cli, covering
 from covol.covering import (
-    CoveringError, _is_minimal_in, build_lifted_subcoalgebra,
+    CoveringError, build_lifted_subcoalgebra,
     covering_crosscheck, extract_relators, is_coalgebra_covering, reach_set,
     relators_vanish, span_of_liftings, universal_cover, universal_factor_map,
     universal_grading_group, word_image,
@@ -23,6 +23,10 @@ from covol.fixtures import (
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.quiver import Quiver, spanning_tree_pi1
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
+
+import test_identity_fiber_oracle as oracle
+from test_identity_fiber_oracle import _is_minimal_in, oracle_identity_span, \
+    oracle_is_coalgebra_covering
 
 Z = FgAbelian(1)
 
@@ -546,7 +550,8 @@ def _identity_fiber_pieces(cov):
 def test_identity_fiber_certifies_every_fiber():
     # deck equivariance: lifting from the identity fiber over the reach set
     # gives the windowed verdict and is_homogeneous on every backend, and
-    # its span is the windowed span's piece at the identity fiber
+    # its span (the oracle's, since the crosscheck builds none) is the
+    # windowed span's piece at the identity fiber
     rng = random.Random(1006)
     inhomogeneous = with_minimal = 0
     for q in _criterion_5_quivers():
@@ -559,13 +564,15 @@ def test_identity_fiber_certifies_every_fiber():
                 basis = _parallel_sums(rng, pindex)
                 reach = reach_set(basis, w)
                 assert reach[0] == group.identity() and set(reach) <= set(window)
-                ident = span_of_liftings(basis, w)
+                ident = oracle_identity_span(basis, w)
                 windowed = span_of_liftings(basis, w, window)
                 assert ident.fibers == [group.identity()]
                 assert ident.smash.interior_vertices >= {
                     ident.smash.vertex_of(v, group.identity())
                     for v in range(q.num_vertices())}
                 homogeneous = is_homogeneous(basis, w)
+                assert covering_crosscheck(basis, w, spanning_tree_pi1(q, 0))[
+                    "coveringOK"] == homogeneous
                 assert is_coalgebra_covering(ident)[0] == homogeneous
                 assert is_coalgebra_covering(windowed)[0] == homogeneous
                 assert _identity_fiber_pieces(ident) == _identity_fiber_pieces(windowed)
@@ -651,12 +658,14 @@ def test_minimality_by_rank_matches_enumeration():
 
 
 def test_star_crosscheck_enumerates_no_subsums(tmp_path, monkeypatch):
-    # x -> m_i -> y with generator sum_i b_i.a_i: its 24-path minimal
-    # element is certified by rank; enumeration would try 2^24 subsums
+    # x -> m_i -> y with generator sum_i b_i.a_i: the crosscheck reads the
+    # endpoints of its 24-path minimal element, and the three-certificate
+    # oracle certifies its minimality by rank; enumeration would try 2^24
+    # subsums
     n = 24
     calls = []
-    enumerate_subsums = covering._has_member_subsum
-    monkeypatch.setattr(covering, "_has_member_subsum",
+    enumerate_subsums = oracle._has_member_subsum
+    monkeypatch.setattr(oracle, "_has_member_subsum",
                         lambda *args: calls.append(args) or enumerate_subsums(*args))
     path = tmp_path / "star.cov"
     path.write_text(
@@ -670,4 +679,9 @@ def test_star_crosscheck_enumerates_no_subsums(tmp_path, monkeypatch):
     assert cli.main(["cov-crosscheck", str(path), "--json", str(tmp_path / "out.json")]) == 0
     report = json.loads((tmp_path / "out.json").read_text())
     assert report["homogeneous"] and report["coveringOK"]
+    ws = cli.parse(path.read_text())
+    basis, weighting = ws.sole("subcoalgebra", None).basis, ws.sole("weighting", None).weighting
+    for cov in (oracle_identity_span(basis, weighting),
+                span_of_liftings(basis, weighting, window_ball(Z, 1))):
+        assert oracle_is_coalgebra_covering(cov) == is_coalgebra_covering(cov) == (True, None)
     assert calls == []

@@ -185,19 +185,44 @@ def test_lookup_checks_catch_a_scaled_coefficient_and_an_empty_image():
     assert not is_identity_map(compose_maps(psi, phi))
 
 
+def _csm_iso_report(monkeypatch, tmp_path, name, mutate):
+    """Exit code and report of `csm-iso` with every (psi, phi) mutated."""
+    iso = cli.covering_coalgebra_iso
+
+    def mutated(*args):
+        psi, phi, smash, weighting = iso(*args)
+        return (*mutate(psi, phi), smash, weighting)
+
+    monkeypatch.setattr(cli, "covering_coalgebra_iso", mutated)
+    code, out = _run_csm_iso(_fixture_path(name, tmp_path))
+    return code, json.loads(out)
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_csm_iso_fails_when_phi_misses_a_symbol(monkeypatch, tmp_path, name):
     """Deleting one symbol from each phi fails every lifting; it must not
     merely shrink checkedSymbols."""
-    iso = cli.covering_coalgebra_iso
+    code, report = _csm_iso_report(monkeypatch, tmp_path, name,
+                                   lambda psi, phi: (psi, _drop_one(phi)))
+    assert code == 1
+    assert (report["liftings"], report["verified"]) == (6, 0)
 
-    def drop_from_phi(*args):
-        psi, phi, smash, weighting = iso(*args)
-        return psi, _drop_one(phi), smash, weighting
 
-    monkeypatch.setattr(cli, "covering_coalgebra_iso", drop_from_phi)
-    code, out = _run_csm_iso(_fixture_path(name, tmp_path))
-    report = json.loads(out)
+def _drop_pair(psi, phi):
+    """Delete a symbol s from phi and phi(s) from psi."""
+    phi, psi = dict(phi), dict(psi)
+    (path,) = phi.pop(next(iter(phi)))
+    del psi[path]
+    return psi, phi
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_csm_iso_fails_when_a_matching_pair_is_deleted(monkeypatch, tmp_path, name):
+    """A matching pair leaves every composite defined on every symbol of
+    its first map, and the coalgebra-map checks skip both symbols; phi's
+    symbol count, one per cover path leaving a translate of the lifting,
+    fails every lifting."""
+    code, report = _csm_iso_report(monkeypatch, tmp_path, name, _drop_pair)
     assert code == 1
     assert (report["liftings"], report["verified"]) == (6, 0)
 

@@ -1,21 +1,26 @@
-"""Differential test of the rooted cover index, the row lift, the
-single-weight shortcut in `is_homogeneous`, the covering test on the lifts
-`span_of_liftings` keeps, and the one-pass homogeneity test in
+"""Differential test of the endpoint covering test, the single-weight
+shortcut in `is_homogeneous`, and the one-pass homogeneity test in
 `smash_coalgebra`.
 
-Without a window, `span_of_liftings` indexes only the cover paths that
-leave the identity fiber, and lifts the base's RREF rows as they stand.
-`is_homogeneous` weighs each supported path once and adds a pair's whole
-dimension when all its supported paths share one weight.  The versions
-that preceded them (a cover index over every fiber of the reach set, the
-unit vectors of every member path plus the rows of support >= 2, one
-intersection per (pair, weight)) are copied below as oracles.  Cover
-indices now differ, so lifted spans are compared by (cover source vertex,
-cover arrow tuple).
+`is_coalgebra_covering` and `covering_crosscheck` decide the covering
+property from where the lifts of the base's rows of support >= 2 end.
+The three-certificate test that preceded them (common endpoint,
+membership in the pair's span, minimality by rank or by enumerating
+subsums) is copied below as the oracle, with the lifts that
+`span_of_liftings` used to keep.  So is the span over the identity fiber
+alone, on a rooted cover index that holds only the paths leaving that
+fiber, and, before it, over a cover index on every fiber of the reach set
+(lifting the unit vectors of every member path plus the rows of support
+>= 2).  Cover indices differ, so lifted spans are compared by (cover
+source vertex, cover arrow tuple).
 
-`is_coalgebra_covering` reads the lifts of the rows of support >= 2 that
-`span_of_liftings` keeps; the version that found those rows again
-(`minimal_rows`) and lifted each once more is copied below.  So is the
+The proof that only the endpoint certificate can fail is checked as a
+test: every single-endpoint lift is a member of its pair's span, and the
+span meets the coordinates of its support in one dimension.
+
+`is_homogeneous` weighs each supported path once and adds a pair's whole
+dimension when all its supported paths share one weight; the version with
+one intersection per (pair, weight) is copied below.  So is the
 `smash_coalgebra` that ran `is_homogeneous` before weighing the rows.
 """
 
@@ -26,12 +31,12 @@ import pytest
 
 from covol.coalgebra import CoalgebraError, PathIndex, SmashCoalgebra, SparseVector, \
     is_homogeneous, row_weight, smash_coalgebra, subcoalgebra_closure, vector_label
-from covol.covering import CoalgebraCovering, _is_minimal_in, _lift_vector, \
+from covol.covering import CoalgebraCovering, _lift_vector, covering_crosscheck, \
     is_coalgebra_covering, reach_set, span_of_liftings
 from covol.exactlin import Subspace, finest_block_partition, intersect_coordinates, rref
 from covol.fixtures import all_fixtures, double_loop_fixture, sl2_fixture, tri_fixture
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
-from covol.quiver import Quiver
+from covol.quiver import Quiver, spanning_tree_pi1
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
 
@@ -45,21 +50,38 @@ def oracle_all_path_symbols(base):
     return out
 
 
-def oracle_span_of_liftings(base, weighting):
-    """The identity-fiber span over the full reach-set cover index, lifting
-    member path units and the rows of support >= 2."""
-    fibers = [weighting.group.identity()]
-    smash_q = smash_quiver(base.pindex.quiver, weighting, reach_set(base, weighting))
-    cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
-    vectors = [SparseVector.unit(i) for i in oracle_all_path_symbols(base)]
-    vectors += [row for row in map(base.row_vector, base.symbols())
-                if len(row.support()) >= 2]
-    generators = []
-    for vec in vectors:
-        for g in fibers:
-            lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
-            if lifted is not None:
-                generators.append(lifted)
+class RootedPathIndex(PathIndex):
+    """The path index rooted at `sources`: only the paths starting at those
+    vertices, in the same relative order as in the full index.  It is not
+    closed under splitting (a later part starts elsewhere), so `_split`
+    refuses it."""
+
+    def __init__(self, quiver, truncation, sources):
+        self.quiver = quiver
+        self.truncation = truncation
+        self.paths = []
+        self._index = {}
+        self.by_pair = {}
+        for v in sorted(sources):
+            self._append(v, v, ())
+        frontier = list(range(len(self.paths)))
+        for _ in range(truncation):
+            nxt = []
+            for i in frontier:
+                src, tgt, arrows = self.paths[i]
+                for a in quiver.out_arrows[tgt]:
+                    nxt.append(self._append(src, quiver.target(a), arrows + (a,)))
+            frontier = nxt
+        self._coproducts = [None] * len(self.paths)
+        self._images = None
+
+    def _split(self, i):
+        raise CoalgebraError("a rooted path index is not closed under splitting")
+
+
+def _cut_into_pairs(generators, cover_pindex):
+    """The span of the generators cut into its (source, target) pieces on
+    its finest block partition, as `span_of_liftings` cuts it."""
     total = rref(generators)
     blocks = finest_block_partition(total)
     block_of = {c: n for n, block in enumerate(blocks) for c in block}
@@ -78,11 +100,41 @@ def oracle_span_of_liftings(base, weighting):
         space = Subspace(rows, [row.leading() for row in rows])
         for pair, cs in coords.items():
             pieces.setdefault(pair, []).extend(intersect_coordinates(space, cs).rows)
-    spans = {pair: Subspace(sorted(rows, key=SparseVector.leading),
-                            sorted(row.leading() for row in rows))
-             for pair, rows in sorted(pieces.items()) if rows}
-    # the oracle covering test below lifts again and reads no kept lifts
-    return CoalgebraCovering(smash_q, base, cover_pindex, spans, fibers, None)
+    return {pair: Subspace(sorted(rows, key=SparseVector.leading),
+                           sorted(row.leading() for row in rows))
+            for pair, rows in sorted(pieces.items()) if rows}
+
+
+def oracle_span_of_liftings(base, weighting):
+    """The identity-fiber span over the full reach-set cover index, lifting
+    member path units and the rows of support >= 2."""
+    identity = weighting.group.identity()
+    smash_q = smash_quiver(base.pindex.quiver, weighting, reach_set(base, weighting))
+    cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
+    vectors = [SparseVector.unit(i) for i in oracle_all_path_symbols(base)]
+    vectors += [row for row in map(base.row_vector, base.symbols())
+                if len(row.support()) >= 2]
+    generators = [lifted for lifted in (
+        _lift_vector(smash_q, cover_pindex, base.pindex, vec, identity)
+        for vec in vectors) if lifted is not None]
+    return CoalgebraCovering(smash_q, base, cover_pindex,
+                             _cut_into_pairs(generators, cover_pindex), [identity])
+
+
+def oracle_identity_span(base, weighting):
+    """`span_of_liftings` without a window: the base's rows lifted as they
+    stand from the identity fiber, over the smash quiver on `reach_set`,
+    into a cover index rooted at the identity fiber."""
+    quiver = base.pindex.quiver
+    identity = weighting.group.identity()
+    smash_q = smash_quiver(quiver, weighting, reach_set(base, weighting))
+    cover_pindex = RootedPathIndex(smash_q.quiver, base.pindex.truncation,
+                                   [smash_q.vertex_of(v, identity)
+                                    for v in range(quiver.num_vertices())])
+    generators = [_lift_vector(smash_q, cover_pindex, base.pindex, base.row_vector(sym),
+                               identity) for sym in base.symbols()]
+    return CoalgebraCovering(smash_q, base, cover_pindex,
+                             _cut_into_pairs(generators, cover_pindex), [identity])
 
 
 def oracle_minimal_rows(basis):
@@ -95,22 +147,54 @@ def oracle_minimal_rows(basis):
     return out
 
 
-def oracle_is_coalgebra_covering(cov):
-    """The covering test that finds the minimal rows and lifts each again."""
-    base = cov.base
-    smash_q = cov.smash
-    cover_pindex = cov.cover_pindex
+def oracle_lifts(cov):
+    """The lifts `span_of_liftings` kept for the covering test: (row, cover
+    start vertex, lift) for each row of support >= 2 and each fiber it
+    lifts through, in (symbol, fiber) order."""
+    base, smash_q = cov.base, cov.smash
+    out = []
     for (src, _), rep in oracle_minimal_rows(base):
         for g in cov.fibers:
-            start = smash_q.vertex_of(src, g)
-            candidate = _lift_vector(smash_q, cover_pindex, base.pindex, rep, g)
-            if candidate is None:
-                continue
-            ends = {cover_pindex.target(i) for i in candidate.support()}
-            space = cov.lifted_spans.get((start, ends.pop())) if len(ends) == 1 else None
-            if space is None or not space.member(candidate) \
-                    or not _is_minimal_in(space, candidate):
-                return False, (rep, start)
+            lifted = _lift_vector(smash_q, cov.cover_pindex, base.pindex, rep, g)
+            if lifted is not None:
+                out.append((rep, smash_q.vertex_of(src, g), lifted))
+    return out
+
+
+def _is_minimal_in(space, vec):
+    """No proper nonempty subsum of vec, a member of the space, lies in it.
+    Such subsums lie in the space's intersection with the coordinates of
+    vec's support; when that is one-dimensional it is vec's span."""
+    local = intersect_coordinates(space, vec.support())
+    return local.dimension == 1 or not _has_member_subsum(local, vec)
+
+
+def _has_member_subsum(space, vec):
+    """Whether a proper nonempty subsum of vec, a member of the space, lies
+    in it.  A subsum is a member iff its complement is, so the subsums
+    without the last coordinate suffice."""
+    support = sorted(vec.support())
+    n = len(support)
+    return any(space.member(SparseVector({support[i]: vec[support[i]]
+                                          for i in range(n) if (mask >> i) & 1}))
+               for mask in range(1, 2 ** (n - 1)))
+
+
+def oracle_is_coalgebra_covering(cov):
+    """Every minimal element of the base lifts to a minimal element of the
+    lifted span at every fiber of `cov.fibers` where its support paths
+    materialize: common endpoint, membership, and minimality.  Quantifies
+    over every base row of support >= 2 (a block can carry several), each
+    a minimal element, through the lifts `span_of_liftings` kept
+    (`oracle_lifts`).  Returns (ok, witness) with witness = (minimal element,
+    fiber vertex) on failure."""
+    cover_pindex = cov.cover_pindex
+    for rep, start, candidate in oracle_lifts(cov):
+        ends = {cover_pindex.target(i) for i in candidate.support()}
+        space = cov.lifted_spans.get((start, ends.pop())) if len(ends) == 1 else None
+        if space is None or not space.member(candidate) \
+                or not _is_minimal_in(space, candidate):
+            return False, (rep, start)
     return True, None
 
 
@@ -220,11 +304,11 @@ def _keyed_spans(cov):
 def test_rooted_cover_matches_full_reach_set_cover():
     verdicts, smaller = set(), 0
     for base, weighting in _instances():
-        got = span_of_liftings(base, weighting)
+        got = oracle_identity_span(base, weighting)
         want = oracle_span_of_liftings(base, weighting)
         identity = weighting.group.identity()
         full, rooted = want.cover_pindex, got.cover_pindex
-        assert rooted.rooted and not full.rooted
+        assert isinstance(rooted, RootedPathIndex) and not isinstance(full, RootedPathIndex)
         assert rooted.paths == [path for path in full.paths
                                 if got.smash.fiber_coordinate(path[0]) == identity]
         smaller += len(rooted) < len(full)
@@ -232,6 +316,9 @@ def test_rooted_cover_matches_full_reach_set_cover():
         assert got.lifted_dimension == want.lifted_dimension
         verdict = is_coalgebra_covering(got)
         assert verdict == oracle_is_coalgebra_covering(want)
+        # the crosscheck's covering test, on the same smash quiver and fiber
+        pres = spanning_tree_pi1(base.pindex.quiver, 0)
+        assert covering_crosscheck(base, weighting, pres)["coveringOK"] == verdict[0]
         verdicts.add(verdict[0])
         for i in range(len(rooted)):
             with pytest.raises(CoalgebraError):
@@ -257,27 +344,57 @@ def test_single_weight_shortcut_matches_per_weight_intersections():
     assert single and several and homogeneous_several
 
 
-def test_kept_lifts_match_lifting_again():
+def _spans_to_check(n, base, weighting):
     """Identity-fiber spans on every instance, windowed spans on every
     fixture at radii 1-4 and on every instance at radius 2."""
-    verdicts, kept, windowed = set(), 0, 0
     fixtures = len(all_fixtures())  # _instances() lists the fixtures first
+    radii = [1, 2, 3, 4] if n < fixtures else [2]
+    return [oracle_identity_span(base, weighting)] + [
+        span_of_liftings(base, weighting, window_ball(weighting.group, r)) for r in radii]
+
+
+def test_kept_lifts_match_lifting_again():
+    verdicts, kept, windowed = set(), 0, 0
     for n, (base, weighting) in enumerate(_instances()):
-        radii = [1, 2, 3, 4] if n < fixtures else [2]
-        for window in [None] + [window_ball(weighting.group, r) for r in radii]:
-            cov = span_of_liftings(base, weighting, window)
+        for cov in _spans_to_check(n, base, weighting):
             verdict = is_coalgebra_covering(cov)
             assert verdict == oracle_is_coalgebra_covering(cov)
             rows = [base.row_vector(sym) for sym in base.symbols()
                     if len(base.row_vector(sym).support()) >= 2]
-            assert [rep for rep, _, _ in cov.lifts] == \
+            lifts = oracle_lifts(cov)
+            assert [rep for rep, _, _ in lifts] == \
                 [row for row in rows for g in cov.fibers
                  if _lift_vector(cov.smash, cov.cover_pindex, base.pindex, row, g)
                  is not None]
+            # a lift ends at one cover vertex exactly when its row has one weight
+            for rep, _, lift in lifts:
+                ends = {cov.cover_pindex.target(i) for i in lift.support()}
+                weights = {base.pindex.weight(weighting, i) for i in rep.support()}
+                assert (len(ends) == 1) == (len(weights) == 1)
             verdicts.add(verdict[0])
-            kept += len(cov.lifts)
-            windowed += window is not None
+            kept += len(lifts)
+            windowed += not isinstance(cov.cover_pindex, RootedPathIndex)
     assert verdicts == {True, False} and kept and windowed
+
+
+def test_single_endpoint_lifts_are_minimal_members():
+    """The proof that only the endpoint certificate can fail: on every
+    windowed span, each lift of a row of support >= 2 that ends at one
+    cover vertex is a member of its pair's span, which meets the
+    coordinates of its support in one dimension."""
+    single = mixed = 0
+    for n, (base, weighting) in enumerate(_instances()):
+        for cov in _spans_to_check(n, base, weighting)[1:]:
+            for _, start, lift in oracle_lifts(cov):
+                ends = {cov.cover_pindex.target(i) for i in lift.support()}
+                if len(ends) > 1:
+                    mixed += 1
+                    continue
+                space = cov.lifted_spans[(start, ends.pop())]
+                assert space.member(lift)
+                assert intersect_coordinates(space, lift.support()).dimension == 1
+                single += 1
+    assert single and mixed
 
 
 def test_smash_coalgebra_raises_exactly_when_inhomogeneous():

@@ -174,6 +174,18 @@ def test_parse_error_zero_denominator():
     assert (err.value.line, err.value.col) == (2, 49)
 
 
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
+def test_non_ascii_digit_is_an_unexpected_character(digit):
+    # superscript two, Arabic-Indic three and fullwidth one pass
+    # str.isdigit; only ASCII digits make an integer token
+    with pytest.raises(WorkspaceError) as err:
+        parse("quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"
+              "group G = Z;\nweighting d on kron into G {\n  a = %s;\n  b = 0;\n}\n"
+              % digit)
+    assert str(err.value) == "line 4, column 7: unexpected character %r" % digit
+    assert (err.value.line, err.value.col) == (4, 7)
+
+
 def _weighting_source(group_spec, values):
     return ("quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"
             "group G = %s;\n"
