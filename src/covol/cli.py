@@ -39,8 +39,15 @@ class CommandError(ValueError):
     pass
 
 
-def _weighting_of(ws, args):
+def _weighting_of(ws, args, on=None):
+    """The sole weighting.  With `on`, a subcoalgebra or comodule
+    declaration, a weighting on another quiver is refused: its weights
+    would be read against `on`'s arrows by index."""
     decl = ws.sole("weighting", args.weighting)
+    if on is not None and on.quiver_name != decl.quiver_name:
+        raise CommandError("weighting %r is on quiver %r, but %s %r is on quiver %r"
+                           % (decl.name, decl.quiver_name, on.kind, on.name,
+                              on.quiver_name))
     return decl.weighting
 
 
@@ -56,7 +63,8 @@ def _pres_of(ws, args):
 
 
 def cmd_smash(ws, args):
-    weighting = _weighting_of(ws, args)
+    basis_decl = ws.sole("subcoalgebra", args.subcoalgebra, required=False)
+    weighting = _weighting_of(ws, args, on=basis_decl)
     sq = smash_quiver(weighting.quiver, weighting,
                       window_ball(weighting.group, args.window))
     report = {
@@ -67,7 +75,6 @@ def cmd_smash(ws, args):
         "window": len(sq.window),
         "localCovering": local_covering_ok(sq),
     }
-    basis_decl = ws.sole("subcoalgebra", args.subcoalgebra, required=False)
     if basis_decl is not None:
         try:
             coalg = smash_coalgebra(basis_decl.basis, weighting, sq.window)
@@ -108,8 +115,9 @@ def cmd_check_cover(ws, args):
 
 
 def cmd_homog(ws, args):
-    basis = _basis_of(ws, args)
-    weighting = _weighting_of(ws, args)
+    decl = ws.sole("subcoalgebra", args.subcoalgebra)
+    basis = decl.basis
+    weighting = _weighting_of(ws, args, on=decl)
     ok, witness = is_homogeneous(basis, weighting, return_witness=True)
     report = {"command": "homog", "homogeneous": ok}
     if witness is not None:
@@ -166,17 +174,17 @@ def cmd_universal(ws, args):
 
 
 def cmd_cov_crosscheck(ws, args):
-    basis = _basis_of(ws, args)
-    weighting = _weighting_of(ws, args)
-    pres = _pres_of(ws, args)
-    report = covering_crosscheck(basis, weighting, pres)
+    decl = ws.sole("subcoalgebra", args.subcoalgebra)
+    weighting = _weighting_of(ws, args, on=decl)
+    report = covering_crosscheck(decl.basis, weighting, _pres_of(ws, args))
     report["command"] = "cov-crosscheck"
     return report, None, 0
 
 
 def cmd_csm_iso(ws, args):
-    weighting = _weighting_of(ws, args)
-    basis = _basis_of(ws, args)
+    decl = ws.sole("subcoalgebra", args.subcoalgebra)
+    basis = decl.basis
+    weighting = _weighting_of(ws, args, on=decl)
     group = weighting.group
     window = window_ball(group, args.window)
     sq = smash_quiver(weighting.quiver, weighting, window)
@@ -292,7 +300,7 @@ def cmd_twist(ws, args):
 
 def cmd_gradable(ws, args):
     decl = ws.sole("comodule", args.comodule)
-    weighting = _weighting_of(ws, args)
+    weighting = _weighting_of(ws, args, on=decl)
     rep = decl.representation
     radius = args.window
     if radius < rep.total_dim:

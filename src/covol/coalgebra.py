@@ -18,8 +18,7 @@ when a value is nonzero.  Only the echelon in `exactlin` deletes keys.
 
 from fractions import Fraction
 
-from .exactlin import SparseVector, Subspace, _Echelon, \
-    intersect_coordinates, finest_block_partition
+from .exactlin import SparseVector, Subspace, _Echelon, finest_block_partition
 from .quiver import Walk
 from .voltage import path_weight, twist_weighting, weighting_from_lifting
 
@@ -386,53 +385,43 @@ def minimal_elements(basis):
     return out
 
 
+def _weigh_rows(basis, weighting):
+    """(weights, mixed): the weight of each basis row in symbol order and
+    None, or None and the symbol of the first row whose support mixes
+    weights.  Each supported path is weighed once.  The one homogeneity
+    rule in the package (see `is_homogeneous`)."""
+    weight = {}  # supported path -> weight
+    weights = []
+    for sym in basis.symbols():
+        entries = basis.row_vector(sym).entries
+        for i in entries:
+            if i not in weight:
+                weight[i] = basis.pindex.weight(weighting, i)
+        row = {weight[i] for i in entries}
+        if len(row) > 1:
+            return None, sym
+        weights.append(row.pop())
+    return weights, None
+
+
 def is_homogeneous(basis, weighting, return_witness=False):
-    """Homogeneity of a subcoalgebra under an arrow weighting.
+    """Homogeneity of a subcoalgebra D under an arrow weighting: D is the
+    direct sum of its intersections D_g with the spans of the paths of
+    weight g exactly when every RREF row of D has one weight.
 
-    Primary test: the dimension of the subcoalgebra equals the sum over
-    (source, target, weight) of the dimensions of its intersections with
-    the fixed-weight coordinate spans.  A pair whose supported paths share
-    one weight adds its whole dimension without intersecting.  The witness
-    on failure is a basis row whose support mixes weights.
+    If D is homogeneous, so is each (source, target) space, and the union
+    of the RREFs of its pieces D_g is a reduced echelon basis of that
+    space, since the pieces sit on disjoint coordinates.  RREF is unique,
+    so that union is the space's RREF: every row has one weight.
+    Conversely, rows of one weight each span D by homogeneous elements.
+    The witness on failure is the first basis row, in symbol order (over
+    sorted pairs), whose support mixes weights.
     """
-    total = 0
-    witness = None
-    weight = {}  # supported path -> weight, each computed once
-    for pair, space in sorted(basis.spaces.items()):
-        by_weight = {}
-        for row in space.rows:
-            for i in row.support():
-                if i not in weight:
-                    weight[i] = basis.pindex.weight(weighting, i)
-                by_weight.setdefault(weight[i], set()).add(i)
-        if len(by_weight) == 1:
-            total += space.dimension
-            continue
-        for coords in by_weight.values():
-            total += intersect_coordinates(space, coords).dimension
-        if witness is None:
-            for row in space.rows:
-                if len({weight[i] for i in row.support()}) > 1:
-                    witness = row
-                    break
-    homogeneous = total == basis.dimension
+    _, mixed = _weigh_rows(basis, weighting)
+    homogeneous = mixed is None
     if return_witness:
-        return homogeneous, (None if homogeneous else witness)
+        return homogeneous, (None if homogeneous else basis.row_vector(mixed))
     return homogeneous
-
-
-def row_weight(basis, weighting, sym):
-    """Weight of a basis row of a homogeneous subcoalgebra.  A row whose
-    support mixes weights raises `CoalgebraError` with the row's label as
-    its `witness`."""
-    weights = {basis.pindex.weight(weighting, i)
-               for i in basis.row_vector(sym).support()}
-    if len(weights) != 1:
-        label = basis.label(sym)
-        exc = CoalgebraError("basis row %r is not weight-homogeneous" % label)
-        exc.witness = label
-        raise exc
-    return next(iter(weights))
 
 
 class SmashCoalgebra:
@@ -504,11 +493,16 @@ class SmashCoalgebra:
 
 
 def smash_coalgebra(basis, weighting, window):
-    """Smash coproduct coalgebra of a homogeneous subcoalgebra.  Weighing
-    the rows decides homogeneity: RREF is unique, so a space is homogeneous
-    exactly when each row has one weight, and the first mixed row (the
-    witness of `is_homogeneous`) raises `CoalgebraError`."""
-    weights = [row_weight(basis, weighting, sym) for sym in basis.symbols()]
+    """Smash coproduct coalgebra of a homogeneous subcoalgebra, on the row
+    weights of the homogeneity pass (the proof is in `is_homogeneous`).
+    The first mixed row raises `CoalgebraError`, with its label as the
+    error's `witness`."""
+    weights, mixed = _weigh_rows(basis, weighting)
+    if mixed is not None:
+        label = basis.label(mixed)
+        exc = CoalgebraError("basis row %r is not weight-homogeneous" % label)
+        exc.witness = label
+        raise exc
     return SmashCoalgebra(basis, weights.__getitem__, weighting.group, window)
 
 

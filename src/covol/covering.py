@@ -196,9 +196,9 @@ def covering_crosscheck(base, weighting, pres, window=None):
     and a member of its pair's piece once it ends at one vertex, that is,
     once w is constant on the row's support.  Deck translation carries the
     identity fiber to every fiber.  Independently of `is_homogeneous`,
-    which weighs paths in the group and intersects each pair's space with
-    the coordinates of one weight, this reads the smash quiver's arrows
-    through `SmashQuiver.lift_arrows`.  Returns a JSON-ready report dict.
+    which multiplies the arrow weights of each RREF row's paths in the
+    group, this reads the smash quiver's arrows through
+    `SmashQuiver.lift_arrows`.  Returns a JSON-ready report dict.
     """
     homogeneous, witness = is_homogeneous(base, weighting, return_witness=True)
     connected = is_connected_weighting(weighting, pres)

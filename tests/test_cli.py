@@ -147,6 +147,35 @@ def test_csm_iso_without_interior_lift_exits_2(tmp_path, capsys):
         "no small window element lifts vertex 'y' to the interior at window 1")
 
 
+_TRI_WITH_UV_WEIGHTING = (
+    "quiver tri { vertices x, y, z; arrows c: x -> y, a: y -> z, b: y -> z; }\n"
+    "quiver uv { vertices u, v; arrows a: u -> v, b: u -> v, c: v -> u; }\n"
+    "group G = Z;\n"
+    "weighting d on uv into G { a = 0; b = 1; c = 0; }\n"
+    "subcoalgebra B of tri { truncate 2; generators: a.c + b.c; }\n")
+_KRON_WITH_UV_WEIGHTING = (
+    "quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"
+    "quiver uv { vertices u, v; arrows a: u -> v, b: v -> u; }\n"
+    "group G = Z;\n"
+    "weighting d on uv into G { a = 0; b = 1; }\n"
+    "comodule band on kron { basis m @ x, n @ y; map a: m -> n; map b: m -> n; }\n")
+
+
+@pytest.mark.parametrize("command", ["homog", "cov-crosscheck", "csm-iso", "smash", "gradable"])
+def test_cli_weighting_on_another_quiver_exits_2(tmp_path, capsys, command):
+    # both quivers have as many arrows, so matching weights to arrows by
+    # index would give a verdict on the wrong quiver
+    if command == "gradable":
+        text, other = _KRON_WITH_UV_WEIGHTING, "comodule 'band' is on quiver 'kron'"
+    else:
+        text, other = _TRI_WITH_UV_WEIGHTING, "subcoalgebra 'B' is on quiver 'tri'"
+    ws = tmp_path / "mismatch.cov"
+    ws.write_text(text)
+    assert main([command, str(ws)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == (
+        "weighting 'd' is on quiver 'uv', but " + other)
+
+
 def test_twist(tmp_path):
     report, _, code = run("twist", "kron", tmp_path, "--gamma", "x=0,y=1")
     assert code == 0

@@ -9,7 +9,7 @@ from covol.coalgebra import (
     cover_projection_map, covering_coalgebra_iso, delta_terms, delta_vector,
     endpoints, subcoalgebra_closure,
     is_homogeneous, is_identity_map, compose_maps,
-    minimal_elements, minimal_partition, row_weight, smash_coalgebra,
+    minimal_elements, minimal_partition, smash_coalgebra,
     smash_path_coalgebra, smash_projection_map, smash_to_cover_paths,
     subcoalgebra_to_json, twist_iso,
     verify_coalgebra_map,
@@ -320,10 +320,12 @@ def test_homogeneity_dimension_test_matches_blockwise_test():
 
 def test_row_weight():
     fx = sl2_fixture(5)
+    smash = smash_coalgebra(fx.basis, fx.weighting, fx.window(1))
     for sym in fx.basis.symbols():
-        w = row_weight(fx.basis, fx.weighting, sym)
-        length = {fx.pindex.length(i) for i in fx.basis.row_vector(sym).support()}
-        if length == {0}:
+        w = smash.weight_of(sym)
+        support = fx.basis.row_vector(sym).support()
+        assert {fx.pindex.weight(fx.weighting, i) for i in support} == {w}
+        if {fx.pindex.length(i) for i in support} == {0}:
             assert w == Z.identity()
 
 

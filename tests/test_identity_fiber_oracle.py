@@ -1,6 +1,5 @@
-"""Differential test of the endpoint covering test, the single-weight
-shortcut in `is_homogeneous`, and the one-pass homogeneity test in
-`smash_coalgebra`.
+"""Differential test of the endpoint covering test and of the row rule
+for homogeneity that `is_homogeneous` and `smash_coalgebra` share.
 
 `is_coalgebra_covering` and `covering_crosscheck` decide the covering
 property from where the lifts of the base's rows of support >= 2 end.
@@ -18,19 +17,26 @@ The proof that only the endpoint certificate can fail is checked as a
 test: every single-endpoint lift is a member of its pair's span, and the
 span meets the coordinates of its support in one dimension.
 
-`is_homogeneous` weighs each supported path once and adds a pair's whole
-dimension when all its supported paths share one weight; the version with
-one intersection per (pair, weight) is copied below.  So is the
-`smash_coalgebra` that ran `is_homogeneous` before weighing the rows.
+`is_homogeneous` and `smash_coalgebra` decide homogeneity by whether
+every RREF row has one weight.  The dimension count it replaced (the
+dimension of each pair's space against the sum of its intersections with
+the coordinates of each weight) is copied below as the oracle, verdict
+and witness; so are the `smash_coalgebra` that ran `is_homogeneous`
+before weighing the rows and its `row_weight`.  Hand-built bases cover a
+pair of two weights whose rows each have one, and a mixed row that is
+not the first of its pair.  A spy shows that the homogeneity side of
+`homog` and `cov-crosscheck` intersects nothing.
 """
 
+import importlib.resources as resources
 import itertools
 import random
 
 import pytest
 
+from covol import cli, coalgebra, covering, exactlin
 from covol.coalgebra import CoalgebraError, PathIndex, SmashCoalgebra, SparseVector, \
-    is_homogeneous, row_weight, smash_coalgebra, subcoalgebra_closure, vector_label
+    is_homogeneous, smash_coalgebra, subcoalgebra_closure, vector_label
 from covol.covering import CoalgebraCovering, _lift_vector, covering_crosscheck, \
     is_coalgebra_covering, reach_set, span_of_liftings
 from covol.exactlin import Subspace, finest_block_partition, intersect_coordinates, rref
@@ -198,6 +204,20 @@ def oracle_is_coalgebra_covering(cov):
     return True, None
 
 
+def row_weight(basis, weighting, sym):
+    """Weight of a basis row of a homogeneous subcoalgebra.  A row whose
+    support mixes weights raises `CoalgebraError` with the row's label as
+    its `witness`."""
+    weights = {basis.pindex.weight(weighting, i)
+               for i in basis.row_vector(sym).support()}
+    if len(weights) != 1:
+        label = basis.label(sym)
+        exc = CoalgebraError("basis row %r is not weight-homogeneous" % label)
+        exc.witness = label
+        raise exc
+    return next(iter(weights))
+
+
 def oracle_smash_coalgebra(basis, weighting, window):
     """The smash coalgebra behind an `is_homogeneous` pre-pass."""
     ok, witness = is_homogeneous(basis, weighting, return_witness=True)
@@ -210,7 +230,8 @@ def oracle_smash_coalgebra(basis, weighting, window):
 
 
 def oracle_is_homogeneous(basis, weighting):
-    """One intersection per (pair, weight), witness from every pair."""
+    """The dimension count: one intersection per (pair, weight), witness
+    from every pair."""
     total = 0
     witness = None
     for pair, space in sorted(basis.spaces.items()):
@@ -326,7 +347,7 @@ def test_rooted_cover_matches_full_reach_set_cover():
     assert verdicts == {True, False} and smaller
 
 
-def test_single_weight_shortcut_matches_per_weight_intersections():
+def test_row_rule_matches_dimension_count():
     single = several = homogeneous_several = 0
     verdicts = set()
     for base, weighting in _instances():
@@ -416,3 +437,73 @@ def test_smash_coalgebra_raises_exactly_when_inhomogeneous():
             assert got.weight_of(sym[0]) == want.weight_of(sym[0])
         built += 1
     assert raised and built
+
+
+def _parallel_then_one(*generators):
+    """The closure of generators (lists of paths, each a list of arrow
+    names in label order, summed with coefficient 1) in x -> y with
+    arrows a, b, c followed by d: y -> z, at truncation 2, and the Z
+    weighting a = b = d = 0, c = 1.  Every arrow is in the closure, so a
+    generator's pair is (x, z)."""
+    z = FgAbelian(1)
+    quiver = Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "x", "y"),
+                                      ("c", "x", "y"), ("d", "y", "z")])
+    pindex = PathIndex(quiver, 2)
+    weighting = ArrowWeighting(quiver, z, {a: z.element(free=[int(a == 2)])
+                                           for a in range(4)})
+    vectors = [SparseVector({pindex.from_names(names): 1 for names in paths})
+               for paths in generators]
+    return subcoalgebra_closure(pindex, vectors), weighting
+
+
+def test_row_rule_on_hand_built_bases():
+    # one pair carries two weights and every row has one: homogeneous
+    base, weighting = _parallel_then_one([["d", "a"], ["d", "b"]], [["d", "c"]])
+    rows = base.spaces[(0, 2)].rows
+    assert [vector_label(base.pindex, row) for row in rows] == ["d.a+d.b", "d.c"]
+    assert len({base.pindex.weight(weighting, i)
+                for row in rows for i in row.support()}) == 2
+    assert is_homogeneous(base, weighting, return_witness=True) == (True, None)
+    assert oracle_is_homogeneous(base, weighting) == (True, None)
+    smash = smash_coalgebra(base, weighting, window_ball(weighting.group, 1))
+    assert [smash.weight_of(sym) for sym in base.symbols()
+            if base.row_endpoints(sym) == (0, 2)] == \
+        [weighting.group.element(free=[w]) for w in (0, 1)]
+    # the only mixed row is the second row of its pair
+    base, weighting = _parallel_then_one([["d", "a"]], [["d", "b"], ["d", "c"]])
+    rows = base.spaces[(0, 2)].rows
+    assert [vector_label(base.pindex, row) for row in rows] == ["d.a", "d.b+d.c"]
+    ok, witness = is_homogeneous(base, weighting, return_witness=True)
+    assert (ok, witness) == oracle_is_homogeneous(base, weighting) == (False, rows[1])
+    with pytest.raises(CoalgebraError) as err:
+        smash_coalgebra(base, weighting, window_ball(weighting.group, 1))
+    assert err.value.witness == "d.b+d.c"
+
+
+def test_homogeneity_intersects_nothing(monkeypatch, tmp_path, capsys):
+    """`is_homogeneous`, `covering_crosscheck` and `cmd_homog` run no
+    `intersect_coordinates`; the windowed span of liftings, which keeps its
+    intersections for blocks that straddle pairs, shows that the spy sees
+    the calls it should."""
+    calls = []
+    real = exactlin.intersect_coordinates
+
+    def spy(space, coords):
+        calls.append(len(coords))
+        return real(space, coords)
+
+    monkeypatch.setattr(exactlin, "intersect_coordinates", spy)
+    monkeypatch.setattr(covering, "intersect_coordinates", spy)
+    assert not hasattr(coalgebra, "intersect_coordinates")
+    for base, weighting in _instances():
+        is_homogeneous(base, weighting, return_witness=True)
+        covering_crosscheck(base, weighting, spanning_tree_pi1(base.pindex.quiver, 0))
+    for fx in all_fixtures():
+        path = tmp_path / ("%s.cov" % fx.name)
+        path.write_text((resources.files("covol") / "fixtures" / path.name).read_text())
+        assert cli.main(["homog", str(path)]) == 0
+    capsys.readouterr()
+    assert calls == []
+    for base, weighting in _instances():
+        span_of_liftings(base, weighting, window_ball(weighting.group, 2))
+    assert calls
