@@ -356,32 +356,20 @@ def full_subcoalgebra(pindex):
 
 def minimal_partition(basis):
     """Per-(source, target) finest block partition of the supported paths,
-    with one representative minimal element for every block of size >= 2
-    (the lowest-index RREF row supported inside the block)."""
+    with one representative minimal element for every block of size >= 2:
+    the block's first RREF row.  Every RREF row lies inside one block, so
+    the block of a row is the block of its pivot."""
     out = {}
     for pair in sorted(basis.spaces):
         space = basis.spaces[pair]
-        blocks = []
-        for block in finest_block_partition(space):
-            rep = None
-            if len(block) >= 2:
-                blockset = set(block)
-                for row in space.rows:
-                    if row.support() <= blockset:
-                        rep = row
-                        break
-            blocks.append((block, rep))
-        out[pair] = blocks
-    return out
-
-
-def minimal_elements(basis):
-    """All representative minimal elements with their endpoint pairs."""
-    out = []
-    for pair, blocks in minimal_partition(basis).items():
-        for block, rep in blocks:
-            if rep is not None:
-                out.append((pair, block, rep))
+        blocks = finest_block_partition(space)
+        block_of = {c: n for n, block in enumerate(blocks) for c in block}
+        reps = [None] * len(blocks)
+        for row, p in zip(space.rows, space.pivots):
+            n = block_of[p]
+            if reps[n] is None and len(blocks[n]) >= 2:
+                reps[n] = row
+        out[pair] = list(zip(blocks, reps))
     return out
 
 
@@ -682,34 +670,6 @@ def coassociativity_ok(coalgebra):
 # explicit isomorphisms
 
 
-def lift_path(smash_q, base_pindex, cover_pindex, i, g):
-    """Cover path index of the unique lift of base path i through the
-    window fiber g, or None when the lift leaves the window."""
-    src, _, arrows = base_pindex.paths[i]
-    if not arrows:
-        v = smash_q.vertex_of(src, g)
-        return None if v is None else cover_pindex.vertex_path(v)
-    lifted = smash_q.lift_arrows(arrows, g)
-    return None if lifted is None else cover_pindex.path_of(lifted)
-
-
-def smash_to_cover_paths(smash_q, base_pindex, cover_pindex):
-    """Basis bijection from the smash coproduct of the full truncated path
-    coalgebra onto the path coalgebra of the smash coproduct quiver:
-    (p, g) becomes the unique lift of p through the window fiber g.
-
-    Partial where the lift leaves the window; total on interior symbols.
-    Returns the map as a symbol-to-symbol dict wrapped in coefficients.
-    """
-    pairs = []
-    for g in smash_q.window:
-        for i in range(len(base_pindex)):
-            idx = lift_path(smash_q, base_pindex, cover_pindex, i, g)
-            if idx is not None:
-                pairs.append(((i, g), idx))
-    return basis_map(pairs)
-
-
 def _projection(cover_pindex, base_pindex, morphism):
     """Base path index of the arrow-wise image of every cover path.  It
     does not depend on a lifting, so the cover index keeps the table with
@@ -748,7 +708,9 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
     psi: cover paths -> smash symbols sends a path to (its projection,
     deck displacement of its start from the lifted start), and
     phi: smash symbols -> cover paths lifts a path at the deck translate
-    of the lifted source.  Both are partial near the window boundary.
+    of the lifted source; at the canonical lifting of a smash quiver it is
+    the basis bijection (p, g) -> the lift of p through the window fiber g.
+    Both are partial near the window boundary.
 
     The deck displacement depends only on a path's source, so psi computes
     it once per cover vertex; psi's projection is the cover index's table

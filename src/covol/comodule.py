@@ -638,7 +638,8 @@ def _witness_from_split(rep, weighting, group, degrees, blocks):
                 continue
             # image must lie in the degree gs - w eigenspace of the target
             target_cols = [c for gt, c in blocks.get(t, []) if gt == gs - w]
-            if not _in_span(image, target_cols):
+            span = rref([SparseVector(dict(enumerate(c))) for c in target_cols])
+            if not span.member(SparseVector(dict(enumerate(image)))):
                 return None
     dimension_vector = []
     degree_list = {}
@@ -650,13 +651,6 @@ def _witness_from_split(rep, weighting, group, degrees, blocks):
             degree_list[(v, k)] = shifted
         dimension_vector.append(tuple(sorted(profile.items())))
     return Gradable(degree_list, blocks, tuple(dimension_vector))
-
-
-def _in_span(vec, cols):
-    n = len(vec)
-    rows = [SparseVector({i: c[i] for i in range(n) if c[i]}) for c in cols]
-    space = rref(rows)
-    return space.member(SparseVector({i: vec[i] for i in range(n) if vec[i]}))
 
 
 def witness_graded_comodule(rep, weighting, witness, coalgebra, pindex):

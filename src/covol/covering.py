@@ -14,9 +14,8 @@ set alone, certifies every fiber, and ignores `--window`.
 """
 
 from .coalgebra import (
-    CoalgebraError, PathIndex, SparseVector, is_homogeneous, lift_path,
-    minimal_elements, smash_coalgebra, smash_projection_map, vector_label,
-    verify_coalgebra_map,
+    CoalgebraError, PathIndex, SparseVector, is_homogeneous, minimal_partition,
+    smash_coalgebra, smash_projection_map, vector_label, verify_coalgebra_map,
 )
 from .exactlin import Subspace, finest_block_partition, intersect_coordinates, \
     rref, smith_normal_form
@@ -32,11 +31,18 @@ class CoveringError(ValueError):
 
 
 def _lift_vector(smash_q, cover_pindex, base_pindex, vec, start_fiber):
-    """Path-by-path lift of a base vector from one fiber; None if any
-    support path falls off the window."""
+    """Path-by-path lift of a base vector from one fiber, each path to its
+    unique lift through that fiber; None if any support path falls off the
+    window."""
     out = {}
     for i, c in vec.items():
-        idx = lift_path(smash_q, base_pindex, cover_pindex, i, start_fiber)
+        src, _, arrows = base_pindex.paths[i]
+        if arrows:
+            lifted = smash_q.lift_arrows(arrows, start_fiber)
+            idx = None if lifted is None else cover_pindex.path_of(lifted)
+        else:
+            v = smash_q.vertex_of(src, start_fiber)
+            idx = None if v is None else cover_pindex.vertex_path(v)
         if idx is None:
             return None
         out[idx] = c
@@ -239,24 +245,25 @@ def extract_relators(base, pres):
     index order): the words of the closed walks w^-1 p1^-1 pj w, j >= 2,
     with w the tree geodesic from the base vertex to the paths' source."""
     relators = []
-    for pair, block, rep in sorted(minimal_elements(base)):
-        paths = sorted(block)
-        first = paths[0]
-        src = base.pindex.source(first)
-        geodesic = pres.geodesics[src]
-        lead_walk = base.pindex.walk(first)
-        for other in paths[1:]:
-            other_walk = base.pindex.walk(other)
-            closed = concat(geodesic.inverse(),
-                            concat(lead_walk.inverse(),
-                                   concat(other_walk, geodesic)))
-            word = walk_to_word(pres, closed)
-            relators.append({
-                "word": word,
-                "walk": closed,
-                "pair": pair,
-                "paths": (first, other),
-            })
+    for pair, blocks in minimal_partition(base).items():
+        for block, rep in blocks:
+            if rep is None:
+                continue
+            first = block[0]  # blocks are sorted
+            src = base.pindex.source(first)
+            geodesic = pres.geodesics[src]
+            lead_walk = base.pindex.walk(first)
+            for other in block[1:]:
+                other_walk = base.pindex.walk(other)
+                closed = concat(geodesic.inverse(),
+                                concat(lead_walk.inverse(),
+                                       concat(other_walk, geodesic)))
+                relators.append({
+                    "word": walk_to_word(pres, closed),
+                    "walk": closed,
+                    "pair": pair,
+                    "paths": (first, other),
+                })
     return RelatorSet(pres, relators)
 
 
@@ -378,8 +385,7 @@ def universal_factor_map(univ, target_weighting, target_window):
     if not relators_vanish(univ.relator_set, target_weighting):
         raise CoveringError("target weighting does not kill the relators")
 
-    cycle_weights = [weight_walk(target_weighting, pres.fundamental_cycle(a))
-                     for a in pres.cotree]
+    cycle_weights = [weight_walk(target_weighting, c) for c in pres.cycles]
     gamma = {v: weight_walk(target_weighting, pres.geodesics[v])
              for v in range(quiver.num_vertices())}
 

@@ -185,7 +185,8 @@ class Pi1Presentation:
     """Spanning-tree presentation of the fundamental group of a quiver.
 
     Generators are the co-tree arrows; geodesics are the tree walks from
-    the base vertex.  Free rank = |Q1| - |Q0| + 1.
+    the base vertex; `cycles` holds the fundamental cycle of each co-tree
+    arrow, in generator order.  Free rank = |Q1| - |Q0| + 1.
     """
 
     def __init__(self, quiver, base, tree_arrows, cotree, geodesics):
@@ -197,6 +198,7 @@ class Pi1Presentation:
         self.geodesics = geodesics
         self.free_group = FreeGroup(len(self.cotree),
                                     names=[quiver.arrow_name(a) for a in self.cotree])
+        self.cycles = [self.fundamental_cycle(a) for a in self.cotree]
 
     @property
     def rank(self):

@@ -94,8 +94,7 @@ def path_weight(weighting, arrows):
 def is_connected_weighting(weighting, pres):
     """A weighting is connected iff the weights of the fundamental cycles
     generate the group."""
-    cycles = [pres.fundamental_cycle(a) for a in pres.cotree]
-    return generates(weighting.group, [weight_walk(weighting, c) for c in cycles])
+    return generates(weighting.group, [weight_walk(weighting, c) for c in pres.cycles])
 
 
 def twist_weighting(weighting, vertex_weighting):

@@ -5,6 +5,7 @@ import json
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import importlib.resources as resources
 
@@ -13,9 +14,9 @@ import pytest
 from covol.coalgebra import (
     PathIndex, SparseVector, TruncatedPathCoalgebra, coassociativity_ok,
     compose_maps, cover_projection_map, covering_coalgebra_iso,
-    is_homogeneous, is_identity_map, minimal_elements,
+    is_homogeneous, is_identity_map, minimal_partition,
     smash_coalgebra, smash_path_coalgebra, smash_projection_map,
-    smash_to_cover_paths, subcoalgebra_closure, twist_iso,
+    subcoalgebra_closure, twist_iso,
     verify_coalgebra_map,
 )
 from covol.comodule import (
@@ -161,7 +162,10 @@ def test_criterion_4_smash_path_coalgebra_bijection():
             sq = smash_quiver(fx.quiver, fx.weighting, window)
             cover_pindex = PathIndex(sq.quiver, fx.pindex.truncation)
             smash = smash_path_coalgebra(fx.pindex, fx.weighting, window)
-            emap = smash_to_cover_paths(sq, fx.pindex, cover_pindex)
+            # phi at the canonical lifting: (p, g) -> the lift of p through g
+            _, emap, _, _ = covering_coalgebra_iso(
+                GaloisCoverData.from_smash(sq), sq.canonical_lifting(),
+                fx.pindex, cover_pindex, window)
             ok, witness, checked = verify_coalgebra_map(
                 emap, smash, TruncatedPathCoalgebra(cover_pindex))
             assert ok and checked > 0, (fx.name, witness)
@@ -242,18 +246,25 @@ def _brute_force_partition(space, coords):
     return [coords]
 
 
+def _random_subspaces():
+    """Criterion 6's 100 random RREF subspaces, ambient <= 10."""
+    rng = random.Random(SEED)
+    spaces = []
+    for _ in range(100):
+        ambient = rng.randint(2, 10)
+        dim = rng.randint(1, 4)
+        rows = [SparseVector({i: rng.choice([0, 0, 1, -1, 2])
+                              for i in range(ambient)})
+                for _ in range(dim)]
+        spaces.append(rref(rows))
+    return spaces
+
+
 def test_criterion_6_minimal_partition_oracle():
     with criterion(6, "block partition equals brute-force splitting "
                       "(100 random subspaces, ambient <= 10) and the "
                       "degree-two blocks of the block-quiver fixture"):
-        rng = random.Random(SEED)
-        for trial in range(100):
-            ambient = rng.randint(2, 10)
-            dim = rng.randint(1, 4)
-            rows = [SparseVector({i: rng.choice([0, 0, 1, -1, 2])
-                                  for i in range(ambient)})
-                    for _ in range(dim)]
-            space = rref(rows)
+        for trial, space in enumerate(_random_subspaces()):
             supported = set()
             for r in space.rows:
                 supported |= r.support()
@@ -275,15 +286,53 @@ def test_criterion_6_minimal_partition_oracle():
                 assert got == want, fx.name
 
         fx = sl2_fixture(5)
-        found = minimal_elements(fx.basis)
+        found = [(pair, block) for pair, blocks in
+                 minimal_partition(fx.basis).items()
+                 for block, rep in blocks if rep is not None]
         assert len(found) == 3
         pindex = fx.pindex
-        for i, (pair, block, rep) in enumerate(sorted(found)):
+        for i, (pair, block) in enumerate(sorted(found)):
             vi = pindex.quiver.vertex_index["x%d" % (i + 1)]
             assert pair == (vi, vi)
             first = pindex.from_names(["a%d" % i, "b%d" % i])
             second = pindex.from_names(["b%d" % (i + 1), "a%d" % (i + 1)])
             assert set(block) == {first, second}
+
+
+def _oracle_minimal_partition(basis):
+    """The earlier `minimal_partition`, kept as an oracle: each block's
+    representative is the first RREF row whose support lies inside the
+    block, found by testing every row against every block."""
+    out = {}
+    for pair in sorted(basis.spaces):
+        space = basis.spaces[pair]
+        blocks = []
+        for block in finest_block_partition(space):
+            rep = None
+            if len(block) >= 2:
+                blockset = set(block)
+                for row in space.rows:
+                    if row.support() <= blockset:
+                        rep = row
+                        break
+            blocks.append((block, rep))
+        out[pair] = blocks
+    return out
+
+
+def test_minimal_partition_matches_row_against_block_oracle():
+    """One pass over the rows picks the same blocks and representatives
+    as testing every row against every block."""
+    bases = [SimpleNamespace(spaces={(0, 0): space})
+             for space in _random_subspaces()]
+    bases += [fx.basis for fx in all_fixtures()]
+    represented = 0
+    for n, basis in enumerate(bases):
+        want = _oracle_minimal_partition(basis)
+        assert minimal_partition(basis) == want, n
+        represented += sum(rep is not None
+                           for blocks in want.values() for _, rep in blocks)
+    assert represented > 50
 
 
 def test_criterion_7_universal_grading_groups():

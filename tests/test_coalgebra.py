@@ -9,8 +9,8 @@ from covol.coalgebra import (
     cover_projection_map, covering_coalgebra_iso, delta_terms, delta_vector,
     endpoints, subcoalgebra_closure,
     is_homogeneous, is_identity_map, compose_maps,
-    minimal_elements, minimal_partition, smash_coalgebra,
-    smash_path_coalgebra, smash_projection_map, smash_to_cover_paths,
+    minimal_partition, smash_coalgebra,
+    smash_path_coalgebra, smash_projection_map,
     subcoalgebra_to_json, twist_iso,
     verify_coalgebra_map,
 )
@@ -226,12 +226,19 @@ def test_subcoalgebra_coproduct_closed():
         assert checked == fx.basis.dimension
 
 
+def _minimal_elements(basis):
+    """(pair, block, representative) of every block that has one."""
+    return [(pair, block, rep)
+            for pair, blocks in minimal_partition(basis).items()
+            for block, rep in blocks if rep is not None]
+
+
 def test_minimal_partition_tri():
     fx = tri_fixture("ac")
-    assert minimal_elements(fx.basis) == []
+    assert _minimal_elements(fx.basis) == []
 
     fx = tri_fixture("ac+bc")
-    found = minimal_elements(fx.basis)
+    found = _minimal_elements(fx.basis)
     assert len(found) == 1
     pair, block, rep = found[0]
     pindex = fx.pindex
@@ -245,7 +252,7 @@ def test_minimal_partition_tri():
 def test_minimal_partition_sl2():
     fx = sl2_fixture(5)
     pindex = fx.pindex
-    found = minimal_elements(fx.basis)
+    found = _minimal_elements(fx.basis)
     assert len(found) == 3
     for i, (pair, block, rep) in enumerate(sorted(found)):
         vi = pindex.quiver.vertex_index["x%d" % (i + 1)]
@@ -380,31 +387,38 @@ def test_smash_projection_is_coalgebra_map():
     assert ok and checked > 0
 
 
-def test_smash_to_cover_paths_vertices_arrows():
-    fx = loop_fixture(4)
-    sq = smash_quiver(fx.quiver, fx.weighting, window_ball(Z, 3))
+def _canonical_phi(fx, window):
+    """phi of the covering isomorphism at the canonical lifting: the basis
+    bijection (p, g) -> the lift of p through fiber g."""
+    sq = smash_quiver(fx.quiver, fx.weighting, window)
     cover_pindex = PathIndex(sq.quiver, fx.pindex.truncation)
-    emap = smash_to_cover_paths(sq, fx.pindex, cover_pindex)
+    _, phi, _, _ = covering_coalgebra_iso(
+        GaloisCoverData.from_smash(sq), sq.canonical_lifting(), fx.pindex,
+        cover_pindex, window)
+    return sq, cover_pindex, phi
+
+
+def test_canonical_phi_vertices_arrows():
+    fx = loop_fixture(4)
+    sq, cover_pindex, emap = _canonical_phi(fx, window_ball(Z, 3))
     x = fx.pindex.vertex_path("x")
     v = sq.vertex_of("x", zint(0))
     assert emap[(x, zint(0))] == {cover_pindex.vertex_path(v): Fraction(1)}
     a = fx.pindex.arrow_path("a")
     ca = sq.arrow_of("a", zint(0))
     assert emap[(a, zint(0))] == {cover_pindex.arrow_path(ca): Fraction(1)}
-    # E(a^2 # 0) is the two-step path through fibers 0 then 1
+    # phi(a^2 # 0) is the two-step path through fibers 0 then 1
     a2 = fx.pindex.from_names(["a", "a"])
     arrows = (sq.arrow_of("a", zint(0)), sq.arrow_of("a", zint(1)))
     assert emap[(a2, zint(0))] == {cover_pindex.path_of(arrows): Fraction(1)}
 
 
-def test_smash_to_cover_paths_intertwines_delta():
+def test_canonical_phi_intertwines_delta():
     for fx in all_fixtures():
         radius = 3
         window = fx.window(radius)
-        sq = smash_quiver(fx.quiver, fx.weighting, window)
-        cover_pindex = PathIndex(sq.quiver, fx.pindex.truncation)
+        _, cover_pindex, emap = _canonical_phi(fx, window)
         smash = smash_path_coalgebra(fx.pindex, fx.weighting, window)
-        emap = smash_to_cover_paths(sq, fx.pindex, cover_pindex)
         ok, witness, checked = verify_coalgebra_map(
             emap, smash, TruncatedPathCoalgebra(cover_pindex))
         assert ok, (fx.name, witness)

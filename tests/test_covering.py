@@ -236,15 +236,19 @@ def test_two_row_block_span_and_crosscheck():
 def test_minimal_blocks_push_forward():
     # representatives of minimal blocks upstairs project onto the minimal
     # block supports downstairs
-    from covol.coalgebra import SubcoalgebraBasis, minimal_elements
+    from covol.coalgebra import SubcoalgebraBasis, minimal_partition
+
+    def represented_blocks(basis):
+        return [block for blocks in minimal_partition(basis).values()
+                for block, rep in blocks if rep is not None]
+
     fx = sl2_fixture(5)
     cov = build_lifted_subcoalgebra(fx.basis, fx.weighting, fx.window(4))
     lifted_basis = SubcoalgebraBasis(cov.cover_pindex, cov.lifted_spans)
-    base_blocks = {
-        frozenset(block) for _, block, _ in minimal_elements(fx.basis)}
+    base_blocks = {frozenset(block) for block in represented_blocks(fx.basis)}
     projected = set()
     morphism = cov.smash.morphism
-    for _pair, block, _rep in minimal_elements(lifted_basis):
+    for block in represented_blocks(lifted_basis):
         image = frozenset(
             fx.pindex.path_of(tuple(morphism.arrow_map[a]
                                     for a in cov.cover_pindex.arrows(i)))
@@ -395,6 +399,25 @@ def test_universal_factor_map_loop():
     univ = universal_grading_group(fx.basis, fx.pres)
     mapping, checked = universal_factor_map(univ, fx.weighting, fx.window(8))
     assert checked > 0
+
+
+def test_fundamental_cycles_are_built_once_per_presentation(monkeypatch):
+    # the connectedness test and the factor map read the presentation's
+    # cycles; neither walks a fundamental cycle again
+    from covol.quiver import Pi1Presentation
+    from covol.voltage import is_connected_weighting
+    fx = sl2_fixture(4)
+    univ = universal_grading_group(fx.basis, fx.pres)
+
+    def rebuilt(self, a):
+        raise AssertionError("fundamental cycle rebuilt")
+
+    monkeypatch.setattr(Pi1Presentation, "fundamental_cycle", rebuilt)
+    assert is_connected_weighting(fx.weighting, fx.pres)
+    mapping, checked = universal_factor_map(univ, fx.weighting, fx.window(8))
+    assert checked > 0
+    report = covering_crosscheck(fx.basis, fx.weighting, fx.pres, fx.window(2))
+    assert report["connected"]
 
 
 def test_universal_factor_map_rejects_bad_target():

@@ -85,6 +85,15 @@ def test_walk_to_word_kronecker():
     assert walk_to_word(pres, w) == (-1,)
 
 
+def test_presentation_keeps_one_fundamental_cycle_per_generator():
+    for q in (loop_quiver(), double_loop_quiver(), kronecker_quiver(),
+              cyclic_quiver(4)):
+        pres = spanning_tree_pi1(q, 0)
+        assert pres.cycles == [pres.fundamental_cycle(a) for a in pres.cotree]
+        for k, cycle in enumerate(pres.cycles):
+            assert walk_to_word(pres, cycle) == (k + 1,)
+
+
 def test_walk_to_word_multiplicative():
     q = double_loop_quiver()
     pres = spanning_tree_pi1(q, 0)

@@ -297,16 +297,13 @@ def test_path_weight():
 def test_lift_arrows_matches_lift_walk_on_every_fixture_path():
     """The window lift of SmashQuiver equals the generic unique-walk lift
     along the smash morphism, for every path of every fixture from every
-    window fiber, and is None exactly where that lift raises.  The
-    path-index helper of coalgebra agrees with both."""
-    from covol.coalgebra import PathIndex, lift_path
+    window fiber, and is None exactly where that lift raises."""
     from covol.fixtures import all_fixtures
     from covol.quiver import lift_walk
     lifted = left = 0
     for fx in all_fixtures():
         for radius in (1, 3):
             sq = smash_quiver(fx.quiver, fx.weighting, fx.window(radius))
-            cover_pindex = PathIndex(sq.quiver, fx.pindex.truncation)
             for g in sq.window:
                 for i in range(len(fx.pindex)):
                     start = sq.vertex_of(fx.pindex.source(i), g)
@@ -317,12 +314,41 @@ def test_lift_arrows_matches_lift_walk_on_every_fixture_path():
                         want = None
                     got = sq.lift_arrows(fx.pindex.arrows(i), g)
                     assert got == want, (fx.name, radius, g, i)
-                    idx = lift_path(sq, fx.pindex, cover_pindex, i, g)
                     if want is None:
-                        assert idx is None
                         left += 1
                     else:
-                        assert cover_pindex.source(idx) == start
-                        assert cover_pindex.arrows(idx) == want
                         lifted += 1
     assert lifted > 100 and left > 100
+
+
+def test_canonical_phi_is_the_path_lift_of_the_covering_test():
+    """phi of the covering isomorphism at the canonical lifting sends each
+    smash symbol (p, g) to the lift of the unit path p from fiber g that
+    the covering test reads (`_lift_vector`), and is undefined exactly
+    where that lift leaves the window."""
+    from covol.coalgebra import PathIndex, SparseVector, covering_coalgebra_iso
+    from covol.covering import _lift_vector
+    from covol.fixtures import all_fixtures
+    defined = undefined = 0
+    for fx in all_fixtures():
+        for radius in (1, 3):
+            window = fx.window(radius)
+            sq = smash_quiver(fx.quiver, fx.weighting, window)
+            cover_pindex = PathIndex(sq.quiver, fx.pindex.truncation)
+            _, phi, _, _ = covering_coalgebra_iso(
+                GaloisCoverData.from_smash(sq), sq.canonical_lifting(),
+                fx.pindex, cover_pindex, window)
+            symbols = set()
+            for g in window:
+                for i in range(len(fx.pindex)):
+                    lifted = _lift_vector(sq, cover_pindex, fx.pindex,
+                                          SparseVector.unit(i), g)
+                    if lifted is None:
+                        assert (i, g) not in phi, (fx.name, radius, g, i)
+                        undefined += 1
+                    else:
+                        assert phi[(i, g)] == lifted.entries, (fx.name, radius, g, i)
+                        symbols.add((i, g))
+                        defined += 1
+            assert set(phi) == symbols, (fx.name, radius)
+    assert defined > 100 and undefined > 100
