@@ -70,17 +70,19 @@ class CoalgebraCovering:
 
 
 def reach_set(base, weighting):
-    """The fibers that lifts from the identity fiber pass through, identity
-    first: the weight w(a_k)...w(a_1) of every prefix of every path in the
-    base's row supports, and w(a) and w(a)^-1 for each arrow, which keep
-    every vertex (v, e) interior."""
+    """The fibers that lifts from the identity fiber of the rows of support
+    >= 2 pass through, identity first: the weight w(a_k)...w(a_1) of every
+    prefix of every path in those rows' supports, and w(a) and w(a)^-1 for
+    each arrow, which keep every vertex (v, e) interior."""
     group = weighting.group
     reach = {group.identity(): None}
     for g in weighting.assignment.values():
         reach.update({g: None, group.inverse(g): None})
     for space in base.spaces.values():
         for row in space.rows:
-            for i in row.support():
+            if len(row.entries) < 2:
+                continue
+            for i in row.entries:
                 g = group.identity()
                 for a in base.pindex.arrows(i):
                     g = group.multiply(weighting.of(a), g)
@@ -160,18 +162,19 @@ def build_lifted_subcoalgebra(base, weighting, window):
 
 def _lifts_end_together(smash_q, base, fibers):
     """(ok, witness): the lift of each base row of support >= 2 from each
-    fiber ends at one cover vertex.  A lift that leaves the window is
-    skipped; witness = (row, cover start vertex) is the first failure in
-    (symbol, fiber) order."""
-    target, arrows = smash_q.quiver.target, base.pindex.arrows
+    fiber ends at one cover vertex, read from the smash quiver's arrow
+    table.  A lift that leaves the window is skipped; witness = (row, cover
+    start vertex) is the first failure in (symbol, fiber) order."""
+    ends, arrows = smash_q.arrow_ends, base.pindex.arrows
     for sym in base.symbols():
         row = base.row_vector(sym)
         if len(row.entries) < 2:
             continue
+        src = base.row_endpoints(sym)[0]
         for g in fibers:
-            start = smash_q.vertex_of(base.row_endpoints(sym)[0], g)
+            start = smash_q.vertex_of(src, g)
             lifts = [smash_q.lift_arrows(arrows(i), g) for i in row.entries]
-            if None not in lifts and len({target(p[-1]) if p else start
+            if None not in lifts and len({ends[p[-1]][1] if p else start
                                           for p in lifts}) > 1:
                 return False, (row, start)
     return True, None
@@ -192,8 +195,9 @@ def covering_crosscheck(base, weighting, pres, window=None):
     The covering property is read from where the lifts from the identity
     fiber end, over the smash quiver on `reach_set` (`window` is accepted
     for positional callers only).  No cover index or span is built, since
-    only that endpoint test can fail.  The lift of a base path p from fiber
-    g is the unique cover path from (s(p), g); it ends at (t(p), w(p)g) and
+    only that endpoint test can fail, nor the smash quiver's labels,
+    `Quiver` or morphism.  The lift of a base path p from fiber g is the
+    unique cover path from (s(p), g); it ends at (t(p), w(p)g) and
     determines p and g, so lifts from distinct coordinates or fibers have
     disjoint supports.  Each base RREF row holds a pivot no other row holds,
     so its lift holds a lifted pivot no other lift holds, and the span of
@@ -203,8 +207,8 @@ def covering_crosscheck(base, weighting, pres, window=None):
     once w is constant on the row's support.  Deck translation carries the
     identity fiber to every fiber.  Independently of `is_homogeneous`,
     which multiplies the arrow weights of each RREF row's paths in the
-    group, this reads the smash quiver's arrows through
-    `SmashQuiver.lift_arrows`.  Returns a JSON-ready report dict.
+    group, this walks the arrow table through `SmashQuiver.lift_arrows`,
+    which multiplies nothing.  Returns a JSON-ready report dict.
     """
     homogeneous, witness = is_homogeneous(base, weighting, return_witness=True)
     connected = is_connected_weighting(weighting, pres)

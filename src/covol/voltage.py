@@ -10,6 +10,8 @@ interior consists of the window vertices whose local arrow stars stay
 inside the window, and covering/deck statements quantify over it.
 """
 
+from functools import cached_property
+
 from .groups import FiniteTable, FgAbelian, FreeGroup, GroupError, generates
 from .quiver import Quiver, QuiverMorphism, Walk, QuiverError, deck_group, \
     lift_walk
@@ -152,7 +154,10 @@ class SmashQuiver:
 
     Vertices are pairs (base vertex, window element); an arrow (a, g)
     exists when both g and w(a)g lie in the window.  The covering morphism
-    forgets the window coordinate.
+    forgets the window coordinate.  The constructor builds only the arrow
+    table (`vertex_pairs`, `arrow_pairs`, each arrow's cover (source,
+    target) in `arrow_ends`) and the interior; the x#g and a#g labels,
+    `quiver` and `morphism` are built on first read and kept.
     """
 
     def __init__(self, base, weighting, window):
@@ -166,39 +171,45 @@ class SmashQuiver:
             raise QuiverError("window must contain the identity")
 
         nv = base.num_vertices()
-        names = [group.format(g) for g in self.window]
-        labels = ["%s#%s" % (x, name) for name in names for x in base.vertices]
         self.vertex_pairs = [(v, g) for g in self.window for v in range(nv)]
         self._vertex_of = {pair: i for i, pair in enumerate(self.vertex_pairs)}
 
         # vertex (v, g) has index window_pos[g] * nv + v
-        arrows = []
-        self.arrow_pairs = []
-        arrow_map = []
+        self.arrow_pairs, self.arrow_ends = [], []
+        out_degree, in_degree = [0] * len(self.vertex_pairs), [0] * len(self.vertex_pairs)
         weights = [weighting.of(a) for a in range(base.num_arrows())]
         for k, g in enumerate(self.window):
-            for a, (arrow_name, s, t) in enumerate(base.arrows):
+            for a, (_, s, t) in enumerate(base.arrows):
                 j = self.window_pos.get(group.multiply(weights[a], g))
                 if j is None:
                     continue
                 src, tgt = k * nv + s, j * nv + t
-                arrows.append(("%s#%s" % (arrow_name, names[k]), src, tgt))
                 self.arrow_pairs.append((a, g))
-                arrow_map.append(a)
-        self.quiver = Quiver(labels, arrows)
+                self.arrow_ends.append((src, tgt))
+                out_degree[src] += 1
+                in_degree[tgt] += 1
         self._arrow_of = {pair: i for i, pair in enumerate(self.arrow_pairs)}
-        self.morphism = QuiverMorphism(self.quiver, base, [v for v, _ in self.vertex_pairs],
-                                       arrow_map)
 
         # (v, g) is interior when every arrow at v lifts there: (a, g) for a
         # leaving v, (a, w(a)^-1 g) for a entering v, both inside the window
-        cover = self.quiver
-        interior = {i for i, (v, _) in enumerate(self.vertex_pairs)
-                    if len(cover.out_arrows[i]) == len(base.out_arrows[v])
-                    and len(cover.in_arrows[i]) == len(base.in_arrows[v])}
-        self.interior_vertices = interior
-        if not interior:
+        self.interior_vertices = {i for i, (v, _) in enumerate(self.vertex_pairs)
+                                  if out_degree[i] == len(base.out_arrows[v])
+                                  and in_degree[i] == len(base.in_arrows[v])}
+        if not self.interior_vertices:
             raise QuiverError("window has empty interior")
+
+    @cached_property
+    def quiver(self):
+        base, nv = self.base, self.base.num_vertices()
+        names = [self.group.format(g) for g in self.window]
+        return Quiver(["%s#%s" % (x, name) for name in names for x in base.vertices],
+                      [("%s#%s" % (base.arrows[a][0], names[s // nv]), s, t)
+                       for (a, _), (s, t) in zip(self.arrow_pairs, self.arrow_ends)])
+
+    @cached_property
+    def morphism(self):
+        return QuiverMorphism(self.quiver, self.base, [v for v, _ in self.vertex_pairs],
+                              [a for a, _ in self.arrow_pairs])
 
     def vertex_of(self, base_vertex, g):
         if isinstance(base_vertex, str):
@@ -213,14 +224,14 @@ class SmashQuiver:
     def lift_arrows(self, arrows, g):
         """Cover arrows of the unique lift through fiber g of a base path
         given as arrow indices in traversal order, or None when the lift
-        leaves the window."""
+        leaves the window.  Each next fiber is read from the arrow table."""
         out = []
         for a in arrows:
             ca = self._arrow_of.get((a, g))
             if ca is None:
                 return None
             out.append(ca)
-            g = self.group.multiply(self.weighting.of(a), g)
+            g = self.vertex_pairs[self.arrow_ends[ca][1]][1]
         return tuple(out)
 
     def fiber_coordinate(self, vertex):

@@ -21,7 +21,7 @@ from covol.fixtures import (
     sl2_fixture, tri_fixture,
 )
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
-from covol.quiver import Quiver, spanning_tree_pi1
+from covol.quiver import Quiver, QuiverMorphism, spanning_tree_pi1
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
 import test_identity_fiber_oracle as oracle
@@ -604,6 +604,55 @@ def test_identity_fiber_certifies_every_fiber():
                     len(basis.row_vector(sym).support()) >= 2
                     for sym in basis.symbols())
     assert inhomogeneous and with_minimal
+
+
+def test_crosscheck_builds_only_the_arrow_table(monkeypatch):
+    # with Quiver, QuiverMorphism and every backend's format made to fail,
+    # the crosscheck gives the same report on every fixture and on the
+    # seeded instances of all five backends
+    cases = [(base, w, spanning_tree_pi1(base.pindex.quiver, 0))
+             for base, w in oracle._instances()]
+    want = [covering_crosscheck(*case) for case in cases]
+    fx = kronecker_fixture()
+    for cls in (Quiver, QuiverMorphism):
+        monkeypatch.setattr(cls, "__init__", _refuse)
+    for cls in (FgAbelian, FiniteTable, FreeGroup):
+        monkeypatch.setattr(cls, "format", _refuse)
+    assert [covering_crosscheck(*case) for case in cases] == want
+    assert {type(w.group) for _, w, _ in cases} == {FgAbelian, FiniteTable, FreeGroup}
+    assert {report["coveringOK"] for report in want} == {True, False}
+    sq = smash_quiver(fx.quiver, fx.weighting, fx.window(1))
+    with pytest.raises(AssertionError):
+        sq.quiver
+
+
+@pytest.mark.parametrize("name, arrow, onto, fiber", [
+    ("tri_acbc", "b", "z", 0), ("sl2", "b1", "x1", 0), ("sl2", "a1", "x2", 1)])
+def test_crosscheck_reads_lift_ends_from_the_arrow_table(monkeypatch, name, arrow,
+                                                         onto, fiber):
+    # re-pointing the end of one table arrow (a, e) onto another vertex over
+    # the same base vertex flips the covering verdict alone: the lifts of
+    # tri_acbc's a.c and b.c from the identity fiber now end together, and
+    # sl2's of a0.b0 and b1.a1 apart, also when the re-pointed arrow is the
+    # first of its lift, so that the next fiber is read there.  So the
+    # covering side reads the table and does not multiply the weights again.
+    fx = {fx.name: fx for fx in all_fixtures()}[name]
+    homogeneous = covering_crosscheck(fx.basis, fx.weighting, fx.pres)["homogeneous"]
+    real = covering.smash_quiver
+
+    def repointed(base, weighting, window):
+        sq = real(base, weighting, window)
+        k = sq.arrow_of(arrow, weighting.group.identity())
+        end = sq.vertex_of(onto, zint(fiber))
+        assert sq.arrow_ends[k][1] != end
+        sq.arrow_ends[k] = (sq.arrow_ends[k][0], end)
+        return sq
+
+    monkeypatch.setattr(covering, "smash_quiver", repointed)
+    with pytest.raises(CoveringError) as exc:
+        covering_crosscheck(fx.basis, fx.weighting, fx.pres)
+    assert str(exc.value) == "homogeneity and covering property disagree: %r vs %r" \
+        % (homogeneous, not homogeneous)
 
 
 def test_relators_vanish_on_every_backend():

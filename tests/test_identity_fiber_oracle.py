@@ -11,7 +11,11 @@ alone, on a rooted cover index that holds only the paths leaving that
 fiber, and, before it, over a cover index on every fiber of the reach set
 (lifting the unit vectors of every member path plus the rows of support
 >= 2).  Cover indices differ, so lifted spans are compared by (cover
-source vertex, cover arrow tuple).
+source vertex, cover arrow tuple).  Both full spans lift rows of support
+1 too, so they run over `oracle_reach_set`, the reach set that also held
+the prefix weights of those rows' paths; `reach_set` now holds only what
+the crosscheck walks, and a property test checks that it is a subset of
+the oracle's on which every lift it walks stays.
 
 The proof that only the endpoint certificate can fail is checked as a
 test: every single-endpoint lift is a member of its pair's span, and the
@@ -111,11 +115,30 @@ def _cut_into_pairs(generators, cover_pindex):
             for pair, rows in sorted(pieces.items()) if rows}
 
 
+def oracle_reach_set(base, weighting):
+    """The fibers that lifts from the identity fiber pass through, identity
+    first: the weight w(a_k)...w(a_1) of every prefix of every path in the
+    base's row supports, and w(a) and w(a)^-1 for each arrow, which keep
+    every vertex (v, e) interior."""
+    group = weighting.group
+    reach = {group.identity(): None}
+    for g in weighting.assignment.values():
+        reach.update({g: None, group.inverse(g): None})
+    for space in base.spaces.values():
+        for row in space.rows:
+            for i in row.support():
+                g = group.identity()
+                for a in base.pindex.arrows(i):
+                    g = group.multiply(weighting.of(a), g)
+                    reach[g] = None
+    return list(reach)
+
+
 def oracle_span_of_liftings(base, weighting):
     """The identity-fiber span over the full reach-set cover index, lifting
     member path units and the rows of support >= 2."""
     identity = weighting.group.identity()
-    smash_q = smash_quiver(base.pindex.quiver, weighting, reach_set(base, weighting))
+    smash_q = smash_quiver(base.pindex.quiver, weighting, oracle_reach_set(base, weighting))
     cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
     vectors = [SparseVector.unit(i) for i in oracle_all_path_symbols(base)]
     vectors += [row for row in map(base.row_vector, base.symbols())
@@ -129,11 +152,11 @@ def oracle_span_of_liftings(base, weighting):
 
 def oracle_identity_span(base, weighting):
     """`span_of_liftings` without a window: the base's rows lifted as they
-    stand from the identity fiber, over the smash quiver on `reach_set`,
+    stand from the identity fiber, over the smash quiver on `oracle_reach_set`,
     into a cover index rooted at the identity fiber."""
     quiver = base.pindex.quiver
     identity = weighting.group.identity()
-    smash_q = smash_quiver(quiver, weighting, reach_set(base, weighting))
+    smash_q = smash_quiver(quiver, weighting, oracle_reach_set(base, weighting))
     cover_pindex = RootedPathIndex(smash_q.quiver, base.pindex.truncation,
                                    [smash_q.vertex_of(v, identity)
                                     for v in range(quiver.num_vertices())])
@@ -295,13 +318,13 @@ def _parallel_sums(rng, pindex):
     return subcoalgebra_closure(pindex, gens)
 
 
-def _instances():
+def _instances(truncation=2):
     """(base, weighting) for every fixture, then seeded random instances on
-    every backend, homogeneous or not."""
+    every backend, homogeneous or not, at the given truncation."""
     out = [(fx.basis, fx.weighting) for fx in all_fixtures()]
     rng = random.Random(1311)
     for quiver in _quivers():
-        pindex = PathIndex(quiver, 2)
+        pindex = PathIndex(quiver, truncation)
         for group, sample in _backends():
             for _ in range(6):
                 w = ArrowWeighting(quiver, group, {a: sample(rng)
@@ -345,6 +368,32 @@ def test_rooted_cover_matches_full_reach_set_cover():
             with pytest.raises(CoalgebraError):
                 rooted._split(i)
     assert verdicts == {True, False} and smaller
+
+
+def test_reach_set_holds_every_lift_the_crosscheck_walks():
+    """`reach_set` is a subset of `oracle_reach_set`, identity first, and
+    the lift from the identity fiber of every path of every row of support
+    >= 2 stays on the smash quiver over it, where every (v, e) is
+    interior.  Truncation 3 gives rows with paths of length 3, whose middle
+    prefix weight no arrow weight stands in for."""
+    smaller = walked = 0
+    for base, weighting in _instances() + _instances(3):
+        identity = weighting.group.identity()
+        reach, old = reach_set(base, weighting), oracle_reach_set(base, weighting)
+        assert reach[0] == identity and len(set(reach)) == len(reach)
+        assert set(reach) <= set(old)
+        smaller += len(reach) < len(old)
+        smash_q = smash_quiver(base.pindex.quiver, weighting, reach)
+        assert smash_q.interior_vertices >= {
+            smash_q.vertex_of(v, identity) for v in range(base.pindex.quiver.num_vertices())}
+        for sym in base.symbols():
+            row = base.row_vector(sym)
+            if len(row.entries) < 2:
+                continue
+            for i in row.entries:
+                assert smash_q.lift_arrows(base.pindex.arrows(i), identity) is not None
+                walked += 1
+    assert smaller and walked
 
 
 def test_row_rule_matches_dimension_count():

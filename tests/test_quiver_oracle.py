@@ -9,6 +9,12 @@ must give the same results, witnesses and raised errors under both.
 One difference is deliberate: over a base vertex with an empty fiber the
 oracles raise `IndexError`, while `is_galois_on_fiber` says False and
 `deck_group` raises `QuiverError`.
+
+`SmashQuiver` builds its arrow table and interior eagerly and its labels,
+`Quiver` and morphism on first read.  The eager construction that built
+them all at once, with the interior from the cover's arrow lists, is
+copied below as `OracleSmashQuiver`; both must give the same quiver,
+morphism and interior, or the same error.
 """
 
 import random
@@ -19,7 +25,11 @@ from covol.quiver import (
     Quiver, QuiverError, QuiverMorphism, Walk, covering_automorphism,
     deck_group, is_covering, is_galois_on_fiber, lift_walk,
 )
-from covol.voltage import ArrowWeighting, local_covering_ok, smash_quiver, window_ball
+from covol.fixtures import all_fixtures
+from covol.voltage import ArrowWeighting, SmashQuiver, local_covering_ok, smash_quiver, \
+    window_ball
+
+from test_identity_fiber_oracle import _backends, _quivers
 
 
 Z = FgAbelian(1)
@@ -159,6 +169,55 @@ def oracle_deck_group(morphism, base_vertex):
         table.append(row)
     group = FiniteTable(table)
     return group, autos
+
+
+class OracleSmashQuiver:
+    """The eager smash quiver construction, verbatim."""
+
+    def __init__(self, base, weighting, window):
+        self.base = base
+        self.weighting = weighting
+        group = weighting.group
+        self.group = group
+        self.window = list(window)
+        self.window_pos = {g: i for i, g in enumerate(self.window)}
+        if group.identity() not in self.window_pos:
+            raise QuiverError("window must contain the identity")
+
+        nv = base.num_vertices()
+        names = [group.format(g) for g in self.window]
+        labels = ["%s#%s" % (x, name) for name in names for x in base.vertices]
+        self.vertex_pairs = [(v, g) for g in self.window for v in range(nv)]
+        self._vertex_of = {pair: i for i, pair in enumerate(self.vertex_pairs)}
+
+        # vertex (v, g) has index window_pos[g] * nv + v
+        arrows = []
+        self.arrow_pairs = []
+        arrow_map = []
+        weights = [weighting.of(a) for a in range(base.num_arrows())]
+        for k, g in enumerate(self.window):
+            for a, (arrow_name, s, t) in enumerate(base.arrows):
+                j = self.window_pos.get(group.multiply(weights[a], g))
+                if j is None:
+                    continue
+                src, tgt = k * nv + s, j * nv + t
+                arrows.append(("%s#%s" % (arrow_name, names[k]), src, tgt))
+                self.arrow_pairs.append((a, g))
+                arrow_map.append(a)
+        self.quiver = Quiver(labels, arrows)
+        self._arrow_of = {pair: i for i, pair in enumerate(self.arrow_pairs)}
+        self.morphism = QuiverMorphism(self.quiver, base, [v for v, _ in self.vertex_pairs],
+                                       arrow_map)
+
+        # (v, g) is interior when every arrow at v lifts there: (a, g) for a
+        # leaving v, (a, w(a)^-1 g) for a entering v, both inside the window
+        cover = self.quiver
+        interior = {i for i, (v, _) in enumerate(self.vertex_pairs)
+                    if len(cover.out_arrows[i]) == len(base.out_arrows[v])
+                    and len(cover.in_arrows[i]) == len(base.in_arrows[v])}
+        self.interior_vertices = interior
+        if not interior:
+            raise QuiverError("window has empty interior")
 
 
 # ---------------------------------------------------------------------------
@@ -351,3 +410,38 @@ def test_local_covering_ok_matches_oracle_on_windowed_smash_quivers():
         assert ok == oracle_local_covering_ok(all_vertices)
         boundary += not ok
     assert boundary > 0
+
+
+def _smash_or_error(make, base, weighting, window):
+    try:
+        sq = make(base, weighting, window)
+    except QuiverError as exc:
+        return str(exc)
+    f = sq.morphism
+    return (sq.quiver.vertices, sq.quiver.arrows, f.vertex_map, f.arrow_map,
+            f.domain is sq.quiver, sq.interior_vertices, sq.vertex_pairs, sq.arrow_pairs)
+
+
+def test_smash_quiver_matches_eager_oracle():
+    # every fixture at radii 0-4 and seeded weightings on all five backends
+    cases = [(fx.quiver, fx.weighting, fx.window(r)) for fx in all_fixtures()
+             for r in range(5)]
+    rng = random.Random(1907)
+    for group, sample in _backends():
+        for quiver in _quivers():
+            for radius in (0, 1, 2):
+                w = ArrowWeighting(quiver, group, {a: sample(rng)
+                                                   for a in range(quiver.num_arrows())})
+                cases.append((quiver, w, window_ball(group, radius)))
+    built = raised = 0
+    for case in cases:
+        want = _smash_or_error(OracleSmashQuiver, *case)
+        assert _smash_or_error(SmashQuiver, *case) == want, case
+        if isinstance(want, str):
+            assert want == "window has empty interior"
+            raised += 1
+        else:
+            sq = SmashQuiver(*case)
+            assert sq.arrow_ends == [(s, t) for _, s, t in want[1]]
+            built += 1
+    assert built and raised

@@ -1,3 +1,5 @@
+import importlib.resources as resources
+import json
 import random
 
 import pytest
@@ -136,6 +138,38 @@ def test_smash_rejects_empty_interior():
     w = ArrowWeighting.by_name(q, Z, {"a": zint(5)})
     with pytest.raises(QuiverError):
         smash_quiver(q, w, [Z.identity()])
+
+
+@pytest.mark.parametrize("command", ["smash", "check-cover", "csm-iso"])
+def test_loop_at_window_0_has_empty_interior(tmp_path, capsys, monkeypatch, command):
+    # raised by the constructor, which builds no Quiver, and reported by the CLI
+    from covol.cli import main
+    from covol.fixtures import loop_fixture
+    fx = loop_fixture()
+
+    def refuse(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(Quiver, "__init__", refuse)
+    with pytest.raises(QuiverError, match="^window has empty interior$"):
+        smash_quiver(fx.quiver, fx.weighting, fx.window(0))
+    monkeypatch.undo()
+    path = tmp_path / "loop.cov"
+    path.write_text((resources.files("covol") / "fixtures" / "loop.cov").read_text())
+    assert main([command, str(path), "--window", "0"]) == 2
+    assert json.loads(capsys.readouterr().out) == \
+        {"schema": 1, "error": "window has empty interior"}
+
+
+def test_smash_quiver_builds_quiver_and_morphism_on_first_read():
+    from covol.fixtures import kronecker_fixture
+    fx = kronecker_fixture()
+    sq = smash_quiver(fx.quiver, fx.weighting, fx.window(2))
+    assert "quiver" not in vars(sq) and "morphism" not in vars(sq)
+    quiver = sq.quiver
+    assert sq.quiver is quiver and sq.morphism is sq.morphism
+    assert sq.morphism.domain is quiver
+    assert [(s, t) for _, s, t in quiver.arrows] == sq.arrow_ends
 
 
 def test_local_covering_random():
