@@ -21,8 +21,8 @@ import sys
 from .coalgebra import (
     CoalgebraError, PathIndex, TruncatedPathCoalgebra, coassociativity_ok,
     composite_agrees, cover_projection_map, covering_coalgebra_iso,
-    is_homogeneous, minimal_partition, smash_coalgebra, subcoalgebra_to_json,
-    vector_label, verify_coalgebra_map,
+    is_homogeneous, minimal_partition, smash_coalgebra, smash_projection_map,
+    subcoalgebra_to_json, vector_label, verify_coalgebra_map,
 )
 from .comodule import gradability_probe
 from .covering import covering_crosscheck, extract_relators, universal_grading_group
@@ -252,14 +252,10 @@ def _inverse_over_base(psi, phi, smash_coalg, expected):
     symbol of its first map, and at least one, so that no check holds
     vacuously or by skipping: a symbol left out of phi, or an image that
     leaves the other map's domain, fails."""
-    has_symbol = smash_coalg.has_symbol
-
-    def base_of(sym):
-        return {sym[0]: 1} if has_symbol(sym) else None
-
     checks = ((phi, composite_agrees(psi.get, phi, _unit_at)),
               (psi, composite_agrees(phi.get, psi, _unit_at)),
-              (psi, composite_agrees(base_of, psi, expected.__getitem__)))
+              (psi, composite_agrees(smash_projection_map(smash_coalg).get, psi,
+                                     expected.__getitem__)))
     return all(ok and 0 < compared == len(first) for first, (ok, compared) in checks)
 
 

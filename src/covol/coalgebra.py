@@ -24,6 +24,7 @@ from .voltage import path_weight, twist_weighting, weighting_from_lifting
 
 
 _ONE = 1
+_UNSET = object()  # a smash shift not computed yet
 
 
 class CoalgebraError(ValueError):
@@ -415,15 +416,15 @@ def is_homogeneous(basis, weighting, return_witness=False):
 class SmashCoalgebra:
     """Smash coproduct of a graded coalgebra-with-basis and a group window.
 
-    Symbols are (base symbol, window element).  The coproduct of (c, g) is
-    the sum over base coproduct terms (c1, c2) of (c1, w(c2) g) tensor
-    (c2, g); terms whose shifted window element escapes the window are
-    dropped and the symbol is flagged truncated.
-
-    The shifts come from a table, window element g -> weight w -> w g (None
-    outside the window), filled on first use: each distinct (weight,
-    window element) product is computed once per instance, and no
-    coproduct term multiplies in the group.
+    With base symbols 0..n-1, the symbol (c, g) is the int j * n + c, g the
+    j-th window element, so verifiers and maps key on ints; `symbol(c, g)`
+    encodes, `decode` decodes, and labels, JSON and witnesses decode.  The
+    coproduct of (c, g) is the sum over base coproduct terms (c1, c2) of
+    (c1, w(c2) g) tensor (c2, g); a term whose shifted element escapes the
+    window is dropped and the symbol flagged truncated.  Each shift, the
+    offset j' * n of w g or None outside the window, comes from a table,
+    window index -> interned weight id, filled on first use: one product
+    per distinct (weight, window element), and no group element hashed.
     """
 
     def __init__(self, base, weight_of, group, window):
@@ -432,52 +433,63 @@ class SmashCoalgebra:
         self.group = group
         self.window = list(window)
         self.window_pos = {g: i for i, g in enumerate(self.window)}
-        self._symbols = [(c, g) for g in self.window for c in base.symbols()]
-        self._symbol_pos = {s: i for i, s in enumerate(self._symbols)}
-        self._coproduct_cache = {}
-        self._shifts = {}
+        self._n = n = base.dimension
+        ids = {}  # weight -> weight id
+        self._weight_id = [ids.setdefault(weight_of(c), len(ids)) for c in range(n)]
+        self._weights = list(ids)
+        self._shifts = [[_UNSET] * len(ids) for _ in self.window]
+        self._coproducts = [None] * (n * len(self.window))
         self._base_counit = base.counit
 
     def symbols(self):
-        return list(self._symbols)
+        return range(len(self._coproducts))
 
-    def has_symbol(self, sym):
-        return sym in self._symbol_pos
+    def symbol(self, c, g):
+        """The symbol (c, g), or None outside the window or the base."""
+        j = self.window_pos.get(g)
+        return None if j is None or not 0 <= c < self._n else j * self._n + c
+
+    def decode(self, sym):
+        """(base symbol, window element) of a symbol."""
+        j, c = divmod(sym, self._n)
+        return c, self.window[j]
 
     def coproduct(self, sym):
-        cached = self._coproduct_cache.get(sym)
-        if cached is not None:
-            return cached
-        c, g = sym
-        shifts = self._shifts.setdefault(g, {})
-        weight_of = self.weight_of
+        entry = self._coproducts[sym]
+        if entry is not None:
+            return entry
+        n = self._n
+        j, c = divmod(sym, n)
+        at, g = sym - c, self.window[j]
+        shifts, weight_id = self._shifts[j], self._weight_id
         terms = []
         base_terms, truncated = self.base.coproduct(c)
         for coeff, c1, c2 in base_terms:
-            w = weight_of(c2)
-            if w not in shifts:
-                shifted = self.group.multiply(w, g)
-                shifts[w] = shifted if shifted in self.window_pos else None
-            shifted = shifts[w]
-            if shifted is None:
+            w = weight_id[c2]
+            shift = shifts[w]
+            if shift is _UNSET:
+                k = self.window_pos.get(self.group.multiply(self._weights[w], g))
+                shift = shifts[w] = None if k is None else k * n
+            if shift is None:
                 truncated = True
             else:
-                terms.append((coeff, (c1, shifted), (c2, g)))
-        entry = self._coproduct_cache[sym] = (terms, truncated)
+                terms.append((coeff, shift + c1, at + c2))
+        entry = self._coproducts[sym] = (terms, truncated)
         return entry
 
     def counit(self, sym):
-        return self._base_counit(sym[0])
+        return self._base_counit(sym % self._n)
 
     def is_interior(self, sym):
         return not self.coproduct(sym)[1]
 
     def label(self, sym):
-        return "%s#%s" % (self.base.label(sym[0]), self.group.format(sym[1]))
+        c, g = self.decode(sym)
+        return "%s#%s" % (self.base.label(c), self.group.format(g))
 
     @property
     def dimension(self):
-        return len(self._symbols)
+        return len(self._coproducts)
 
 
 def smash_coalgebra(basis, weighting, window):
@@ -696,7 +708,8 @@ def cover_projection_map(cover_pindex, base_pindex, morphism):
 def smash_projection_map(smash_coalg):
     """Canonical coalgebra map of a smash coproduct onto its base: forget
     the window coordinate."""
-    return basis_map([(sym, sym[0]) for sym in smash_coalg.symbols()])
+    n = smash_coalg.base.dimension
+    return basis_map((sym, sym % n) for sym in smash_coalg.symbols())
 
 
 def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
@@ -705,8 +718,8 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
     lifting.
 
     Returns (psi, phi, smash_coalgebra, induced weighting) where
-    psi: cover paths -> smash symbols sends a path to (its projection,
-    deck displacement of its start from the lifted start), and
+    psi: cover paths -> smash symbols sends a path to the symbol of (its
+    projection, deck displacement of its start from the lifted start), and
     phi: smash symbols -> cover paths lifts a path at the deck translate
     of the lifted source; at the canonical lifting of a smash quiver it is
     the basis bijection (p, g) -> the lift of p through the window fiber g.
@@ -725,29 +738,24 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
     morphism = cover.morphism
     induced = weighting_from_lifting(cover, lifting)
     smash_coalg = smash_path_coalgebra(base_pindex, induced, window)
-    window_set = set(window)
+    n_base = len(base_pindex)
 
     lifted_inverse = [group.inverse(cover.deck_of(lifting[u]))
                       for u in range(morphism.codomain.num_vertices())]
-    displacement = []
-    for v, u in enumerate(morphism.vertex_map):
-        sigma = group.multiply(lifted_inverse[u], cover.deck_of(v))
-        displacement.append(sigma if sigma in window_set else None)
+    # symbol(image, sigma) = symbol(0, sigma) + image, one offset per cover vertex
+    offset = [smash_coalg.symbol(0, group.multiply(lifted_inverse[u], cover.deck_of(v)))
+              for v, u in enumerate(morphism.vertex_map)]
     cover_paths = cover_pindex.paths
     projection = _projection(cover_pindex, base_pindex, morphism)
-    psi_pairs = []
-    for i, image in enumerate(projection):
-        sigma = displacement[cover_paths[i][0]]
-        if sigma is not None:
-            psi_pairs.append((i, (image, sigma)))
-    psi = basis_map(psi_pairs)
+    psi = basis_map((i, at + image) for i, image in enumerate(projection)
+                    if (at := offset[cover_paths[i][0]]) is not None)
 
     base_paths = base_pindex.paths
-    prefix = [base_pindex.prefix(i) for i in range(len(base_paths))]
+    prefix = [base_pindex.prefix(i) for i in range(n_base)]
     lifts, path_of = morphism.lifts, cover_pindex.path_of
     phi_pairs = []
-    for g in window:
-        lifted = [None] * len(base_paths)
+    for gi, g in enumerate(window):
+        lifted = [None] * n_base
         for i, (src, _, arrows) in enumerate(base_paths):
             if not arrows:
                 start = cover.act_vertex(lifting[src], g)
@@ -766,7 +774,7 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
                 if idx is None:
                     continue
             lifted[i] = idx
-            phi_pairs.append(((i, g), idx))
+            phi_pairs.append((gi * n_base + i, idx))
     return psi, basis_map(phi_pairs), smash_coalg, induced
 
 
@@ -782,11 +790,11 @@ def twist_iso(base_pindex, weighting, vertex_weighting, window):
     target = smash_path_coalgebra(base_pindex, twisted, window)
     pairs = []
     for sym in source.symbols():
-        i, g = sym
-        shifted = group.multiply(
-            group.inverse(vertex_weighting.of(base_pindex.source(i))), g)
-        if target.has_symbol((i, shifted)):
-            pairs.append((sym, (i, shifted)))
+        i, g = source.decode(sym)
+        shifted = target.symbol(i, group.multiply(
+            group.inverse(vertex_weighting.of(base_pindex.source(i))), g))
+        if shifted is not None:
+            pairs.append((sym, shifted))
     return basis_map(pairs), source, target, twisted
 
 

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .coalgebra import CoalgebraError, _nonzero, coproduct_of_vector, \
-    apply_map, rational_str
+    apply_map, rational_str, smash_projection_map
 from .exactlin import SparseVector, matmul_int, rref, solve_affine
 from .groups import FgAbelian
 
@@ -111,7 +111,7 @@ def to_smash_comodule(graded, smash):
         g = group.inverse(graded.degrees[j])
         if g not in smash.window_pos:
             raise CoalgebraError("degree %s leaves the window" % group.format(g))
-        coaction[(i, j)] = {(sym, g): c for sym, c in coeff.items()}
+        coaction[(i, j)] = {smash.symbol(sym, g): c for sym, c in coeff.items()}
     return Comodule(smash, M.labels, coaction)
 
 
@@ -141,7 +141,8 @@ def from_smash_comodule(N):
     n = N.dimension
     coefficients = {}  # group element -> dense matrix
     for (i, j), coeff in N.coaction.items():
-        for (sym, g), c in coeff.items():
+        for s, c in coeff.items():
+            sym, g = smash.decode(s)
             eps = base.counit(sym)
             if eps:
                 h = group.inverse(g)
@@ -199,12 +200,7 @@ def from_smash_comodule(N):
         labels = ["n%d" % t for t in range(n)]
         M = Comodule(smash, labels, coaction)
         change = P
-    projected = {}
-    for (i, j), coeff in M.coaction.items():
-        cell = projected[(i, j)] = {}
-        for (sym, _), c in coeff.items():
-            cell[sym] = cell.get(sym, 0) + c
-    under = Comodule(base, M.labels, projected)
+    under = push_down(M, smash_projection_map(smash), base)
     graded = GradedComodule(under, degrees, smash.weight_of, group)
     return graded, change
 

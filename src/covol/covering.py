@@ -153,10 +153,10 @@ def build_lifted_subcoalgebra(base, weighting, window):
         raise CoveringError("base subcoalgebra is not homogeneous; witness %s"
                             % exc.witness) from None
     cov = span_of_liftings(base, weighting, window)
-    proj = smash_projection_map(smash_coalg)
-    ok, bad, _ = verify_coalgebra_map(proj, smash_coalg, base)
+    ok, bad, _ = verify_coalgebra_map(smash_projection_map(smash_coalg), smash_coalg, base)
     if not ok:
-        raise CoveringError("projection failed to be a coalgebra map at %r" % (bad,))
+        raise CoveringError("projection failed to be a coalgebra map at %r"
+                            % smash_coalg.label(bad))
     return cov
 
 

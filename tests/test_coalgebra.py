@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from covol.coalgebra import (
-    CoalgebraError, PathIndex, SparseVector, SubcoalgebraBasis,
+    CoalgebraError, PathIndex, SmashCoalgebra, SparseVector, SubcoalgebraBasis,
     TruncatedPathCoalgebra, basis_map, coassociativity_ok, counit_vector,
     cover_projection_map, covering_coalgebra_iso, delta_terms, delta_vector,
     endpoints, subcoalgebra_closure,
@@ -19,7 +19,7 @@ from covol.fixtures import (
     sl2_fixture, tri_fixture,
 )
 from covol.exactlin import rref
-from covol.groups import FgAbelian
+from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.quiver import Quiver
 from covol.voltage import (
     ArrowWeighting, GaloisCoverData, VertexWeighting, smash_quiver,
@@ -342,7 +342,7 @@ def test_smash_coalgebra_group_likes():
         fx.pindex, {k: v for k, v in fx.basis.spaces.items()})
     smash = smash_coalgebra(fx.basis, fx.weighting, window_ball(Z, 2))
     for sym in smash.symbols():
-        c, g = sym
+        c, g = smash.decode(sym)
         if fx.basis.counit(c) == 1 and len(fx.basis.row_vector(c).support()) == 1:
             terms, truncated = smash.coproduct(sym)
             if fx.pindex.length(next(iter(fx.basis.row_vector(c).support()))) == 0:
@@ -356,13 +356,59 @@ def test_smash_coalgebra_loop_formula():
     a2 = fx.pindex.from_names(["a", "a"])
     x = fx.pindex.vertex_path("x")
     a = fx.pindex.arrow_path("a")
-    terms, truncated = smash.coproduct((a2, zint(0)))
+    at = smash.symbol
+    terms, truncated = smash.coproduct(at(a2, zint(0)))
     assert not truncated
     assert sorted(terms) == sorted([
-        (Fraction(1), (x, zint(2)), (a2, zint(0))),
-        (Fraction(1), (a, zint(1)), (a, zint(0))),
-        (Fraction(1), (a2, zint(0)), (x, zint(0))),
+        (Fraction(1), at(x, zint(2)), at(a2, zint(0))),
+        (Fraction(1), at(a, zint(1)), at(a, zint(0))),
+        (Fraction(1), at(a2, zint(0)), at(x, zint(0))),
     ])
+
+
+def _edge_windows():
+    """(base coalgebra, weight of each base symbol, group, window, window
+    elements outside it) over free and torsion `FgAbelian`, `FiniteTable`
+    and `FreeGroup` windows, on path coalgebras and on a subcoalgebra."""
+    dbl = double_loop_fixture(2)
+    z3, z5 = FgAbelian(1, (3,)), FgAbelian(0, (5,))
+    c4 = FiniteTable.cyclic(4)
+    f2 = FreeGroup(2)
+    out = []
+    for group, a, b, outside in [
+            (Z, zint(1), zint(-1), [zint(3), zint(-4)]),
+            (z3, z3.element([1], [2]), z3.element([0], [1]), [z3.element([3], [0])]),
+            (z5, z5.element([], [2]), z5.element([], [4]), []),
+            (c4, 1, 3, []),
+            (f2, f2.generator(0), f2.generator(1), [f2.word([1, 2, 1])])]:
+        weighting = ArrowWeighting(dbl.quiver, group, {0: a, 1: b})
+        weights = [dbl.pindex.weight(weighting, i) for i in range(len(dbl.pindex))]
+        window = window_ball(group, 2)
+        out.append((TruncatedPathCoalgebra(dbl.pindex), weights, group, window, outside))
+    fx = sl2_fixture(4)
+    weights = [fx.pindex.weight(fx.weighting, next(iter(fx.basis.row_vector(c).support())))
+               for c in fx.basis.symbols()]
+    out.append((fx.basis, weights, Z, fx.window(2), [zint(3)]))
+    return out
+
+
+def test_smash_symbol_edge_round_trips_on_every_backend():
+    for base, weights, group, window, outside in _edge_windows():
+        smash = SmashCoalgebra(base, weights.__getitem__, group, window)
+        n = base.dimension
+        # ids in window-major order: the (c, g) list the tuple symbols had
+        assert [smash.decode(s) for s in smash.symbols()] == \
+            [(c, g) for g in window for c in base.symbols()]
+        assert smash.dimension == len(smash.symbols()) == n * len(window)
+        for g in window:
+            for c in base.symbols():
+                sym = smash.symbol(c, g)
+                assert type(sym) is int and smash.decode(sym) == (c, g)
+                assert smash.label(sym) == "%s#%s" % (base.label(c), group.format(g))
+            assert smash.symbol(-1, g) is None and smash.symbol(n, g) is None
+        for g in outside:
+            assert g not in window
+            assert all(smash.symbol(c, g) is None for c in base.symbols())
 
 
 def test_smash_coalgebra_inhomogeneous_rejected():
@@ -401,16 +447,17 @@ def _canonical_phi(fx, window):
 def test_canonical_phi_vertices_arrows():
     fx = loop_fixture(4)
     sq, cover_pindex, emap = _canonical_phi(fx, window_ball(Z, 3))
+    at = smash_path_coalgebra(fx.pindex, fx.weighting, window_ball(Z, 3)).symbol
     x = fx.pindex.vertex_path("x")
     v = sq.vertex_of("x", zint(0))
-    assert emap[(x, zint(0))] == {cover_pindex.vertex_path(v): Fraction(1)}
+    assert emap[at(x, zint(0))] == {cover_pindex.vertex_path(v): Fraction(1)}
     a = fx.pindex.arrow_path("a")
     ca = sq.arrow_of("a", zint(0))
-    assert emap[(a, zint(0))] == {cover_pindex.arrow_path(ca): Fraction(1)}
+    assert emap[at(a, zint(0))] == {cover_pindex.arrow_path(ca): Fraction(1)}
     # phi(a^2 # 0) is the two-step path through fibers 0 then 1
     a2 = fx.pindex.from_names(["a", "a"])
     arrows = (sq.arrow_of("a", zint(0)), sq.arrow_of("a", zint(1)))
-    assert emap[(a2, zint(0))] == {cover_pindex.path_of(arrows): Fraction(1)}
+    assert emap[at(a2, zint(0))] == {cover_pindex.path_of(arrows): Fraction(1)}
 
 
 def test_canonical_phi_intertwines_delta():
@@ -542,14 +589,15 @@ def test_twist_iso_commutes_with_right_action():
     gamma = VertexWeighting.by_name(fx.quiver, Z, {"x": zint(1), "y": zint(-1)})
     tmap, source, target, _ = twist_iso(fx.pindex, fx.weighting, gamma, window)
     h = zint(1)
-    for (i, g), image in tmap.items():
-        shifted_src = (i, Z.multiply(g, h))
+    for sym, image in tmap.items():
+        i, g = source.decode(sym)
+        shifted_src = source.symbol(i, Z.multiply(g, h))
         if shifted_src not in tmap:
             continue
-        (j, gp), = image.keys()
-        want = (j, Z.multiply(gp, h))
+        (j, gp), = map(target.decode, image.keys())
+        want = target.symbol(j, Z.multiply(gp, h))
         got = next(iter(tmap[shifted_src]))
-        if target.has_symbol(want):
+        if want is not None:
             assert got == want
 
 

@@ -79,6 +79,21 @@ def test_build_lifted_decides_homogeneity_once(monkeypatch):
     assert build_lifted_subcoalgebra(fx.basis, fx.weighting, fx.window(4)).lifted_dimension > 0
 
 
+def test_build_lifted_names_a_failing_projection_symbol_by_its_label(monkeypatch):
+    # a projection that is the identity on symbol ids sends (a, -4), the
+    # second symbol, to base symbol 1 but its coproduct term (x, -3) to
+    # base symbol 4: the error names the symbol by its label, not its id
+    fx = loop_fixture(4)
+
+    def identity_on_ids(smash):
+        return {s: {s: 1} for s in smash.symbols()}
+
+    monkeypatch.setattr(covering, "smash_projection_map", identity_on_ids)
+    with pytest.raises(CoveringError) as exc:
+        build_lifted_subcoalgebra(fx.basis, fx.weighting, fx.window(4))
+    assert str(exc.value) == "projection failed to be a coalgebra map at 'a#-4'"
+
+
 @pytest.mark.parametrize("name", ["tri_acbc", "kron"])
 def test_smash_command_decides_homogeneity_once(monkeypatch, name):
     # the report equals the golden: an inhomogeneous subcoalgebra still

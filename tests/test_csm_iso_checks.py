@@ -9,6 +9,10 @@ seeded liftings the command itself draws, and on mutated copies of the
 maps, both must give the same verdict.  A check that compares no symbol,
 or skips a symbol of its first map, must not count as a pass.
 
+Smash symbols and base symbols are both ints: a psi, phi or projection
+that puts one where the other belongs must fail the command on every
+fixture.
+
 Path splittings are computed once per `PathIndex` into a table that
 every coalgebra over the index reads; the tests count the computations
 and compare the table with a fresh computation.
@@ -26,7 +30,7 @@ from covol import cli
 from covol.coalgebra import (
     PathIndex, TruncatedPathCoalgebra, compose_maps, composite_agrees,
     counit_vector, delta_terms, delta_vector, is_identity_map,
-    smash_path_coalgebra, smash_projection_map,
+    smash_path_coalgebra, smash_projection_map, verify_coalgebra_map,
 )
 from covol.exactlin import SparseVector
 from covol.fixtures import loop_fixture
@@ -90,12 +94,10 @@ def _oracle_checks(psi, phi, smash, expected):
 
 
 def _lookup_checks(psi, phi, smash, expected):
-    def base_of(sym):
-        return {sym[0]: 1} if smash.has_symbol(sym) else None
-
     return (composite_agrees(psi.get, phi, _unit_at),
             composite_agrees(phi.get, psi, _unit_at),
-            composite_agrees(base_of, psi, expected.__getitem__))
+            composite_agrees(smash_projection_map(smash).get, psi,
+                             expected.__getitem__))
 
 
 def _assert_same_verdicts(psi, phi, smash, expected):
@@ -227,13 +229,94 @@ def test_csm_iso_fails_when_a_matching_pair_is_deleted(monkeypatch, tmp_path, na
     assert (report["liftings"], report["verified"]) == (6, 0)
 
 
+# ---------------------------------------------------------------------------
+# a smash symbol id and a base symbol id are both ints: mixing them is caught
+
+
+def _csm_iso_maps(monkeypatch, tmp_path, name):
+    """(psi, phi, smash coalgebra, cover path coalgebra) for every lifting
+    `csm-iso` checks on a fixture, as the command computes them."""
+    iso, seen = cli.covering_coalgebra_iso, []
+
+    def record(cover, lifting, base_pindex, cover_pindex, window):
+        result = iso(cover, lifting, base_pindex, cover_pindex, window)
+        seen.append((*result[:3], TruncatedPathCoalgebra(cover_pindex)))
+        return result
+
+    monkeypatch.setattr(cli, "covering_coalgebra_iso", record)
+    code, _ = _run_csm_iso(_fixture_path(name, tmp_path))
+    monkeypatch.undo()
+    assert code == 0 and len(seen) == 6
+    return seen
+
+
+def _psi_on_base_ids(psi, phi, smash):
+    """psi sending a cover path to its base path index, not its smash id."""
+    return {p: {smash.decode(t)[0]: c for t, c in image.items()}
+            for p, image in psi.items()}, phi
+
+
+def _phi_on_base_ids(psi, phi, smash):
+    """phi keyed by the base path index of each smash symbol."""
+    return psi, {smash.decode(s)[0]: image for s, image in phi.items()}
+
+
+def _projection_on_ids(smash):
+    """The smash projection as the identity on symbol ids."""
+    return {s: {s: 1} for s in smash.symbols()}
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+@pytest.mark.parametrize("mixed", ["psi", "phi", "projection"])
+def test_base_ids_for_smash_ids_are_caught(monkeypatch, tmp_path, name, mixed):
+    """A psi into base ids, a phi keyed by base ids, or a projection that
+    keeps the smash id: `csm-iso` verifies no lifting of any fixture.
+
+    Base ids are the smash ids of the first window element, a boundary
+    element, so `verify_coalgebra_map` skips most symbols there.  It
+    still fails the psi and the projection mixups at some lifting of
+    every fixture (the projection one may instead raise `IndexError`, on
+    an image id past the base's last symbol).  A phi keyed by base ids it
+    cannot see: it skips every symbol whose coproduct leaves phi's
+    domain, and on the rest phi is a deck translate of the right map.
+    There phi's symbol count and the inverse checks catch it."""
+    verdicts = []
+    for psi, phi, smash, cover_coalg in _csm_iso_maps(monkeypatch, tmp_path, name):
+        if mixed == "psi":
+            bad = _psi_on_base_ids(psi, phi, smash)[0]
+            verdicts.append(verify_coalgebra_map(bad, cover_coalg, smash)[0])
+        elif mixed == "projection":
+            try:
+                verdicts.append(verify_coalgebra_map(
+                    _projection_on_ids(smash), smash, smash.base)[0])
+            except IndexError:
+                pass
+    assert mixed == "phi" or False in verdicts
+    if mixed == "projection":
+        monkeypatch.setattr(cli, "smash_projection_map", _projection_on_ids)
+    else:
+        iso = cli.covering_coalgebra_iso
+        mutate = _psi_on_base_ids if mixed == "psi" else _phi_on_base_ids
+
+        def mutated(*args):
+            psi, phi, smash, weighting = iso(*args)
+            return (*mutate(psi, phi, smash), smash, weighting)
+
+        monkeypatch.setattr(cli, "covering_coalgebra_iso", mutated)
+    code, out = _run_csm_iso(_fixture_path(name, tmp_path))
+    report = json.loads(out)
+    assert code == 1
+    assert report["verified"] == 0 < report["liftings"] == 6
+
+
 def test_disjoint_domains_do_not_pass_vacuously():
     fx = loop_fixture()
     smash = smash_path_coalgebra(fx.pindex, fx.weighting, fx.window(1))
     e = fx.group.identity()
+    at = smash.symbol
     # psi's image lies outside phi's domain and the other way round
-    psi = {0: {(1, e): 1}}
-    phi = {(0, e): {1: 1}}
+    psi = {0: {at(1, e): 1}}
+    phi = {at(0, e): {1: 1}}
     expected = {0: {1: 1}, 1: {1: 1}}
     assert is_identity_map(compose_maps(psi, phi))  # the old checks held vacuously
     assert is_identity_map(compose_maps(phi, psi))
@@ -241,12 +324,13 @@ def test_disjoint_domains_do_not_pass_vacuously():
     assert composite_agrees(phi.get, psi, _unit_at) == (True, 0)
     assert not cli._inverse_over_base(psi, phi, smash, expected)
     # the same maps made inverse on one symbol, over the right base path
-    psi, phi = {0: {(0, e): 1}}, {(0, e): {0: 1}}
+    psi, phi = {0: {at(0, e): 1}}, {at(0, e): {0: 1}}
     assert cli._inverse_over_base(psi, phi, smash, {0: {0: 1}})
     assert not cli._inverse_over_base(psi, phi, smash, {0: {1: 1}})
     # psi's image is no smash symbol: the square compares nothing
-    assert not cli._inverse_over_base({0: {(0, "outside"): 1}},
-                                      {(0, "outside"): {0: 1}}, smash, {0: {0: 1}})
+    outside = smash.dimension
+    assert not cli._inverse_over_base({0: {outside: 1}},
+                                      {outside: {0: 1}}, smash, {0: {0: 1}})
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +388,8 @@ def test_shared_table_matches_a_fresh_computation(tmp_path, name):
             assert coalg.counit(i) == counit_vector(index, unit)
     smash = smash_path_coalgebra(pindex, weighting, window_ball(weighting.group, 1))
     for sym in smash.symbols():
-        assert smash.counit(sym) == counit_vector(pindex, SparseVector.unit(sym[0]))
+        assert smash.counit(sym) == counit_vector(
+            pindex, SparseVector.unit(smash.decode(sym)[0]))
     for sym in basis.symbols():
         row = basis.row_vector(sym)
         want = {key: c for i, c in row.items() for key in _oracle_delta_terms(pindex, i)}

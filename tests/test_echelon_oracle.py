@@ -109,13 +109,13 @@ def oracle_closure(pindex, generators):
 
 
 def oracle_smash_coproduct(smash, sym):
-    c, g = sym
+    c, g = smash.decode(sym)
     terms = []
     base_terms, truncated = smash.base.coproduct(c)
     for coeff, c1, c2 in base_terms:
         shifted = smash.group.multiply(smash.weight_of(c2), g)
         if shifted in smash.window_pos:
-            terms.append((coeff, (c1, shifted), (c2, g)))
+            terms.append((coeff, smash.symbol(c1, shifted), smash.symbol(c2, g)))
         else:
             truncated = True
     return terms, truncated
@@ -344,7 +344,7 @@ def test_smash_coproduct_matches_multiply_rule_on_every_backend():
                                        window_ball(group, rng.randint(1, 2)))
                 got = {sym: smash.coproduct(sym) for sym in smash.symbols()}
                 # one product per distinct (weight, window element), none per term
-                pairs = {(weights[c2], g) for c, g in smash.symbols()
+                pairs = {(weights[c2], g) for c, g in map(smash.decode, smash.symbols())
                          for _, _, c2 in base.coproduct(c)[0]}
                 assert counting.products == len(pairs)
                 for sym in smash.symbols():

@@ -25,7 +25,8 @@ from covol.voltage import GaloisCoverData, smash_quiver, weighting_from_lifting
 
 
 # ---------------------------------------------------------------------------
-# oracles: the per-path rules, verbatim
+# oracles: the per-path rules, verbatim but for the smash symbols, which
+# are encoded through `symbol`
 
 
 def oracle_covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
@@ -42,7 +43,7 @@ def oracle_covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, win
         sigma = group.multiply(group.inverse(cover.deck_of(lifting[base_src])),
                                cover.deck_of(src))
         if sigma in window_set:
-            psi_pairs.append((i, (next(iter(image)), sigma)))
+            psi_pairs.append((i, smash_coalg.symbol(next(iter(image)), sigma)))
     psi = basis_map(psi_pairs)
 
     phi_pairs = []
@@ -53,7 +54,8 @@ def oracle_covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, win
             if start is None:
                 continue
             if not arrows:
-                phi_pairs.append(((i, g), cover_pindex.vertex_path(start)))
+                phi_pairs.append((smash_coalg.symbol(i, g),
+                                  cover_pindex.vertex_path(start)))
                 continue
             try:
                 lifted = lift_walk(cover.morphism, base_pindex.walk(i), start)
@@ -61,7 +63,7 @@ def oracle_covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, win
                 continue
             idx = cover_pindex.path_of(tuple(a for a, _ in lifted.steps))
             if idx is not None:
-                phi_pairs.append(((i, g), idx))
+                phi_pairs.append((smash_coalg.symbol(i, g), idx))
     phi = basis_map(phi_pairs)
     return psi, phi, smash_coalg, induced
 
@@ -135,7 +137,7 @@ def _compare(cover, lifting, base_pindex, cover_pindex, window, seen):
     seen["ok"] += 1
     cover_coalg = TruncatedPathCoalgebra(cover_pindex)
     swapped = dict(phi)
-    keys = [k for k in phi if base_pindex.length(k[0])][:2]
+    keys = [k for k in phi if base_pindex.length(smash.decode(k)[0])][:2]
     if len(keys) == 2:
         swapped[keys[0]], swapped[keys[1]] = phi[keys[1]], phi[keys[0]]
     for linmap, source, target in ((psi, cover_coalg, smash), (phi, smash, cover_coalg),

@@ -369,7 +369,7 @@ def test_canonical_phi_is_the_path_lift_of_the_covering_test():
             window = fx.window(radius)
             sq = smash_quiver(fx.quiver, fx.weighting, window)
             cover_pindex = PathIndex(sq.quiver, fx.pindex.truncation)
-            _, phi, _, _ = covering_coalgebra_iso(
+            _, phi, smash, _ = covering_coalgebra_iso(
                 GaloisCoverData.from_smash(sq), sq.canonical_lifting(),
                 fx.pindex, cover_pindex, window)
             symbols = set()
@@ -377,12 +377,13 @@ def test_canonical_phi_is_the_path_lift_of_the_covering_test():
                 for i in range(len(fx.pindex)):
                     lifted = _lift_vector(sq, cover_pindex, fx.pindex,
                                           SparseVector.unit(i), g)
+                    sym = smash.symbol(i, g)
                     if lifted is None:
-                        assert (i, g) not in phi, (fx.name, radius, g, i)
+                        assert sym not in phi, (fx.name, radius, g, i)
                         undefined += 1
                     else:
-                        assert phi[(i, g)] == lifted.entries, (fx.name, radius, g, i)
-                        symbols.add((i, g))
+                        assert phi[sym] == lifted.entries, (fx.name, radius, g, i)
+                        symbols.add(sym)
                         defined += 1
             assert set(phi) == symbols, (fx.name, radius)
     assert defined > 100 and undefined > 100
