@@ -19,11 +19,13 @@ import pytest
 
 from covol import coalgebra, fixtures, workspace
 from covol.coalgebra import (
-    CoalgebraError, PathIndex, SubcoalgebraBasis, endpoints, subcoalgebra_closure,
+    CoalgebraError, PathIndex, SubcoalgebraBasis, endpoints, full_subcoalgebra,
+    subcoalgebra_closure,
 )
 from covol.exactlin import SparseVector, Subspace, _Echelon
 from covol.fixtures import (
-    all_fixtures, double_loop_fixture, kronecker_fixture, sl2_fixture, tri_fixture,
+    all_fixtures, double_loop_fixture, kronecker_fixture, loop_fixture, sl2_fixture,
+    tri_fixture,
 )
 from covol.quiver import Quiver
 
@@ -171,6 +173,16 @@ def _random_generators(rng, pindex):
             for _ in range(rng.randint(1, 4))]
 
 
+def _units(pindex):
+    return [SparseVector.unit(i) for i in range(len(pindex))]
+
+
+def _full_fixture_indices():
+    """The path indices of the fixtures built by `full_subcoalgebra`."""
+    return [loop_fixture().pindex, double_loop_fixture().pindex,
+            kronecker_fixture().pindex]
+
+
 # ---------------------------------------------------------------------------
 # tests
 
@@ -178,6 +190,9 @@ def _random_generators(rng, pindex):
 def test_closure_matches_oracle_on_shipped_fixtures(monkeypatch):
     cases = _recorded_closures(monkeypatch, all_fixtures)
     cases += _recorded_closures(monkeypatch, _shipped_workspaces)
+    # loop, dbl and kron build their full coalgebras without a closure;
+    # the closure of their units is still compared here
+    cases += [(pindex, _units(pindex)) for pindex in _full_fixture_indices()]
     assert len(cases) == 12
     counter = _AddCounter(monkeypatch)
     for pindex, gens in cases:
@@ -186,6 +201,26 @@ def test_closure_matches_oracle_on_shipped_fixtures(monkeypatch):
         # the shipped closures keep every scalar's type too
         assert _typed(subcoalgebra_closure(pindex, gens)) == \
             _typed(oracle_closure(pindex, gens))
+
+
+def test_full_subcoalgebra_is_the_closure_of_the_units(monkeypatch):
+    """On every fixture and on the double loop at truncation 4 to 6, the
+    directly built full coalgebra has the spaces, pivots and symbol order
+    of the closure of all units, and no closure runs to build it."""
+    dbl = double_loop_fixture(1).quiver
+    indices = [fx.pindex for fx in all_fixtures()] + [PathIndex(dbl, t) for t in (4, 5, 6)]
+    for pindex in indices:
+        want = subcoalgebra_closure(pindex, _units(pindex))
+        monkeypatch.setattr(coalgebra, "subcoalgebra_closure", None)
+        got = full_subcoalgebra(pindex)
+        monkeypatch.undo()
+        assert got.spaces == want.spaces
+        assert {p: s.pivots for p, s in got.spaces.items()} == \
+            {p: s.pivots for p, s in want.spaces.items()}
+        assert got.basis_rows == want.basis_rows
+        assert [got.label(s) for s in got.symbols()] == \
+            [want.label(s) for s in want.symbols()]
+        assert got.dimension == len(pindex)
 
 
 def test_closure_matches_oracle_on_benchmark_closures(monkeypatch):

@@ -411,6 +411,48 @@ def test_smash_symbol_edge_round_trips_on_every_backend():
             assert all(smash.symbol(c, g) is None for c in base.symbols())
 
 
+def test_ids_outside_the_range_are_refused():
+    """Every smash method that takes an id refuses one outside
+    range(dimension), also once every coproduct is cached, and so does
+    the coproduct of a path coalgebra and of a subcoalgebra."""
+    for base, weights, group, window, _ in _edge_windows():
+        smash = SmashCoalgebra(base, weights.__getitem__, group, window)
+        dim = smash.dimension
+        for sym in smash.symbols():
+            smash.coproduct(sym)
+        for bad in (-1, -dim, -dim - 1, dim, 2 * dim - 1, 2 * dim, 3 * dim):
+            for method in (smash.coproduct, smash.counit, smash.label, smash.decode):
+                with pytest.raises(CoalgebraError):
+                    method(bad)
+    fx = sl2_fixture(4)
+    for coalg in (TruncatedPathCoalgebra(fx.pindex), fx.basis):
+        dim = coalg.dimension
+        for sym in coalg.symbols():
+            coalg.coproduct(sym)
+        for bad in (-1, -dim, -dim - 1, dim, 2 * dim - 1, 2 * dim, 3 * dim):
+            with pytest.raises(CoalgebraError):
+                coalg.coproduct(bad)
+
+
+def test_verify_fails_where_the_target_refuses_an_image():
+    """An image id outside the target fails the first symbol the verifier
+    expands it at, on a smash and on a path coalgebra target."""
+    fx = loop_fixture(4)
+    smash = smash_path_coalgebra(fx.pindex, fx.weighting, fx.window(1))
+    paths = TruncatedPathCoalgebra(fx.pindex)
+    first = min(s for s in smash.symbols() if smash.is_interior(s))
+    for target in (smash, paths):
+        dim = target.dimension
+        for bad in (dim, 3 * dim, -1, -dim - 1):
+            outside = {s: {bad + s if bad > 0 else bad - s: 1} for s in smash.symbols()}
+            assert verify_coalgebra_map(outside, smash, target) == (False, first, 0)
+    last = paths.dimension - 1  # the longest path: no other path splits into it
+    for bad in (paths.dimension + last, -1, -paths.dimension - 1):
+        linmap = basis_map((i, i) for i in paths.symbols())
+        linmap[last] = {bad: 1}
+        assert verify_coalgebra_map(linmap, paths, paths) == (False, last, last)
+
+
 def test_smash_coalgebra_inhomogeneous_rejected():
     fx = tri_fixture("ac+bc")
     with pytest.raises(CoalgebraError):

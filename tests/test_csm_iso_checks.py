@@ -274,9 +274,9 @@ def test_base_ids_for_smash_ids_are_caught(monkeypatch, tmp_path, name, mixed):
 
     Base ids are the smash ids of the first window element, a boundary
     element, so `verify_coalgebra_map` skips most symbols there.  It
-    still fails the psi and the projection mixups at some lifting of
-    every fixture (the projection one may instead raise `IndexError`, on
-    an image id past the base's last symbol).  A phi keyed by base ids it
+    still fails the psi mixup at some lifting of every fixture, and the
+    projection mixup at every lifting: an image id past the base's last
+    symbol, which the base refuses, fails its symbol.  A phi keyed by base ids it
     cannot see: it skips every symbol whose coproduct leaves phi's
     domain, and on the rest phi is a deck translate of the right map.
     There phi's symbol count and the inverse checks catch it."""
@@ -286,12 +286,10 @@ def test_base_ids_for_smash_ids_are_caught(monkeypatch, tmp_path, name, mixed):
             bad = _psi_on_base_ids(psi, phi, smash)[0]
             verdicts.append(verify_coalgebra_map(bad, cover_coalg, smash)[0])
         elif mixed == "projection":
-            try:
-                verdicts.append(verify_coalgebra_map(
-                    _projection_on_ids(smash), smash, smash.base)[0])
-            except IndexError:
-                pass
+            verdicts.append(verify_coalgebra_map(
+                _projection_on_ids(smash), smash, smash.base)[0])
     assert mixed == "phi" or False in verdicts
+    assert mixed != "projection" or verdicts == [False] * 6
     if mixed == "projection":
         monkeypatch.setattr(cli, "smash_projection_map", _projection_on_ids)
     else:
