@@ -194,11 +194,12 @@ def cmd_csm_iso(ws, args):
     seed = int(os.environ.get("COVOL_SEED", "20240801"))
     rng = random.Random(seed)
 
+    nv = weighting.quiver.num_vertices()
     liftings = [sq.canonical_lifting()]
     # A random lift is drawn among the small elements whose vertex is
     # interior, so that every arrow at it lifts inside the window.
     candidates = []
-    for v in range(weighting.quiver.num_vertices() if args.liftings else 0):
+    for v in range(nv if args.liftings else 0):
         candidates.append([g for g in window if _small_window_element(group, g)
                            and sq.vertex_of(v, g) in sq.interior_vertices])
         if not candidates[v]:
@@ -217,19 +218,27 @@ def cmd_csm_iso(ws, args):
     paths_at = [0] * sq.quiver.num_vertices()
     for src, _, _ in cover_pindex.paths:
         paths_at[src] += 1
+    # A lifting's outcome depends only on its cover vertices (the loop
+    # reads command state or fills caches), so a repeated draw is checked
+    # once and counted once per draw.
+    outcomes = {}  # cover vertices in base-vertex order -> (verified, checked)
     verified = 0
     total_checked = 0
     for lifting in liftings:
-        psi, phi, smash_coalg, _ = covering_coalgebra_iso(
-            cover, lifting, basis.pindex, cover_pindex, window)
-        ok1, _, c1 = verify_coalgebra_map(psi, cover_coalg, smash_coalg)
-        ok2, _, c2 = verify_coalgebra_map(phi, smash_coalg, cover_coalg)
-        lifted = sum(paths_at[v] for start in lifting.values() for g in window
-                     if (v := cover.act_vertex(start, g)) is not None)
-        if ok1 and ok2 and c1 and c2 and len(phi) == lifted \
-                and _inverse_over_base(psi, phi, smash_coalg, expected):
-            verified += 1
-        total_checked += c1 + c2
+        key = tuple(lifting[v] for v in range(nv))
+        if key not in outcomes:
+            psi, phi, smash_coalg, _ = covering_coalgebra_iso(
+                cover, lifting, basis.pindex, cover_pindex, window)
+            ok1, _, c1 = verify_coalgebra_map(psi, cover_coalg, smash_coalg)
+            ok2, _, c2 = verify_coalgebra_map(phi, smash_coalg, cover_coalg)
+            lifted = sum(paths_at[v] for start in lifting.values() for g in window
+                         if (v := cover.act_vertex(start, g)) is not None)
+            ok = bool(ok1 and ok2 and c1 and c2 and len(phi) == lifted
+                      and _inverse_over_base(psi, phi, smash_coalg, expected))
+            outcomes[key] = (ok, c1 + c2)
+        ok, checked = outcomes[key]
+        verified += ok
+        total_checked += checked
     report = {
         "command": "csm-iso",
         "liftings": len(liftings),

@@ -193,7 +193,9 @@ def endpoints(pindex, vec):
 
 
 class TruncatedPathCoalgebra:
-    """The full path coalgebra truncated by length; symbols are path indices."""
+    """The full path coalgebra truncated by length; symbols are path
+    indices.  `coproduct`, `counit` and `label` raise `CoalgebraError` on
+    an id outside `range(dimension)`."""
 
     def __init__(self, pindex):
         self.pindex = pindex
@@ -213,10 +215,14 @@ class TruncatedPathCoalgebra:
         return self.pindex._split(sym)
 
     def counit(self, sym):
-        return 0 if self._paths[sym][2] else 1
+        if 0 <= sym < len(self._paths):
+            return 0 if self._paths[sym][2] else 1
+        raise _no_symbol(self, sym)
 
     def label(self, sym):
-        return self.pindex.label(sym)
+        if 0 <= sym < len(self._paths):
+            return self.pindex.label(sym)
+        raise _no_symbol(self, sym)
 
     @property
     def dimension(self):
@@ -229,6 +235,9 @@ class SubcoalgebraBasis:
     Stored as per-(source, target) RREF subspaces in global path
     coordinates.  Symbols are 0..dim-1 in (source, target, row) order; the
     coproduct is expanded in the tensor basis through pivot coordinates.
+    `coproduct`, `counit`, `label` and `row_vector` raise `CoalgebraError`
+    on an id outside `range(dimension)`; the escape check reads the rows
+    by the pivot ids it derives, unchecked.
     """
 
     def __init__(self, pindex, spaces):
@@ -240,6 +249,7 @@ class SubcoalgebraBasis:
             for k, p in enumerate(self.spaces[pair].pivots):
                 self._pivot_of[p] = len(self.basis_rows)
                 self.basis_rows.append((pair, k))
+        self._rows = [self.spaces[pair].rows[k] for pair, k in self.basis_rows]
         self._coproduct_cache = {}
         self._counits = {}
 
@@ -251,8 +261,9 @@ class SubcoalgebraBasis:
         return list(range(self.dimension))
 
     def row_vector(self, sym):
-        pair, k = self.basis_rows[sym]
-        return self.spaces[pair].rows[k]
+        if 0 <= sym < len(self._rows):
+            return self._rows[sym]
+        raise _no_symbol(self, sym)
 
     def row_endpoints(self, sym):
         return self.basis_rows[sym][0]
@@ -285,12 +296,12 @@ class SubcoalgebraBasis:
             return self._coproduct_cache[sym]
         if not 0 <= sym < self.dimension:
             raise _no_symbol(self, sym)
-        diff = delta_vector(self.pindex, self.row_vector(sym))
-        pivot_of = self._pivot_of
+        rows, pivot_of = self._rows, self._pivot_of
+        diff = delta_vector(self.pindex, rows[sym])
         terms = [(c, pivot_of[pl], pivot_of[pr]) for (pl, pr), c in diff.items()
                  if pl in pivot_of and pr in pivot_of]
         for coeff, sl, sr in terms:  # diff becomes the coproduct minus its rebuild
-            lvec, rvec = self.row_vector(sl), self.row_vector(sr)
+            lvec, rvec = rows[sl], rows[sr]
             for i, a in lvec.items():
                 for j, b in rvec.items():
                     key = (i, j)

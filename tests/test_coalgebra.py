@@ -413,8 +413,10 @@ def test_smash_symbol_edge_round_trips_on_every_backend():
 
 def test_ids_outside_the_range_are_refused():
     """Every smash method that takes an id refuses one outside
-    range(dimension), also once every coproduct is cached, and so does
-    the coproduct of a path coalgebra and of a subcoalgebra."""
+    range(dimension), also once every coproduct is cached, and so do the
+    coproduct, counit and label of a path coalgebra and of a subcoalgebra
+    and a subcoalgebra's row vector, also once every counit is cached;
+    a refused id caches nothing."""
     for base, weights, group, window, _ in _edge_windows():
         smash = SmashCoalgebra(base, weights.__getitem__, group, window)
         dim = smash.dimension
@@ -429,9 +431,15 @@ def test_ids_outside_the_range_are_refused():
         dim = coalg.dimension
         for sym in coalg.symbols():
             coalg.coproduct(sym)
+            coalg.counit(sym)
+        methods = [coalg.coproduct, coalg.counit, coalg.label]
+        if coalg is fx.basis:
+            methods.append(coalg.row_vector)
         for bad in (-1, -dim, -dim - 1, dim, 2 * dim - 1, 2 * dim, 3 * dim):
-            with pytest.raises(CoalgebraError):
-                coalg.coproduct(bad)
+            for method in methods:
+                with pytest.raises(CoalgebraError):
+                    method(bad)
+    assert set(fx.basis._counits) == set(fx.basis.symbols())
 
 
 def test_verify_fails_where_the_target_refuses_an_image():

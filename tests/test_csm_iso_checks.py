@@ -16,6 +16,10 @@ fixture.
 Path splittings are computed once per `PathIndex` into a table that
 every coalgebra over the index reads; the tests count the computations
 and compare the table with a fresh computation.
+
+The command checks each distinct lifting once and counts it once per
+draw; a verbatim copy of the loop that checked every draw from scratch
+is the oracle for its exit code and report bytes.
 """
 
 import collections
@@ -23,21 +27,29 @@ import io
 import contextlib
 import json
 import importlib.resources as resources
+import os
+import random
 
 import pytest
 
 from covol import cli
+from covol.cli import (
+    CommandError, _inverse_over_base, _small_window_element, _weighting_of,
+)
 from covol.coalgebra import (
     PathIndex, TruncatedPathCoalgebra, compose_maps, composite_agrees,
-    counit_vector, delta_terms, delta_vector, is_identity_map,
-    smash_path_coalgebra, smash_projection_map, verify_coalgebra_map,
+    counit_vector, cover_projection_map, covering_coalgebra_iso, delta_terms,
+    delta_vector, is_identity_map, smash_path_coalgebra, smash_projection_map,
+    verify_coalgebra_map,
 )
 from covol.exactlin import SparseVector
 from covol.fixtures import loop_fixture
-from covol.voltage import smash_quiver, window_ball
+from covol.voltage import GaloisCoverData, VertexWeighting, smash_quiver, window_ball
 from covol.workspace import parse
 
 FIXTURES = ["loop", "dbl", "kron", "tri_ac", "tri_acbc", "sl2"]
+# distinct liftings among the 6 that `csm-iso` draws at the default seed
+DISTINCT = {"loop": 2, "dbl": 4, "kron": 5, "tri_ac": 6, "tri_acbc": 6, "sl2": 6}
 
 
 def _fixture_path(name, tmp_path):
@@ -47,22 +59,28 @@ def _fixture_path(name, tmp_path):
     return str(path)
 
 
-def _run_csm_iso(path):
+def _run_csm_iso(path, *options):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli.main(["csm-iso", path])
+        code = cli.main(["csm-iso", path, *options])
     return code, out.getvalue()
+
+
+def _key(lifting):
+    """A lifting's cover vertices in base-vertex order."""
+    return tuple(lifting[v] for v in range(len(lifting)))
 
 
 def _captured_isos(monkeypatch, tmp_path, name):
     """(psi, phi, smash coalgebra, expected projection) for every lifting
     `csm-iso` checks on a fixture, as the command computes them."""
     iso, projection = cli.covering_coalgebra_iso, cli.cover_projection_map
-    seen, expected = [], []
+    seen, expected, keys = [], [], set()
 
     def record_iso(*args):
         result = iso(*args)
         seen.append(result[:3])
+        keys.add(_key(args[1]))
         return result
 
     def record_projection(*args):
@@ -73,7 +91,7 @@ def _captured_isos(monkeypatch, tmp_path, name):
     monkeypatch.setattr(cli, "cover_projection_map", record_projection)
     code, _ = _run_csm_iso(_fixture_path(name, tmp_path))
     monkeypatch.undo()
-    assert code == 0 and len(seen) == 6 and len(expected) == 1
+    assert code == 0 and len(seen) == len(keys) == DISTINCT[name] and len(expected) == 1
     return [(psi, phi, smash, expected[0]) for psi, phi, smash in seen]
 
 
@@ -171,8 +189,8 @@ def test_lookup_checks_match_composites(monkeypatch, tmp_path, name):
                 failed[mutate.__name__] += not all(verdicts)
     # A dropped symbol is skipped, by the composites as by the lookups, so
     # only the count of compared symbols catches it; every mutation fails
-    # the command's verdict on every lifting.
-    assert set(failed.values()) == {12}, failed
+    # the command's verdict on every lifting, of phi and of psi.
+    assert set(failed.values()) == {2 * DISTINCT[name]}, failed
 
 
 def test_lookup_checks_catch_a_scaled_coefficient_and_an_empty_image():
@@ -236,17 +254,18 @@ def test_csm_iso_fails_when_a_matching_pair_is_deleted(monkeypatch, tmp_path, na
 def _csm_iso_maps(monkeypatch, tmp_path, name):
     """(psi, phi, smash coalgebra, cover path coalgebra) for every lifting
     `csm-iso` checks on a fixture, as the command computes them."""
-    iso, seen = cli.covering_coalgebra_iso, []
+    iso, seen, keys = cli.covering_coalgebra_iso, [], set()
 
     def record(cover, lifting, base_pindex, cover_pindex, window):
         result = iso(cover, lifting, base_pindex, cover_pindex, window)
         seen.append((*result[:3], TruncatedPathCoalgebra(cover_pindex)))
+        keys.add(_key(lifting))
         return result
 
     monkeypatch.setattr(cli, "covering_coalgebra_iso", record)
     code, _ = _run_csm_iso(_fixture_path(name, tmp_path))
     monkeypatch.undo()
-    assert code == 0 and len(seen) == 6
+    assert code == 0 and len(seen) == len(keys) == DISTINCT[name]
     return seen
 
 
@@ -275,8 +294,8 @@ def test_base_ids_for_smash_ids_are_caught(monkeypatch, tmp_path, name, mixed):
     Base ids are the smash ids of the first window element, a boundary
     element, so `verify_coalgebra_map` skips most symbols there.  It
     still fails the psi mixup at some lifting of every fixture, and the
-    projection mixup at every lifting: an image id past the base's last
-    symbol, which the base refuses, fails its symbol.  A phi keyed by base ids it
+    projection mixup at every distinct lifting: an image id past the
+    base's last symbol, which the base refuses, fails its symbol.  A phi keyed by base ids it
     cannot see: it skips every symbol whose coproduct leaves phi's
     domain, and on the rest phi is a deck translate of the right map.
     There phi's symbol count and the inverse checks catch it."""
@@ -289,7 +308,7 @@ def test_base_ids_for_smash_ids_are_caught(monkeypatch, tmp_path, name, mixed):
             verdicts.append(verify_coalgebra_map(
                 _projection_on_ids(smash), smash, smash.base)[0])
     assert mixed == "phi" or False in verdicts
-    assert mixed != "projection" or verdicts == [False] * 6
+    assert mixed != "projection" or verdicts == [False] * DISTINCT[name]
     if mixed == "projection":
         monkeypatch.setattr(cli, "smash_projection_map", _projection_on_ids)
     else:
@@ -400,3 +419,140 @@ def test_shared_table_matches_a_fresh_computation(tmp_path, name):
                     rebuilt[i, j] += coeff * a * b
         assert {k: v for k, v in rebuilt.items() if v} == want
         assert basis.counit(sym) == counit_vector(pindex, row) == basis.counit(sym)
+
+
+# ---------------------------------------------------------------------------
+# each distinct lifting is checked once, and counted once per draw
+
+
+def oracle_cmd_csm_iso(ws, args):
+    """`cli.cmd_csm_iso` checking every drawn lifting from scratch, a
+    verbatim copy of the loop before repeats were checked once."""
+    decl = ws.sole("subcoalgebra", args.subcoalgebra)
+    basis = decl.basis
+    weighting = _weighting_of(ws, args, on=decl)
+    group = weighting.group
+    window = window_ball(group, args.window)
+    sq = smash_quiver(weighting.quiver, weighting, window)
+    cover = GaloisCoverData.from_smash(sq)
+    cover_pindex = PathIndex(sq.quiver, basis.pindex.truncation)
+    cover_coalg = TruncatedPathCoalgebra(cover_pindex)
+    seed = int(os.environ.get("COVOL_SEED", "20240801"))
+    rng = random.Random(seed)
+
+    liftings = [sq.canonical_lifting()]
+    # A random lift is drawn among the small elements whose vertex is
+    # interior, so that every arrow at it lifts inside the window.
+    candidates = []
+    for v in range(weighting.quiver.num_vertices() if args.liftings else 0):
+        candidates.append([g for g in window if _small_window_element(group, g)
+                           and sq.vertex_of(v, g) in sq.interior_vertices])
+        if not candidates[v]:
+            raise CommandError("no small window element lifts vertex %r to the "
+                               "interior at window %d"
+                               % (weighting.quiver.vertices[v], args.window))
+    for _ in range(args.liftings):
+        named = {v: rng.choice(small) for v, small in enumerate(candidates)}
+        gamma = VertexWeighting(weighting.quiver, group, named)
+        liftings.append(sq.lifting_from_vertex_weighting(gamma))
+
+    expected = cover_projection_map(cover_pindex, basis.pindex, sq.morphism)
+    # phi lifts (p, g) from the translate by g of p's lifted source, so it
+    # has one symbol per cover path leaving such a translate inside the
+    # window: count the cover paths at each vertex once per command.
+    paths_at = [0] * sq.quiver.num_vertices()
+    for src, _, _ in cover_pindex.paths:
+        paths_at[src] += 1
+    verified = 0
+    total_checked = 0
+    for lifting in liftings:
+        psi, phi, smash_coalg, _ = covering_coalgebra_iso(
+            cover, lifting, basis.pindex, cover_pindex, window)
+        ok1, _, c1 = verify_coalgebra_map(psi, cover_coalg, smash_coalg)
+        ok2, _, c2 = verify_coalgebra_map(phi, smash_coalg, cover_coalg)
+        lifted = sum(paths_at[v] for start in lifting.values() for g in window
+                     if (v := cover.act_vertex(start, g)) is not None)
+        if ok1 and ok2 and c1 and c2 and len(phi) == lifted \
+                and _inverse_over_base(psi, phi, smash_coalg, expected):
+            verified += 1
+        total_checked += c1 + c2
+    report = {
+        "command": "csm-iso",
+        "liftings": len(liftings),
+        "verified": verified,
+        "checkedSymbols": total_checked,
+    }
+    return report, None, 0 if verified == len(liftings) else 1
+
+
+def _run_both(monkeypatch, path, options, wrap=lambda iso: iso):
+    """(command's, oracle's) exit code and report, and the keys of the
+    liftings each passed to `covering_coalgebra_iso`, in call order; each
+    call goes through `wrap(covering_coalgebra_iso)`."""
+    runs = []
+    for owner in (cli, None):
+        keys, iso = [], wrap(covering_coalgebra_iso)
+
+        def record(cover, lifting, *rest, keys=keys, iso=iso):
+            keys.append(_key(lifting))
+            return iso(cover, lifting, *rest)
+
+        with monkeypatch.context() as m:
+            if owner is cli:
+                m.setattr(cli, "covering_coalgebra_iso", record)
+            else:
+                m.setitem(globals(), "covering_coalgebra_iso", record)
+                m.setitem(cli.COMMANDS, "csm-iso", oracle_cmd_csm_iso)
+            runs.append((_run_csm_iso(path, *options), keys))
+    return runs
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_each_distinct_lifting_is_checked_once(monkeypatch, tmp_path, name):
+    """Same exit code and report bytes as the oracle at 0, 5 and 12 random
+    liftings under two seeds; the command builds the isomorphisms once per
+    distinct lifting, in the order the oracle first draws it."""
+    path = _fixture_path(name, tmp_path)
+    repeats = 0
+    for seed in ("20240801", "7"):
+        monkeypatch.setenv("COVOL_SEED", seed)
+        for n in (0, 5, 12):
+            (got, checked), (want, drawn) = _run_both(monkeypatch, path,
+                                                     ["--liftings", str(n)])
+            assert got == want and got[0] == 0
+            assert json.loads(got[1])["liftings"] == len(drawn) == n + 1
+            assert checked == list(dict.fromkeys(drawn))
+            repeats += len(drawn) - len(checked)
+            if (seed, n) == ("20240801", 5):
+                assert len(checked) == DISTINCT[name]
+    # loop has 3 small elements for 13 draws, dbl 5: a draw must repeat;
+    # sl2's larger quiver repeats none of these draws
+    assert repeats > 0 or name == "sl2"
+
+
+def _drop_one_at(key):
+    """Wrap covering_coalgebra_iso so phi misses a symbol at one lifting."""
+    def wrap(iso):
+        def broken(cover, lifting, *rest):
+            psi, phi, smash, induced = iso(cover, lifting, *rest)
+            return psi, _drop_one(phi) if _key(lifting) == key else phi, smash, induced
+        return broken
+    return wrap
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_a_broken_lifting_fails_every_draw_of_it(monkeypatch, tmp_path, name):
+    """One distinct lifting, the most drawn, is broken by its key: each of
+    its draws counts as unverified, in the command and in the oracle."""
+    path = _fixture_path(name, tmp_path)
+    options = ["--liftings", "12"]
+    (_, _), (want, drawn) = _run_both(monkeypatch, path, options)
+    assert want[0] == 0
+    key, draws = collections.Counter(drawn).most_common(1)[0]
+    assert draws > 1 or name == "sl2"
+    (got, checked), (want, drawn) = _run_both(monkeypatch, path, options,
+                                              _drop_one_at(key))
+    assert got == want and got[0] == 1
+    assert checked.count(key) == 1 and drawn.count(key) == draws
+    report = json.loads(got[1])
+    assert (report["liftings"], report["verified"]) == (13, 13 - draws)
