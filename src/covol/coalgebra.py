@@ -85,17 +85,23 @@ class PathIndex:
     def __len__(self):
         return len(self.paths)
 
+    def _path(self, i):
+        """Path i as (source, target, arrows); refuses an id outside range."""
+        if 0 <= i < len(self.paths):
+            return self.paths[i]
+        raise CoalgebraError("no path %r in an index of %d paths" % (i, len(self.paths)))
+
     def source(self, i):
-        return self.paths[i][0]
+        return self._path(i)[0]
 
     def target(self, i):
-        return self.paths[i][1]
+        return self._path(i)[1]
 
     def arrows(self, i):
-        return self.paths[i][2]
+        return self._path(i)[2]
 
     def length(self, i):
-        return len(self.paths[i][2])
+        return len(self._path(i)[2])
 
     def vertex_path(self, v):
         if isinstance(v, str):
@@ -110,7 +116,7 @@ class PathIndex:
     def prefix(self, i):
         """Index of path i without its last arrow (a vertex for an arrow),
         or None for a vertex.  It always precedes path i."""
-        src, _, arrows = self.paths[i]
+        src, _, arrows = self._path(i)
         if not arrows:
             return None
         return self._index[arrows[:-1] if len(arrows) > 1 else ("v", src)]
@@ -134,17 +140,17 @@ class PathIndex:
         return idx
 
     def label(self, i):
-        src, _, arrows = self.paths[i]
+        src, _, arrows = self._path(i)
         if not arrows:
             return self.quiver.vertices[src]
         return ".".join(self.quiver.arrow_name(a) for a in reversed(arrows))
 
     def weight(self, weighting, i):
-        return path_weight(weighting, self.paths[i][2])
+        return path_weight(weighting, self._path(i)[2])
 
     def walk(self, i):
         """Path i as a walk of forward steps."""
-        src, _, arrows = self.paths[i]
+        src, _, arrows = self._path(i)
         return Walk(self.quiver, src, tuple((a, 1) for a in arrows))
 
     def _split(self, i):
@@ -173,23 +179,8 @@ def delta_terms(pindex, i):
     return [(l, r) for _, l, r in (pindex._coproducts[i] or pindex._split(i))[0]]
 
 
-def delta_vector(pindex, vec):
-    """Coproduct of a path vector as a dict (left, right) -> coefficient.
-    A splitting composes to its own path, so no two terms share a key."""
-    table, split = pindex._coproducts, pindex._split
-    return {(l, r): c for i, c in vec.items() for _, l, r in (table[i] or split(i))[0]}
-
-
 def counit_vector(pindex, vec):
     return sum((c for i, c in vec.items() if pindex.length(i) == 0), 0)
-
-
-def endpoints(pindex, vec):
-    """(source, target) if the vector is endpoint-homogeneous, else None."""
-    pairs = {(pindex.source(i), pindex.target(i)) for i in vec.support()}
-    if len(pairs) == 1:
-        return next(iter(pairs))
-    return None
 
 
 class TruncatedPathCoalgebra:
@@ -235,9 +226,11 @@ class SubcoalgebraBasis:
     Stored as per-(source, target) RREF subspaces in global path
     coordinates.  Symbols are 0..dim-1 in (source, target, row) order; the
     coproduct is expanded in the tensor basis through pivot coordinates.
-    `coproduct`, `counit`, `label` and `row_vector` raise `CoalgebraError`
-    on an id outside `range(dimension)`; the escape check reads the rows
-    by the pivot ids it derives, unchecked.
+    `coproduct`, `counit`, `label`, `row_vector` and `row_endpoints` raise
+    `CoalgebraError` on an id outside `range(dimension)`.  A row entry
+    outside `range(N)`, N = len(pindex), is refused here, so the escape
+    check's tensor key l * N + r is injective: its l and r are row entries
+    or splitting-table ids, all in range(N).
     """
 
     def __init__(self, pindex, spaces):
@@ -250,6 +243,9 @@ class SubcoalgebraBasis:
                 self._pivot_of[p] = len(self.basis_rows)
                 self.basis_rows.append((pair, k))
         self._rows = [self.spaces[pair].rows[k] for pair, k in self.basis_rows]
+        n = len(pindex)
+        if not all(0 <= i < n for row in self._rows for i in row.entries):
+            raise CoalgebraError("a row holds a path outside an index of %d paths" % n)
         self._coproduct_cache = {}
         self._counits = {}
 
@@ -266,7 +262,9 @@ class SubcoalgebraBasis:
         raise _no_symbol(self, sym)
 
     def row_endpoints(self, sym):
-        return self.basis_rows[sym][0]
+        if 0 <= sym < len(self.basis_rows):
+            return self.basis_rows[sym][0]
+        raise _no_symbol(self, sym)
 
     def label(self, sym):
         return vector_label(self.pindex, self.row_vector(sym))
@@ -274,8 +272,8 @@ class SubcoalgebraBasis:
     def _residual(self, vec):
         """Residual of vec after reducing through the spaces of the endpoint
         pairs in its support; pair spaces use disjoint coordinates."""
-        residual = vec
-        for pair in {(self.pindex.source(i), self.pindex.target(i)) for i in vec.entries}:
+        residual, path = vec, self.pindex._path
+        for pair in {path(i)[:2] for i in vec.entries}:
             if pair in self.spaces:
                 residual = self.spaces[pair].reduce(residual)
         return residual
@@ -296,15 +294,20 @@ class SubcoalgebraBasis:
             return self._coproduct_cache[sym]
         if not 0 <= sym < self.dimension:
             raise _no_symbol(self, sym)
-        rows, pivot_of = self._rows, self._pivot_of
-        diff = delta_vector(self.pindex, rows[sym])
-        terms = [(c, pivot_of[pl], pivot_of[pr]) for (pl, pr), c in diff.items()
-                 if pl in pivot_of and pr in pivot_of]
-        for coeff, sl, sr in terms:  # diff becomes the coproduct minus its rebuild
-            lvec, rvec = rows[sl], rows[sr]
-            for i, a in lvec.items():
+        rows, pivot_of, n = self._rows, self._pivot_of, len(self.pindex)
+        table, split = self.pindex._coproducts, self.pindex._split
+        diff, terms = {}, []  # diff: Delta(row) at key l * n + r, then minus its rebuild
+        for i, c in rows[sym].entries.items():  # a splitting composes to i, so none repeats
+            for _, l, r in (table[i] or split(i))[0]:
+                diff[l * n + r] = c
+                if l in pivot_of and r in pivot_of:
+                    terms.append((c, pivot_of[l], pivot_of[r]))
+        for coeff, sl, sr in terms:
+            rvec = rows[sr].entries
+            for i, a in rows[sl].entries.items():
+                i *= n
                 for j, b in rvec.items():
-                    key = (i, j)
+                    key = i + j
                     diff[key] = diff.get(key, 0) - coeff * a * b
         if any(diff.values()):
             raise CoalgebraError("coproduct escapes the subcoalgebra at %r"
@@ -337,7 +340,9 @@ def subcoalgebra_closure(pindex, generators):
     - a second component {k: c} once one unit component at path k is
       queued: both are multiples of e_k, which the first adds.
     So the space is the one spanned without the skips, and the RREF rows,
-    being unique, are the same."""
+    being unique, are the same.  The basis is read off the echelon in pivot
+    order: a row's pivot, its least path, names the (source, target) pair
+    that every entry must share, and the row joins that pair's space."""
     quiver, echelon = pindex.quiver, _Echelon()
     for v in range(quiver.num_vertices()):
         echelon.add(SparseVector._wrap({pindex.vertex_path(v): 1}))
@@ -366,14 +371,17 @@ def subcoalgebra_closure(pindex, generators):
                     continue
                 queued.add(k)
             work.append(SparseVector._wrap(comp))
-    by_pair = {}
-    for row in echelon.subspace().rows:  # pivot order, so each pair's rows are its RREF
-        pair = endpoints(pindex, row)
-        if pair is None:
-            raise CoalgebraError("closure produced a mixed-endpoint element")
-        by_pair.setdefault(pair, []).append(row)
-    sub = SubcoalgebraBasis(pindex, {p: Subspace(rs, [min(r.entries) for r in rs])
-                                     for p, rs in by_pair.items()})
+    paths, by_pair = pindex.paths, {}
+    for p in sorted(echelon.rows):  # pivot order, so each pair's rows are its RREF
+        row = echelon.rows[p]
+        src, tgt, _ = paths[p]  # a row's pivot is its least path
+        for i in row:
+            if paths[i][0] != src or paths[i][1] != tgt:
+                raise CoalgebraError("closure produced a mixed-endpoint element")
+        rows, pivots = by_pair.setdefault((src, tgt), ([], []))
+        rows.append(SparseVector._wrap(row))
+        pivots.append(p)
+    sub = SubcoalgebraBasis(pindex, {pair: Subspace(*rp) for pair, rp in by_pair.items()})
     for sym in sub.symbols():
         sub.coproduct(sym)  # raises if the span is not a subcoalgebra
     return sub
@@ -416,13 +424,13 @@ def _weigh_rows(basis, weighting):
     None, or None and the symbol of the first row whose support mixes
     weights.  Each supported path is weighed once.  The one homogeneity
     rule in the package (see `is_homogeneous`)."""
-    weight = {}  # supported path -> weight
+    weight, paths = {}, basis.pindex.paths  # supported path -> weight
     weights = []
     for sym in basis.symbols():
         entries = basis.row_vector(sym).entries
         for i in entries:
             if i not in weight:
-                weight[i] = basis.pindex.weight(weighting, i)
+                weight[i] = path_weight(weighting, paths[i][2])
         row = {weight[i] for i in entries}
         if len(row) > 1:
             return None, sym
@@ -554,7 +562,7 @@ def smash_coalgebra(basis, weighting, window):
 def smash_path_coalgebra(pindex, weighting, window):
     """Smash coproduct of the full truncated path coalgebra."""
     base = TruncatedPathCoalgebra(pindex)
-    weights = [pindex.weight(weighting, i) for i in range(len(pindex))]
+    weights = [path_weight(weighting, arrows) for _, _, arrows in pindex.paths]
     return SmashCoalgebra(base, weights.__getitem__, weighting.group, window)
 
 

@@ -84,7 +84,7 @@ def reach_set(base, weighting):
                 continue
             for i in row.entries:
                 g = group.identity()
-                for a in base.pindex.arrows(i):
+                for a in base.pindex.paths[i][2]:
                     g = group.multiply(weighting.of(a), g)
                     reach[g] = None
     return list(reach)
@@ -165,7 +165,7 @@ def _lifts_end_together(smash_q, base, fibers):
     fiber ends at one cover vertex, read from the smash quiver's arrow
     table.  A lift that leaves the window is skipped; witness = (row, cover
     start vertex) is the first failure in (symbol, fiber) order."""
-    ends, arrows = smash_q.arrow_ends, base.pindex.arrows
+    ends, paths = smash_q.arrow_ends, base.pindex.paths  # the basis refuses other row ids
     for sym in base.symbols():
         row = base.row_vector(sym)
         if len(row.entries) < 2:
@@ -173,7 +173,7 @@ def _lifts_end_together(smash_q, base, fibers):
         src = base.row_endpoints(sym)[0]
         for g in fibers:
             start = smash_q.vertex_of(src, g)
-            lifts = [smash_q.lift_arrows(arrows(i), g) for i in row.entries]
+            lifts = [smash_q.lift_arrows(paths[i][2], g) for i in row.entries]
             if None not in lifts and len({ends[p[-1]][1] if p else start
                                           for p in lifts}) > 1:
                 return False, (row, start)

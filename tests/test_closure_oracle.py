@@ -1,4 +1,5 @@
-"""Differential test of the subcoalgebra closure worklist.
+"""Differential test of the subcoalgebra closure worklist, its basis
+assembly and the escape check.
 
 `subcoalgebra_closure` seeds its echelon with every vertex and arrow and
 queues only components that can enlarge the span: none supported on
@@ -8,6 +9,14 @@ every component pushed through the echelon) is copied below as the
 oracle.  Both must span the same space, so their RREF rows must agree by
 value, and both must raise, or not, alike.  A wrapper on `_Echelon.add`,
 installed only here, counts the echelon adds each one makes.
+
+The closure then reads its basis straight off the echelon rows, taking
+each row's endpoint pair from its pivot, and `SubcoalgebraBasis.coproduct`
+keys its escape check on the int l * N + r.  The assembly that preceded
+them (`endpoints` per row over `echelon.subspace()`, `min` pivots) and the
+tuple-keyed escape check over `delta_vector` are copied below too.  On
+the same worklist, both must give the same spaces, rows entry by entry,
+pivots, symbol order and coproduct terms in order, or the same error.
 """
 
 import importlib.util
@@ -19,7 +28,7 @@ import pytest
 
 from covol import coalgebra, fixtures, workspace
 from covol.coalgebra import (
-    CoalgebraError, PathIndex, SubcoalgebraBasis, endpoints, full_subcoalgebra,
+    CoalgebraError, PathIndex, SubcoalgebraBasis, _no_symbol, full_subcoalgebra,
     subcoalgebra_closure,
 )
 from covol.exactlin import SparseVector, Subspace, _Echelon
@@ -35,7 +44,96 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ---------------------------------------------------------------------------
-# oracle: the closure loop as it was, verbatim
+# oracles: the helpers, the basis assembly and the escape check as they
+# were, verbatim
+
+
+def delta_vector(pindex, vec):
+    """Coproduct of a path vector as a dict (left, right) -> coefficient.
+    A splitting composes to its own path, so no two terms share a key."""
+    table, split = pindex._coproducts, pindex._split
+    return {(l, r): c for i, c in vec.items() for _, l, r in (table[i] or split(i))[0]}
+
+
+def endpoints(pindex, vec):
+    """(source, target) if the vector is endpoint-homogeneous, else None."""
+    pairs = {(pindex.source(i), pindex.target(i)) for i in vec.support()}
+    if len(pairs) == 1:
+        return next(iter(pairs))
+    return None
+
+
+class OracleBasis(SubcoalgebraBasis):
+    """`SubcoalgebraBasis` with the tuple-keyed escape check."""
+
+    def coproduct(self, sym):
+        if sym in self._coproduct_cache:
+            return self._coproduct_cache[sym]
+        if not 0 <= sym < self.dimension:
+            raise _no_symbol(self, sym)
+        rows, pivot_of = self._rows, self._pivot_of
+        diff = delta_vector(self.pindex, rows[sym])
+        terms = [(c, pivot_of[pl], pivot_of[pr]) for (pl, pr), c in diff.items()
+                 if pl in pivot_of and pr in pivot_of]
+        for coeff, sl, sr in terms:  # diff becomes the coproduct minus its rebuild
+            lvec, rvec = rows[sl], rows[sr]
+            for i, a in lvec.items():
+                for j, b in rvec.items():
+                    key = (i, j)
+                    diff[key] = diff.get(key, 0) - coeff * a * b
+        if any(diff.values()):
+            raise CoalgebraError("coproduct escapes the subcoalgebra at %r"
+                                 % self.label(sym))
+        self._coproduct_cache[sym] = (terms, False)
+        return self._coproduct_cache[sym]
+
+
+def oracle_assembly(pindex, echelon):
+    """The basis as the closure built it from its finished echelon."""
+    by_pair = {}
+    for row in echelon.subspace().rows:  # pivot order, so each pair's rows are its RREF
+        pair = endpoints(pindex, row)
+        if pair is None:
+            raise CoalgebraError("closure produced a mixed-endpoint element")
+        by_pair.setdefault(pair, []).append(row)
+    sub = OracleBasis(pindex, {p: Subspace(rs, [min(r.entries) for r in rs])
+                               for p, rs in by_pair.items()})
+    for sym in sub.symbols():
+        sub.coproduct(sym)  # raises if the span is not a subcoalgebra
+    return sub
+
+
+def oracle_worklist_closure(pindex, generators):
+    """The closure with today's worklist and the assembly above."""
+    quiver, echelon = pindex.quiver, _Echelon()
+    for v in range(quiver.num_vertices()):
+        echelon.add(SparseVector._wrap({pindex.vertex_path(v): 1}))
+    for a in range(quiver.num_arrows()):
+        echelon.add(SparseVector._wrap({pindex.arrow_path(a): 1}))
+    short = quiver.num_vertices() + quiver.num_arrows()
+    work = list(generators)
+    queued = set()  # paths k with a unit component {k: c} queued
+    table, split = pindex._coproducts, pindex._split
+    while work:
+        row = echelon.add(work.pop())
+        if row is None:
+            continue
+        entries = row.entries
+        rows, cols = {}, {}
+        for i, c in entries.items():  # a splitting composes to path i, so none repeats
+            for _, l, r in (table[i] or split(i))[0]:
+                rows.setdefault(l, {})[r] = c
+                cols.setdefault(r, {})[l] = c
+        for comp in (*rows.values(), *cols.values()):
+            if max(comp) < short or comp == entries:
+                continue
+            if len(comp) == 1:
+                (k,) = comp
+                if k in queued:
+                    continue
+                queued.add(k)
+            work.append(SparseVector._wrap(comp))
+    return oracle_assembly(pindex, echelon)
 
 
 def oracle_closure(pindex, generators):
@@ -57,17 +155,7 @@ def oracle_closure(pindex, generators):
                 cols.setdefault(r, {})[l] = c
         work += map(SparseVector._wrap, rows.values())
         work += map(SparseVector._wrap, cols.values())
-    by_pair = {}
-    for row in echelon.subspace().rows:  # pivot order, so each pair's rows are its RREF
-        pair = endpoints(pindex, row)
-        if pair is None:
-            raise CoalgebraError("closure produced a mixed-endpoint element")
-        by_pair.setdefault(pair, []).append(row)
-    sub = SubcoalgebraBasis(pindex, {p: Subspace(rs, [min(r.entries) for r in rs])
-                                     for p, rs in by_pair.items()})
-    for sym in sub.symbols():
-        sub.coproduct(sym)  # raises if the span is not a subcoalgebra
-    return sub
+    return oracle_assembly(pindex, echelon)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +259,18 @@ def _random_generators(rng, pindex):
                           for i in rng.sample(range(len(pindex)),
                                               min(len(pindex), rng.randint(1, 4)))})
             for _ in range(rng.randint(1, 4))]
+
+
+def _pure_generators(rng, pindex):
+    """1-4 generators, each a combination of 1-3 paths sharing the
+    endpoints of a random anchor path."""
+    gens = []
+    for _ in range(rng.randint(1, 4)):
+        src, tgt, _ = pindex.paths[rng.randrange(len(pindex))]
+        same = pindex.by_pair[src, tgt]
+        gens.append(SparseVector({i: rng.choice([1, 2, -1, Fraction(1, 2)])
+                                  for i in rng.sample(same, min(len(same), rng.randint(1, 3)))}))
+    return gens
 
 
 def _units(pindex):
@@ -280,3 +380,147 @@ def test_closure_raises_as_the_oracle_does(monkeypatch):
         assert rows is None and error is not None
     _, (rows, error) = _compare(counter, PathIndex(bare, 0), [SparseVector.unit(1)])
     assert error is None and len(rows) == 2
+
+
+# ---------------------------------------------------------------------------
+# the basis read off the echelon and the int-keyed escape check
+
+
+def _dump(basis):
+    """What a report can read of a basis: each pair's rows, entry by entry
+    in order with each scalar's type, its pivots, the symbol order and
+    every coproduct's terms in order."""
+    spaces = [(pair, [[(k, v, type(v)) for k, v in row.entries.items()] for row in s.rows],
+               s.pivots) for pair, s in basis.spaces.items()]
+    terms = [[(c, type(c), l, r) for c, l, r in basis.coproduct(sym)[0]]
+             for sym in basis.symbols()]
+    return spaces, basis.basis_rows, terms
+
+
+def _dump_outcome(closure, pindex, gens):
+    """(dump, None) or (None, (exception type, message))."""
+    try:
+        return _dump(closure(pindex, gens)), None
+    except (CoalgebraError, KeyError) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _assert_same_basis(pindex, gens):
+    """The closure and the oracle assembly on the same worklist agree;
+    returns whether they raised."""
+    got = _dump_outcome(subcoalgebra_closure, pindex, gens)
+    assert got == _dump_outcome(oracle_worklist_closure, pindex, gens)
+    return got[1] is not None
+
+
+def test_basis_off_the_echelon_matches_the_oracle_assembly(monkeypatch):
+    """The six fixtures' closures (and the closures of their units), the
+    shipped workspaces and the 11 `build_verify` closures: sl2(m) for
+    m = 15, 31, 63, 95, the full double loop at truncation 4 to 6 and the
+    four random ones."""
+    cases = _recorded_closures(monkeypatch, all_fixtures)
+    cases += _recorded_closures(monkeypatch, _shipped_workspaces)
+    cases += [(fx.pindex, _units(fx.pindex)) for fx in all_fixtures()]
+    cases += _benchmark_closures(monkeypatch)
+    assert len(cases) == 26
+    for pindex, gens in cases:
+        assert not _assert_same_basis(pindex, gens)
+    # the fixtures built by `full_subcoalgebra` run the same escape check
+    for fx in all_fixtures():
+        oracle = OracleBasis(fx.pindex, fx.basis.spaces)
+        assert _dump(fx.basis) == _dump(oracle)
+
+
+def test_basis_off_the_echelon_matches_on_random_generators():
+    """Seeded generator sets, endpoint-pure and mixed, on the sl2q, tri, uv
+    and double-loop quivers at truncation 2 to 4."""
+    rng = random.Random(2023)
+    quivers = [sl2_fixture(4).quiver, tri_fixture("ac").quiver,
+               Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "u")]),
+               double_loop_fixture().quiver]
+    cases = 0
+    for quiver in quivers:
+        for truncation in (2, 3, 4):
+            pindex = PathIndex(quiver, truncation)
+            for k in range(6):
+                if k % 2:
+                    gens = _random_generators(rng, pindex)
+                else:
+                    gens = _pure_generators(rng, pindex)
+                assert not _assert_same_basis(pindex, gens)
+                cases += 1
+    assert cases == 72
+
+
+def test_assembly_raises_as_the_oracle_does(monkeypatch):
+    """An unclosed index fails alike, and so does a mixed-endpoint row left
+    in the echelon, where the pivot's pair and another entry's differ."""
+    q = double_loop_fixture().quiver
+    for pindex, gens in [(PathIndex(q, 0), []),
+                         (RootedPathIndex(q, 2, [0]), [SparseVector.unit(3)]),
+                         (RootedPathIndex(sl2_fixture(3).quiver, 2, [0]), [])]:
+        got = _dump_outcome(subcoalgebra_closure, pindex, gens)
+        assert got[1] is not None
+        assert got == _dump_outcome(oracle_worklist_closure, pindex, gens)
+    pindex = PathIndex(sl2_fixture(3).quiver, 2)
+    long = [i for i in range(len(pindex)) if pindex.length(i) == 2]
+    a = long[0]
+    b = next(i for i in long if pindex.paths[i][:2] != pindex.paths[a][:2])
+
+    class MixedEchelon(_Echelon):
+        """An echelon that starts with the row e_a + e_b."""
+
+        def __init__(self):
+            super().__init__([SparseVector({a: 1, b: 1})])
+
+    monkeypatch.setattr(coalgebra, "_Echelon", MixedEchelon)
+    monkeypatch.setitem(globals(), "_Echelon", MixedEchelon)
+    got = _dump_outcome(subcoalgebra_closure, pindex, [])
+    assert got == (None, (CoalgebraError, "closure produced a mixed-endpoint element"))
+    assert got == _dump_outcome(oracle_worklist_closure, pindex, [])
+
+
+def test_escape_check_raises_at_the_oracle_symbol():
+    """sl2_fixture(4)'s spaces with one arrow row removed are not closed:
+    the int-keyed check and the tuple-keyed one raise at the same first
+    symbol, with the same label."""
+    fx = sl2_fixture(4)
+    raised = 0
+    for pair, space in fx.basis.spaces.items():
+        for k, p in enumerate(space.pivots):
+            if fx.pindex.length(p) != 1:
+                continue
+            spaces = dict(fx.basis.spaces)
+            spaces[pair] = Subspace(space.rows[:k] + space.rows[k + 1:],
+                                    space.pivots[:k] + space.pivots[k + 1:])
+            got, want = SubcoalgebraBasis(fx.pindex, spaces), OracleBasis(fx.pindex, spaces)
+            outcomes = []
+            for basis in (got, want):
+                for sym in basis.symbols():
+                    try:
+                        basis.coproduct(sym)
+                    except CoalgebraError as exc:
+                        outcomes.append((sym, basis.label(sym), str(exc)))
+                        break
+                else:
+                    outcomes.append(None)
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0] is not None and "escapes" in outcomes[0][2]
+            raised += 1
+    assert raised == fx.quiver.num_arrows() == 6
+
+
+def test_a_row_outside_the_index_is_refused():
+    """A row entry outside range(len(pindex)) would wrap round the
+    splitting table or break the int key's injectivity."""
+    fx = sl2_fixture(4)
+    n = len(fx.pindex)
+    for bad in (-1, -n, n, n + 1, 2 * n):
+        spaces = dict(fx.basis.spaces)
+        pair = next(iter(spaces))
+        space = spaces[pair]
+        row = dict(space.rows[0].entries)
+        row[bad] = 1
+        spaces[pair] = Subspace([SparseVector(row)] + space.rows[1:], space.pivots)
+        with pytest.raises(CoalgebraError, match="outside an index of %d paths" % n):
+            SubcoalgebraBasis(fx.pindex, spaces)

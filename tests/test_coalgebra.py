@@ -6,8 +6,7 @@ import pytest
 from covol.coalgebra import (
     CoalgebraError, PathIndex, SmashCoalgebra, SparseVector, SubcoalgebraBasis,
     TruncatedPathCoalgebra, basis_map, coassociativity_ok, counit_vector,
-    cover_projection_map, covering_coalgebra_iso, delta_terms, delta_vector,
-    endpoints, subcoalgebra_closure,
+    cover_projection_map, covering_coalgebra_iso, delta_terms, subcoalgebra_closure,
     is_homogeneous, is_identity_map, compose_maps,
     minimal_partition, smash_coalgebra,
     smash_path_coalgebra, smash_projection_map,
@@ -25,6 +24,8 @@ from covol.voltage import (
     ArrowWeighting, GaloisCoverData, VertexWeighting, smash_quiver,
     window_ball,
 )
+
+from test_closure_oracle import delta_vector, endpoints
 
 Z = FgAbelian(1)
 
@@ -415,8 +416,10 @@ def test_ids_outside_the_range_are_refused():
     """Every smash method that takes an id refuses one outside
     range(dimension), also once every coproduct is cached, and so do the
     coproduct, counit and label of a path coalgebra and of a subcoalgebra
-    and a subcoalgebra's row vector, also once every counit is cached;
-    a refused id caches nothing."""
+    and a subcoalgebra's row vector and row endpoints, also once every
+    counit is cached; a refused id caches nothing.  Every path index
+    reader that takes a path id refuses one outside range(len(pindex)),
+    where a negative id would read from the end."""
     for base, weights, group, window, _ in _edge_windows():
         smash = SmashCoalgebra(base, weights.__getitem__, group, window)
         dim = smash.dimension
@@ -434,12 +437,23 @@ def test_ids_outside_the_range_are_refused():
             coalg.counit(sym)
         methods = [coalg.coproduct, coalg.counit, coalg.label]
         if coalg is fx.basis:
-            methods.append(coalg.row_vector)
+            methods += [coalg.row_vector, coalg.row_endpoints]
         for bad in (-1, -dim, -dim - 1, dim, 2 * dim - 1, 2 * dim, 3 * dim):
             for method in methods:
                 with pytest.raises(CoalgebraError):
                     method(bad)
     assert set(fx.basis._counits) == set(fx.basis.symbols())
+    pindex, n = fx.pindex, len(fx.pindex)
+    readers = [pindex.source, pindex.target, pindex.arrows, pindex.length,
+               pindex.prefix, pindex.label, pindex.walk,
+               lambda i: pindex.weight(fx.weighting, i)]
+    for i in range(n):
+        for reader in readers:
+            reader(i)
+    for bad in (-1, -n, -n - 1, n, 2 * n - 1, 2 * n, 3 * n):
+        for reader in readers:
+            with pytest.raises(CoalgebraError):
+                reader(bad)
 
 
 def test_verify_fails_where_the_target_refuses_an_image():

@@ -39,13 +39,15 @@ from covol.cli import (
 from covol.coalgebra import (
     PathIndex, TruncatedPathCoalgebra, compose_maps, composite_agrees,
     counit_vector, cover_projection_map, covering_coalgebra_iso, delta_terms,
-    delta_vector, is_identity_map, smash_path_coalgebra, smash_projection_map,
+    is_identity_map, smash_path_coalgebra, smash_projection_map,
     verify_coalgebra_map,
 )
 from covol.exactlin import SparseVector
 from covol.fixtures import loop_fixture
 from covol.voltage import GaloisCoverData, VertexWeighting, smash_quiver, window_ball
 from covol.workspace import parse
+
+from test_closure_oracle import delta_vector
 
 FIXTURES = ["loop", "dbl", "kron", "tri_ac", "tri_acbc", "sl2"]
 # distinct liftings among the 6 that `csm-iso` draws at the default seed

@@ -19,14 +19,16 @@ from fractions import Fraction
 import pytest
 
 from covol.coalgebra import (
-    PathIndex, SmashCoalgebra, TruncatedPathCoalgebra, delta_vector, endpoints,
-    smash_coalgebra, subcoalgebra_closure,
+    PathIndex, SmashCoalgebra, TruncatedPathCoalgebra, smash_coalgebra,
+    subcoalgebra_closure,
 )
 from covol.exactlin import SparseVector, _Echelon, intersect_coordinates, rref
 from covol.fixtures import all_fixtures, double_loop_fixture, sl2_fixture, tri_fixture
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.quiver import Quiver, QuiverError
 from covol.voltage import ArrowWeighting, SmashQuiver, window_ball
+
+from test_closure_oracle import delta_vector, endpoints
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,13 @@ import pytest
 from covol.coalgebra import (
     CoalgebraError, SubcoalgebraBasis, TruncatedPathCoalgebra,
     apply_map, basis_map, coassociativity_ok, compose_maps, composite_agrees,
-    coproduct_of_vector, delta_vector, is_homogeneous, smash_coalgebra,
+    coproduct_of_vector, is_homogeneous, smash_coalgebra,
     is_identity_map, smash_projection_map, verify_coalgebra_map,
 )
 from covol.exactlin import SparseVector, rref
 from covol.fixtures import all_fixtures, kronecker_fixture
+
+from test_closure_oracle import delta_vector
 
 
 # ---------------------------------------------------------------------------
