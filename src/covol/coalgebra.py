@@ -423,7 +423,10 @@ def _weigh_rows(basis, weighting):
     """(weights, mixed): the weight of each basis row in symbol order and
     None, or None and the symbol of the first row whose support mixes
     weights.  Each supported path is weighed once.  The one homogeneity
-    rule in the package (see `is_homogeneous`)."""
+    rule in the package (see `is_homogeneous`).  A weighting on another
+    quiver raises `CoalgebraError`: its weights would be read by index."""
+    if not basis.pindex.quiver.same_as(weighting.quiver):
+        raise CoalgebraError("the weighting is on another quiver than the subcoalgebra")
     weight, paths = {}, basis.pindex.paths  # supported path -> weight
     weights = []
     for sym in basis.symbols():

@@ -1,9 +1,10 @@
 """
 Coalgebra coverings: the lifted subcoalgebra over a smash coproduct
-quiver, the covering test for minimal elements, the equivalence report
-(homogeneous / connected / covering), relator extraction from minimal
-blocks, universal grading groups, and window-local factor maps between
-covers.
+quiver (each cover pair's lifted base RREF rows, which are already its
+RREF, so nothing is eliminated), the covering test for minimal elements,
+the equivalence report (homogeneous / connected / covering), relator
+extraction from minimal blocks, universal grading groups, and
+window-local factor maps between covers.
 
 A base minimal element lifts to a minimal element of the cover exactly
 when its lift ends at one cover vertex, that is, when its paths share one
@@ -17,8 +18,7 @@ from .coalgebra import (
     CoalgebraError, PathIndex, SparseVector, is_homogeneous, minimal_partition,
     smash_coalgebra, smash_projection_map, vector_label, verify_coalgebra_map,
 )
-from .exactlin import Subspace, finest_block_partition, intersect_coordinates, \
-    rref, smith_normal_form
+from .exactlin import Subspace, smith_normal_form
 from .groups import FinitelyPresented, FreeGroup, abelianize, generates, \
     generator_relation_matrix, power
 from .quiver import concat, walk_to_word
@@ -64,10 +64,6 @@ class CoalgebraCovering:
     def lifted_dimension(self):
         return sum(s.dimension for s in self.lifted_spans.values())
 
-    def lifted_member(self, pair, vec):
-        space = self.lifted_spans.get(pair)
-        return space is not None and space.member(vec)
-
 
 def reach_set(base, weighting):
     """The fibers that lifts from the identity fiber of the rows of support
@@ -91,54 +87,45 @@ def reach_set(base, weighting):
 
 
 def span_of_liftings(base, weighting, window):
-    """The span of all liftings of the base subcoalgebra's RREF rows through
-    every fiber of the window whose lift stays inside, cut into its
-    (source, target) components.
+    """The lifts of the base subcoalgebra's RREF rows through every fiber
+    of the window whose lift stays inside, each in the (source, target)
+    pair of cover vertices where it starts and ends (the endpoint rule of
+    `_lifts_end_together`); a lift that ends at several vertices joins no
+    pair.  For a homogeneous base every lift ends at one vertex, and this
+    is the lifted subcoalgebra: the rows of support 1 lift the vertices and
+    arrows, every row of support >= 2 is a minimal element, and lifting is
+    linear on path coordinates.  For an inhomogeneous base no pair piece is
+    a subcoalgebra, and `is_coalgebra_covering` reads none.
 
-    The rows are fully reduced with unit pivots, so a path's unit vector
-    is a member exactly when it is a row, and every row with support of
-    size >= 2 is a minimal element (any member supported inside a row's
-    support is a multiple of that row).  Lifting is linear on path
-    coordinates, so the rows' lifts span the lifts of all member paths and
-    minimal elements.  For a homogeneous base this coincides with the
-    lifted subcoalgebra.
-
-    The span is the direct sum of its pieces on its finest block partition:
-    a block inside one pair joins it unchanged, and only a block straddling
-    pairs is intersected with each pair's coordinates.  Rows of disjoint
-    blocks are jointly reduced, so a pair's pieces sorted by pivot are its RREF.
+    Each pair's lifts, sorted by leading coordinate, are its RREF, with no
+    elimination:
+    - a pair's cover source (u, g) fixes the fiber g, and the lift of a
+      base path from g determines the path, so a base row's unit pivot
+      lifts to a unit entry that no other lift in the pair holds;
+    - that lifted pivot is the lift's smallest cover coordinate.  The
+      support paths of a base row all start at u, and its pivot is the
+      smallest of them.  `PathIndex` orders paths by length, then by
+      prefix, then by the last arrow's place among the out-arrows of the
+      prefix's end.  `SmashQuiver` numbers arrow (a, h) by (window position
+      of h, a), so the out-arrows of (t, h) are lifts of out-arrows of t in
+      their order.  By induction on length, lifting from (u, g) keeps the
+      order of the paths from u.
     """
     fibers = list(window)
     smash_q = smash_quiver(base.pindex.quiver, weighting, fibers)
     cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
-    generators = []
+    pieces = {}  # cover (source, target) -> the lifts that start and end there
     for sym in base.symbols():
-        vec = base.row_vector(sym)
+        vec, src = base.row_vector(sym), base.row_endpoints(sym)[0]
         for g in fibers:
             lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
-            if lifted is not None:
-                generators.append(lifted)
-    total = rref(generators)
-    blocks = finest_block_partition(total)
-    block_of = {c: n for n, block in enumerate(blocks) for c in block}
-    block_rows = [[] for _ in blocks]
-    for row, p in zip(total.rows, total.pivots):
-        block_rows[block_of[p]].append(row)
-    pieces = {}  # pair -> rows of the block pieces inside its coordinates
-    for block, rows in zip(blocks, block_rows):
-        coords = {}
-        for c in block:
-            pair = (cover_pindex.source(c), cover_pindex.target(c))
-            coords.setdefault(pair, []).append(c)
-        if len(coords) == 1:
-            pieces.setdefault(next(iter(coords)), []).extend(rows)
-            continue
-        space = Subspace(rows, [row.leading() for row in rows])
-        for pair, cs in coords.items():
-            pieces.setdefault(pair, []).extend(intersect_coordinates(space, cs).rows)
-    spans = {pair: Subspace(sorted(rows, key=SparseVector.leading),
-                            sorted(row.leading() for row in rows))
-             for pair, rows in sorted(pieces.items()) if rows}
+            ends = () if lifted is None else {cover_pindex.target(i) for i in lifted.entries}
+            if len(ends) == 1:
+                pieces.setdefault((smash_q.vertex_of(src, g), ends.pop()), []).append(lifted)
+    spans = {}
+    for pair, rows in sorted(pieces.items()):
+        rows.sort(key=SparseVector.leading)
+        spans[pair] = Subspace(rows, [row.leading() for row in rows])
     return CoalgebraCovering(smash_q, base, cover_pindex, spans, fibers)
 
 
@@ -150,6 +137,8 @@ def build_lifted_subcoalgebra(base, weighting, window):
     try:
         smash_coalg = smash_coalgebra(base, weighting, window)
     except CoalgebraError as exc:
+        if not hasattr(exc, "witness"):  # a weighting on another quiver
+            raise
         raise CoveringError("base subcoalgebra is not homogeneous; witness %s"
                             % exc.witness) from None
     cov = span_of_liftings(base, weighting, window)

@@ -9,11 +9,11 @@ every equality test in this package is exact, and every division is
 Fraction-valued.
 
 One kernel writes every subspace: the incremental echelon `_Echelon`, whose
-rows stay fully reduced after each `add`.  `rref`, `intersect_coordinates`
-and the coalgebra closure worklist read their subspaces off it.  The
-echelon keeps a holder index, each non-pivot column to the pivots whose
-rows hold it, so a new pivot is back-substituted only into the rows that
-hold its column, not into every row.
+rows stay fully reduced after each `add`.  `rref` and the coalgebra closure
+worklist read their subspaces off it.  The echelon keeps a holder index,
+each non-pivot column to the pivots whose rows hold it, so a new pivot is
+back-substituted only into the rows that hold its column, not into every
+row.
 """
 
 from fractions import Fraction
@@ -146,20 +146,18 @@ class _Echelon:
     """Incremental reduced row echelon form: pivot column -> normalised row
     entries, every row fully reduced against every other pivot.
 
-    A row's pivot is its first column under `key` (natural order by
-    default).  Read the result with `subspace`; its rows share the entry
-    dicts, so read it after the last `add`.
+    A row's pivot is its first column.  Read the result with `subspace`;
+    its rows share the entry dicts, so read it after the last `add`.
 
     `_holders` maps each non-pivot column that some row holds to the set of
     pivots whose rows hold it, so a new pivot is eliminated from exactly
     the rows that hold its column.  Each such row changes independently of
     the others, so the set order never reaches a result."""
 
-    __slots__ = ("rows", "key", "_holders")
+    __slots__ = ("rows", "_holders")
 
-    def __init__(self, vectors=(), key=None):
+    def __init__(self, vectors=()):
         self.rows = {}
-        self.key = key
         self._holders = {}
         for vec in vectors:
             self.add(vec)
@@ -173,7 +171,7 @@ class _Echelon:
             _axpy(entries, -entries[p], reduced[p])
         if not entries:
             return None
-        col = min(entries, key=self.key)
+        col = min(entries)
         p = entries[col]
         if p == 1:
             row = entries
@@ -200,29 +198,15 @@ class _Echelon:
         reduced[col] = row
         return SparseVector._wrap(row)
 
-    def subspace(self, cols=None):
-        """RREF Subspace of the rows whose pivot lies in cols (all rows by
-        default)."""
-        pivots = sorted(self.rows if cols is None else
-                        [p for p in self.rows if p in cols])
+    def subspace(self):
+        """The RREF Subspace of the rows."""
+        pivots = sorted(self.rows)
         return Subspace([SparseVector._wrap(self.rows[p]) for p in pivots], pivots)
 
 
 def rref(rows):
     """Canonical RREF basis of the span of the given sparse vectors."""
     return _Echelon(rows).subspace()
-
-
-def intersect_coordinates(space, coords):
-    """Intersection of a subspace with the span of the given coordinates.
-
-    Echelonises once with every complement coordinate ordered before every
-    coordinate in coords.  A row whose pivot lies in coords is then
-    supported inside coords, and those rows span the intersection: a
-    member supported in coords has zero coefficient on every other row.
-    """
-    coords = set(coords)
-    return _Echelon(space.rows, key=lambda c: (c in coords, c)).subspace(coords)
 
 
 def finest_block_partition(space):

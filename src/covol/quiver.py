@@ -57,6 +57,12 @@ class Quiver:
     def arrow_name(self, a):
         return self.arrows[a][0]
 
+    def same_as(self, other):
+        """Whether other is this quiver or has the same vertices and arrows,
+        so that data indexed by one reads the same on the other."""
+        return other is self or (other.vertices == self.vertices
+                                 and other.arrows == self.arrows)
+
     def is_connected(self):
         if not self.vertices:
             return False

@@ -167,6 +167,8 @@ class SmashQuiver:
         self.group = group
         self.window = list(window)
         self.window_pos = {g: i for i, g in enumerate(self.window)}
+        if not base.same_as(weighting.quiver):
+            raise QuiverError("the weighting is on another quiver than the smash base")
         if group.identity() not in self.window_pos:
             raise QuiverError("window must contain the identity")
 

@@ -29,7 +29,7 @@ from covol.covering import (
     extract_relators, is_coalgebra_covering, relators_vanish,
     span_of_liftings, universal_grading_group,
 )
-from covol.exactlin import intersect_coordinates, finest_block_partition, rref
+from covol.exactlin import finest_block_partition, rref
 from covol.fixtures import (
     all_fixtures, double_loop_fixture, kronecker_fixture, loop_fixture,
     sl2_fixture, tri_fixture,
@@ -41,6 +41,8 @@ from covol.voltage import (
     smash_quiver, twist_weighting, weighting_from_lifting, window_ball,
 )
 from covol.workspace import emit, parse
+
+from intersection_oracle import intersect_coordinates
 
 import os
 

@@ -6,27 +6,28 @@ import random
 
 import pytest
 
-from covol.coalgebra import PathIndex, SparseVector, is_homogeneous, \
-    subcoalgebra_closure
+from covol.coalgebra import CoalgebraError, PathIndex, SparseVector, is_homogeneous, \
+    smash_coalgebra, subcoalgebra_closure
 from covol import cli, covering
 from covol.covering import (
-    CoveringError, build_lifted_subcoalgebra,
+    CoveringError, _lift_vector, build_lifted_subcoalgebra,
     covering_crosscheck, extract_relators, is_coalgebra_covering, reach_set,
     relators_vanish, span_of_liftings, universal_cover, universal_factor_map,
     universal_grading_group, word_image,
 )
-from covol.exactlin import finest_block_partition, intersect_coordinates, rref
+from covol.exactlin import finest_block_partition, rref
 from covol.fixtures import (
     all_fixtures, double_loop_fixture, kronecker_fixture, loop_fixture,
     sl2_fixture, tri_fixture,
 )
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
-from covol.quiver import Quiver, QuiverMorphism, spanning_tree_pi1
+from covol.quiver import Quiver, QuiverError, QuiverMorphism, spanning_tree_pi1
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
 import test_identity_fiber_oracle as oracle
+from intersection_oracle import intersect_coordinates
 from test_identity_fiber_oracle import _is_minimal_in, oracle_identity_span, \
-    oracle_is_coalgebra_covering
+    oracle_is_coalgebra_covering, oracle_windowed_span
 
 Z = FgAbelian(1)
 
@@ -43,11 +44,11 @@ def test_build_lifted_loop():
     # vertices and arrows of the covering quiver all lie in the span
     for v in range(cov.smash.quiver.num_vertices()):
         unit = SparseVector.unit(cov.cover_pindex.vertex_path(v))
-        assert cov.lifted_member((v, v), unit)
+        assert cov.lifted_spans[(v, v)].member(unit)
     for a in range(cov.smash.quiver.num_arrows()):
         i = cov.cover_pindex.arrow_path(a)
         pair = (cov.cover_pindex.source(i), cov.cover_pindex.target(i))
-        assert cov.lifted_member(pair, SparseVector.unit(i))
+        assert cov.lifted_spans[pair].member(SparseVector.unit(i))
 
 
 def test_build_lifted_rejects_inhomogeneous():
@@ -550,8 +551,10 @@ def _parallel_sums(rng, pindex):
 
 
 def test_span_of_liftings_matches_global_rref():
-    # the block-local spans equal the global RREF cut by intersection, on
-    # every group backend, homogeneous or not
+    # each pair's lifted rows equal the global RREF cut by intersection, on
+    # every group backend; on these instances no combination of lifts that
+    # straddle pairs lies in one pair, so this holds where the base is
+    # inhomogeneous too (see test_span_of_liftings_drops_straddling_lifts)
     rng = random.Random(1070)
     straddling = inhomogeneous = checked = 0
     for q in _criterion_5_quivers():
@@ -572,6 +575,146 @@ def test_span_of_liftings_matches_global_rref():
                 inhomogeneous += not is_homogeneous(basis, w)
                 checked += 1
     assert checked == 45 and inhomogeneous > 0 and straddling > 0
+
+
+def _typed_spans(cov):
+    """(pair, rows with each entry's type, pivots) in the spans' order."""
+    return [(pair, [[(k, v, type(v)) for k, v in row.items()] for row in space.rows],
+             space.pivots) for pair, space in cov.lifted_spans.items()]
+
+
+def _random_cases(seed, trials):
+    """(base, weighting, window) on the criterion-5 quivers over Z, Z/5, S3,
+    Z^2 and free(2), homogeneous or not."""
+    rng = random.Random(seed)
+    cases = []
+    for q in _criterion_5_quivers():
+        pindex = PathIndex(q, 2)
+        for (group, sample), radius in zip(_backends(), (2, 0, 0, 1, 1)):
+            for _ in range(trials):
+                w = ArrowWeighting(q, group, {a: sample(rng)
+                                              for a in range(q.num_arrows())})
+                cases.append((_parallel_sums(rng, pindex), w, window_ball(group, radius)))
+    return cases
+
+
+def test_span_of_liftings_matches_block_split_on_homogeneous_bases():
+    # same pairs, rows, pivots and entry types as the global RREF cut on
+    # its block partition, on every homogeneous fixture (and sl2(8), dbl(4))
+    # at radii 1-4, on the homogeneous random instances and on every
+    # fixture's universal cover
+    fixtures = all_fixtures() + [sl2_fixture(8), double_loop_fixture(4)]
+    cases = [(fx.basis, fx.weighting, fx.window(r)) for fx in fixtures
+             for r in (1, 2, 3, 4)] + _random_cases(1071, 10)
+    backends = set()
+    checked = 0
+    for base, weighting, window in cases:
+        if not is_homogeneous(base, weighting):
+            continue
+        got = span_of_liftings(base, weighting, window)
+        assert _typed_spans(got) == _typed_spans(oracle_windowed_span(base, weighting, window))
+        backends.add(repr(weighting.group))
+        checked += 1
+    for fx in all_fixtures():
+        univ, cov = universal_cover(fx.basis, fx.pres)
+        want = oracle_windowed_span(fx.basis, univ.weighting, cov.fibers)
+        assert _typed_spans(cov) == _typed_spans(want), fx.name
+        checked += 1
+    assert len(backends) == 5 and checked > 120
+
+
+def test_lifted_pivot_is_the_lift_of_the_base_pivot():
+    # the lemma behind span_of_liftings: lifting from one start vertex
+    # keeps the path order, so each in-window lift leads with its row's
+    # lifted unit pivot, homogeneous or not
+    cases = [(fx.basis, fx.weighting, fx.window(r)) for fx in all_fixtures()
+             for r in (1, 2, 3, 4)] + _random_cases(1072, 3)
+    lifts = inhomogeneous = 0
+    for base, weighting, window in cases:
+        cov = span_of_liftings(base, weighting, window)
+        for sym in base.symbols():
+            row = base.row_vector(sym)
+            pivot = SparseVector.unit(row.leading())
+            for g in cov.fibers:
+                lift = _lift_vector(cov.smash, cov.cover_pindex, base.pindex, row, g)
+                if lift is None:
+                    continue
+                lifted_pivot = _lift_vector(cov.smash, cov.cover_pindex, base.pindex, pivot, g)
+                assert lift.leading() == lifted_pivot.leading()
+                assert lift[lift.leading()] == 1
+                lifts += 1
+        inhomogeneous += not is_homogeneous(base, weighting)
+    assert lifts > 1000 and inhomogeneous
+
+
+def test_span_of_liftings_drops_straddling_lifts():
+    # a, b, x: u -> m and c: m -> v with generators c.a + c.x and c.b + c.x,
+    # x of weight 1: both rows lift to paths ending at two vertices, and
+    # their difference c.a - c.b, which the global RREF finds, lies in one
+    # pair.  Each piece is the RREF of its pair's one-pair lifts, inside
+    # the block split's piece, which is larger.
+    quiver = Quiver(["u", "m", "v"], [("a", "u", "m"), ("b", "u", "m"),
+                                      ("x", "u", "m"), ("c", "m", "v")])
+    pindex = PathIndex(quiver, 2)
+    base = subcoalgebra_closure(pindex, [
+        SparseVector({pindex.from_names(["c", "a"]): 1, pindex.from_names(["c", "x"]): 1}),
+        SparseVector({pindex.from_names(["c", "b"]): 1, pindex.from_names(["c", "x"]): 1})])
+    weighting = ArrowWeighting.by_name(quiver, Z, {"a": zint(0), "b": zint(0),
+                                                   "x": zint(1), "c": zint(0)})
+    window = window_ball(Z, 1)
+    assert not is_homogeneous(base, weighting)
+    got = span_of_liftings(base, weighting, window)
+    old = oracle_windowed_span(base, weighting, window)
+    assert (got.lifted_dimension, old.lifted_dimension) == (20, 22)
+    one_pair, straddling = {}, 0
+    for sym in base.symbols():
+        for g in got.fibers:
+            lift = _lift_vector(got.smash, got.cover_pindex, base.pindex,
+                                base.row_vector(sym), g)
+            if lift is None:
+                continue
+            ends = {got.cover_pindex.target(i) for i in lift.support()}
+            if len(ends) > 1:
+                straddling += 1
+                continue
+            start = got.cover_pindex.source(lift.leading())
+            one_pair.setdefault((start, ends.pop()), []).append(lift)
+    assert straddling
+    assert list(got.lifted_spans) == sorted(one_pair)
+    for pair, lifts in one_pair.items():
+        want = rref(lifts)
+        space = got.lifted_spans[pair]
+        assert space.rows == want.rows and space.pivots == want.pivots
+        assert all(old.lifted_spans[pair].member(row) for row in space.rows)
+    assert set(got.lifted_spans) < set(old.lifted_spans)
+
+
+def test_weighting_on_another_quiver_is_refused():
+    # every fixture's subcoalgebra against every other fixture's weighting:
+    # a weighting on a quiver of another structure is refused before any
+    # weight is read by arrow index; tri_ac and tri_acbc share one
+    fixtures = all_fixtures()
+    refused = shared = 0
+    for fx, other in itertools.product(fixtures, fixtures):
+        w, window = other.weighting, other.window(1)
+        if fx.quiver.same_as(other.quiver):
+            report = covering_crosscheck(fx.basis, w, fx.pres)
+            assert report["coveringOK"] == is_homogeneous(fx.basis, w)
+            assert span_of_liftings(fx.basis, w, window).lifted_dimension
+            shared += fx is not other
+            continue
+        for call in (lambda: is_homogeneous(fx.basis, w),
+                     lambda: smash_coalgebra(fx.basis, w, window),
+                     lambda: covering_crosscheck(fx.basis, w, fx.pres),
+                     lambda: build_lifted_subcoalgebra(fx.basis, w, window)):
+            with pytest.raises(CoalgebraError, match="another quiver"):
+                call()
+        for call in (lambda: smash_quiver(fx.quiver, w, window),
+                     lambda: span_of_liftings(fx.basis, w, window)):
+            with pytest.raises(QuiverError, match="another quiver"):
+                call()
+        refused += 1
+    assert shared == 2 and refused == len(fixtures) * (len(fixtures) - 1) - shared
 
 
 def _identity_fiber_pieces(cov):

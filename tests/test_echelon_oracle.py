@@ -10,6 +10,9 @@ scanned for the new pivot, `delta_vector` in the closure loop, one group
 product per coproduct term, the interior by per-vertex products) are
 copied below as oracles.  Rows must agree entry by entry, with the same
 order and the same int/Fraction type, so reports stay byte-identical.
+The package echelon takes no key; the intersection order runs on the
+keyed copy in `intersection_oracle`, which must give the package
+echelon's rows in natural order.
 """
 
 import itertools
@@ -22,12 +25,13 @@ from covol.coalgebra import (
     PathIndex, SmashCoalgebra, TruncatedPathCoalgebra, smash_coalgebra,
     subcoalgebra_closure,
 )
-from covol.exactlin import SparseVector, _Echelon, intersect_coordinates, rref
+from covol.exactlin import SparseVector, _Echelon, rref
 from covol.fixtures import all_fixtures, double_loop_fixture, sl2_fixture, tri_fixture
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.quiver import Quiver, QuiverError
 from covol.voltage import ArrowWeighting, SmashQuiver, window_ball
 
+from intersection_oracle import KeyedEchelon, intersect_coordinates
 from test_closure_oracle import delta_vector, endpoints
 
 
@@ -183,7 +187,8 @@ def _replay(vectors, key=None):
     """Feed both echelons the same vectors; after every add they must
     return the same row and hold the same rows, and the holder index must
     be exactly the non-pivot columns of the rows.  Returns the new echelon."""
-    new, old = _Echelon(key=key), OracleEchelon(key=key)
+    new = _Echelon() if key is None else KeyedEchelon(key=key)
+    old = OracleEchelon(key=key)
     for vec in vectors:
         got, want = new.add(vec), old.add(vec)
         assert (got is None) == (want is None)
@@ -262,6 +267,10 @@ def test_echelon_matches_scanning_oracle_on_random_rows():
         new = _replay(vectors)
         space = rref(vectors)
         assert space.pivots == sorted(new.rows), trial
+        # the keyed copy in natural order is the package echelon
+        keyed = KeyedEchelon(vectors)
+        assert {p: _typed(r) for p, r in keyed.rows.items()} == \
+            {p: _typed(r) for p, r in new.rows.items()}, trial
     assert fraction_pivots > 50
 
 

@@ -28,8 +28,15 @@ the coordinates of each weight) is copied below as the oracle, verdict
 and witness; so are the `smash_coalgebra` that ran `is_homogeneous`
 before weighing the rows and its `row_weight`.  Hand-built bases cover a
 pair of two weights whose rows each have one, and a mixed row that is
-not the first of its pair.  A spy shows that the homogeneity side of
-`homog` and `cov-crosscheck` intersects nothing.
+not the first of its pair.  No `intersect_coordinates` is left in the
+package, and a spy on the echelon shows that homogeneity, the crosscheck
+and the span of liftings add no row to one.
+
+`span_of_liftings` keeps each pair's lifted rows as they stand.  The
+function it replaced (the RREF of every lift, cut into pairs on its
+finest block partition, intersecting each block that straddles pairs) is
+kept as `oracle_windowed_span`, on the same block split as the
+identity-fiber oracles (`_cut_into_pairs`).
 """
 
 import importlib.resources as resources
@@ -43,11 +50,13 @@ from covol.coalgebra import CoalgebraError, PathIndex, SmashCoalgebra, SparseVec
     is_homogeneous, smash_coalgebra, subcoalgebra_closure, vector_label
 from covol.covering import CoalgebraCovering, _lift_vector, covering_crosscheck, \
     is_coalgebra_covering, reach_set, span_of_liftings
-from covol.exactlin import Subspace, finest_block_partition, intersect_coordinates, rref
+from covol.exactlin import Subspace, finest_block_partition, rref
 from covol.fixtures import all_fixtures, double_loop_fixture, sl2_fixture, tri_fixture
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.quiver import Quiver, spanning_tree_pi1
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
+
+from intersection_oracle import intersect_coordinates
 
 
 def oracle_all_path_symbols(base):
@@ -164,6 +173,24 @@ def oracle_identity_span(base, weighting):
                                identity) for sym in base.symbols()]
     return CoalgebraCovering(smash_q, base, cover_pindex,
                              _cut_into_pairs(generators, cover_pindex), [identity])
+
+
+def oracle_windowed_span(base, weighting, window):
+    """`span_of_liftings` before it kept each pair's lifted rows as they
+    stand: the RREF of every lift through every fiber of the window, cut
+    into pairs on its finest block partition (`_cut_into_pairs`)."""
+    fibers = list(window)
+    smash_q = smash_quiver(base.pindex.quiver, weighting, fibers)
+    cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
+    generators = []
+    for sym in base.symbols():
+        vec = base.row_vector(sym)
+        for g in fibers:
+            lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
+            if lifted is not None:
+                generators.append(lifted)
+    return CoalgebraCovering(smash_q, base, cover_pindex,
+                             _cut_into_pairs(generators, cover_pindex), fibers)
 
 
 def oracle_minimal_rows(basis):
@@ -531,29 +558,32 @@ def test_row_rule_on_hand_built_bases():
 
 
 def test_homogeneity_intersects_nothing(monkeypatch, tmp_path, capsys):
-    """`is_homogeneous`, `covering_crosscheck` and `cmd_homog` run no
-    `intersect_coordinates`; the windowed span of liftings, which keeps its
-    intersections for blocks that straddle pairs, shows that the spy sees
-    the calls it should."""
+    """No `intersect_coordinates` is left in the package, and `covering`
+    binds no `rref`.  A spy on the echelon shows that `is_homogeneous`,
+    `covering_crosscheck` and the windowed span of liftings add no row to
+    one; `cmd_homog` still runs on every shipped fixture."""
+    for module in (exactlin, covering, coalgebra):
+        assert not hasattr(module, "intersect_coordinates")
+    assert not hasattr(covering, "rref")
     calls = []
-    real = exactlin.intersect_coordinates
+    real = exactlin._Echelon.add
 
-    def spy(space, coords):
-        calls.append(len(coords))
-        return real(space, coords)
+    def spy(self, vec):
+        calls.append(vec)
+        return real(self, vec)
 
-    monkeypatch.setattr(exactlin, "intersect_coordinates", spy)
-    monkeypatch.setattr(covering, "intersect_coordinates", spy)
-    assert not hasattr(coalgebra, "intersect_coordinates")
-    for base, weighting in _instances():
+    instances = _instances()  # their closures add rows
+    monkeypatch.setattr(exactlin._Echelon, "add", spy)
+    spans = 0
+    for base, weighting in instances:
         is_homogeneous(base, weighting, return_witness=True)
         covering_crosscheck(base, weighting, spanning_tree_pi1(base.pindex.quiver, 0))
+        spans += bool(span_of_liftings(base, weighting,
+                                       window_ball(weighting.group, 2)).lifted_spans)
+    assert calls == [] and spans == len(instances)
+    monkeypatch.undo()
     for fx in all_fixtures():
         path = tmp_path / ("%s.cov" % fx.name)
         path.write_text((resources.files("covol") / "fixtures" / path.name).read_text())
         assert cli.main(["homog", str(path)]) == 0
     capsys.readouterr()
-    assert calls == []
-    for base, weighting in _instances():
-        span_of_liftings(base, weighting, window_ball(weighting.group, 2))
-    assert calls
