@@ -20,8 +20,8 @@ import sys
 
 from .coalgebra import (
     CoalgebraError, PathIndex, TruncatedPathCoalgebra, coassociativity_ok,
-    composite_agrees, cover_projection_map, covering_coalgebra_iso,
-    is_homogeneous, minimal_partition, smash_coalgebra, smash_projection_map,
+    compose_maps, cover_projection_map, covering_coalgebra_iso, is_homogeneous,
+    is_identity_map, minimal_partition, smash_coalgebra, smash_projection_map,
     subcoalgebra_to_json, vector_label, verify_coalgebra_map,
 )
 from .comodule import gradability_probe
@@ -196,20 +196,20 @@ def cmd_csm_iso(ws, args):
 
     nv = weighting.quiver.num_vertices()
     liftings = [sq.canonical_lifting()]
-    # A random lift is drawn among the small elements whose vertex is
-    # interior, so that every arrow at it lifts inside the window.
-    candidates = []
+    # A random lift is drawn among the elements of the radius-1 window
+    # whose vertex is interior, so that every arrow at it lifts inside the
+    # window.
+    candidates, ball = [], set(window_ball(group, 1))
     for v in range(nv if args.liftings else 0):
-        candidates.append([g for g in window if _small_window_element(group, g)
+        candidates.append([g for g in window if g in ball
                            and sq.vertex_of(v, g) in sq.interior_vertices])
         if not candidates[v]:
             raise CommandError("no small window element lifts vertex %r to the "
                                "interior at window %d"
                                % (weighting.quiver.vertices[v], args.window))
     for _ in range(args.liftings):
-        named = {v: rng.choice(small) for v, small in enumerate(candidates)}
-        gamma = VertexWeighting(weighting.quiver, group, named)
-        liftings.append(sq.lifting_from_vertex_weighting(gamma))
+        liftings.append({v: sq.vertex_of(v, rng.choice(small))
+                         for v, small in enumerate(candidates)})
 
     expected = cover_projection_map(cover_pindex, basis.pindex, sq.morphism)
     # phi lifts (p, g) from the translate by g of p's lifted source, so it
@@ -248,32 +248,20 @@ def cmd_csm_iso(ws, args):
     return report, None, 0 if verified == len(liftings) else 1
 
 
-def _unit_at(sym):
-    return {sym: 1}
-
-
 def _inverse_over_base(psi, phi, smash_coalg, expected):
     """psi and phi are mutually inverse and psi lies over the cover
-    projection `expected`: the verdicts of is_identity_map on
-    compose_maps(psi, phi) and compose_maps(phi, psi), and of
-    compose_maps(smash_projection_map(smash_coalg), psi) agreeing with
-    `expected`, each taken by lookup and each required to compare every
-    symbol of its first map, and at least one, so that no check holds
-    vacuously or by skipping: a symbol left out of phi, or an image that
-    leaves the other map's domain, fails."""
-    checks = ((phi, composite_agrees(psi.get, phi, _unit_at)),
-              (psi, composite_agrees(phi.get, psi, _unit_at)),
-              (psi, composite_agrees(smash_projection_map(smash_coalg).get, psi,
-                                     expected.__getitem__)))
-    return all(ok and 0 < compared == len(first) for first, (ok, compared) in checks)
-
-
-def _small_window_element(group, g):
-    if isinstance(group, FgAbelian):
-        return all(abs(x) <= 1 for x in g[0])
-    if isinstance(group, FiniteTable):
-        return True
-    return len(g) <= 1
+    projection `expected`: compose_maps(psi, phi) and compose_maps(phi,
+    psi) are identities, and compose_maps(smash_projection_map(smash_coalg),
+    psi) equals `expected`, each composite defined on every symbol of its
+    first map, and on at least one, so that no check holds vacuously or by
+    skipping: a symbol left out of phi, or an image that leaves the other
+    map's domain, fails."""
+    over = compose_maps(smash_projection_map(smash_coalg), psi)
+    return all(0 < len(composite) == len(first) and is_identity_map(composite)
+               for composite, first in ((compose_maps(psi, phi), phi),
+                                        (compose_maps(phi, psi), psi))) \
+        and 0 < len(over) == len(psi) \
+        and all(image == expected[sym] for sym, image in over.items())
 
 
 def cmd_twist(ws, args):

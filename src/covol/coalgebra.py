@@ -587,10 +587,19 @@ def apply_map(get, vec):
 
 
 def compose_maps(second, first):
+    """second o first on every symbol of first whose image lies in second's
+    domain; the rest are skipped.  A unit image {t: 1} composes to second's
+    image of t as it stands (through `_nonzero` when it holds a zero), so a
+    composite may share second's image dicts: no caller mutates one."""
     get = second.get
     out = {}
     for sym, image in first.items():
-        acc = apply_map(get, image)
+        if len(image) == 1 and _ONE in image.values():
+            acc = get(next(iter(image)))
+            if acc is not None and 0 in acc.values():
+                acc = _nonzero(acc)
+        else:
+            acc = apply_map(get, image)
         if acc is not None:
             out[sym] = acc
     return out
@@ -605,32 +614,6 @@ def is_identity_map(linmap):
     """Whether every symbol maps to itself, zero coefficients aside."""
     return all(image == {sym: _ONE} or _nonzero(image) == {sym: _ONE}
                for sym, image in linmap.items())
-
-
-def composite_agrees(get, first, want):
-    """Whether compose_maps(second, first) equals want(sym) at every symbol
-    of its domain, where `get` is second's lookup, decided by one lookup
-    per image term without building the composite.  A symbol whose image
-    leaves second's domain is skipped, as compose_maps skips it, and images
-    are compared through `_nonzero`, as compose_maps builds them.
-
-    Returns (ok, number of symbols compared), so that an empty composite,
-    which agrees vacuously, can be told apart.
-    """
-    compared = 0
-    for sym, image in first.items():
-        if len(image) == 1 and _ONE in image.values():  # a basis map: as it stands
-            acc = get(next(iter(image)))
-            if acc is not None and 0 in acc.values():
-                acc = _nonzero(acc)
-        else:
-            acc = apply_map(get, image)
-        if acc is None:
-            continue
-        if acc != want(sym):
-            return False, compared
-        compared += 1
-    return True, compared
 
 
 def coproduct_of_vector(coalgebra, vec):
@@ -801,6 +784,39 @@ def smash_projection_map(smash_coalg):
     return basis_map((sym, sym % n) for sym in smash_coalg.symbols())
 
 
+def lift_paths(base_pindex, cover_pindex, lifts, starts):
+    """The cover path id of the lift of every base path, in `PathIndex`
+    order, or None where there is none: one table per start map, a
+    sequence giving each base vertex's cover vertex or None.
+
+    A vertex u lifts to start[u].  `PathIndex` puts every prefix before
+    its one-arrow extensions, so a longer path extends its prefix's lift
+    by the unique `lifts(end, a, 1)` of its last arrow a; a path whose
+    prefix did not lift, or whose last arrow has no unique lift there, has
+    none.  The one lifting rule of phi and of the lifted subcoalgebra."""
+    base_paths, cover_paths = base_pindex.paths, cover_pindex.paths
+    prefix = [base_pindex.prefix(i) for i in range(len(base_paths))]
+    path_of, vertex_path = cover_pindex.path_of, cover_pindex.vertex_path
+    tables = []
+    for start in starts:
+        lifted = [None] * len(base_paths)
+        for i, (src, _, arrows) in enumerate(base_paths):
+            if not arrows:
+                v = start[src]
+                if v is not None:
+                    lifted[i] = vertex_path(v)
+                continue
+            p = lifted[prefix[i]]
+            if p is None:
+                continue
+            _, end, path = cover_paths[p]
+            candidates = lifts(end, arrows[-1], 1)
+            if len(candidates) == 1:
+                lifted[i] = path_of(path + candidates)
+        tables.append(lifted)
+    return tables
+
+
 def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
     """The mutually inverse coalgebra isomorphisms between the truncated
     path coalgebra of a Galois cover and the smash coproduct built from a
@@ -816,21 +832,18 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
 
     The deck displacement depends only on a path's source, so psi computes
     it once per cover vertex; psi's projection is the cover index's table
-    (`_projection`), built once for all liftings.  phi lifts base paths in
-    `PathIndex` order, where every prefix comes before its one-arrow
-    extensions: the lift of a path extends its prefix's lift by the unique
-    lift of its last arrow, and a path whose prefix did not lift, or whose
-    last arrow has no unique lift there, has no image.  phi reads only the
-    deck action and the unique-lift index, never psi.
+    (`_projection`), built once for all liftings.  phi is `lift_paths`
+    from the translate by each window element of the lifting; it reads
+    only the deck action and the unique-lift index, never psi.
     """
     group = cover.group
     morphism = cover.morphism
     induced = weighting_from_lifting(cover, lifting)
     smash_coalg = smash_path_coalgebra(base_pindex, induced, window)
-    n_base = len(base_pindex)
+    n_base, n_vertices = len(base_pindex), morphism.codomain.num_vertices()
 
     lifted_inverse = [group.inverse(cover.deck_of(lifting[u]))
-                      for u in range(morphism.codomain.num_vertices())]
+                      for u in range(n_vertices)]
     # symbol(image, sigma) = symbol(0, sigma) + image, one offset per cover vertex
     offset = [smash_coalg.symbol(0, group.multiply(lifted_inverse[u], cover.deck_of(v)))
               for v, u in enumerate(morphism.vertex_map)]
@@ -839,32 +852,12 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
     psi = basis_map((i, at + image) for i, image in enumerate(projection)
                     if (at := offset[cover_paths[i][0]]) is not None)
 
-    base_paths = base_pindex.paths
-    prefix = [base_pindex.prefix(i) for i in range(n_base)]
-    lifts, path_of = morphism.lifts, cover_pindex.path_of
-    phi_pairs = []
-    for gi, g in enumerate(window):
-        lifted = [None] * n_base
-        for i, (src, _, arrows) in enumerate(base_paths):
-            if not arrows:
-                start = cover.act_vertex(lifting[src], g)
-                if start is None:
-                    continue
-                idx = cover_pindex.vertex_path(start)
-            else:
-                p = lifted[prefix[i]]
-                if p is None:
-                    continue
-                _, end, path = cover_paths[p]
-                candidates = lifts(end, arrows[-1], 1)
-                if len(candidates) != 1:
-                    continue
-                idx = path_of(path + candidates)
-                if idx is None:
-                    continue
-            lifted[i] = idx
-            phi_pairs.append((gi * n_base + i, idx))
-    return psi, basis_map(phi_pairs), smash_coalg, induced
+    tables = lift_paths(base_pindex, cover_pindex, morphism.lifts,
+                        [[cover.act_vertex(lifting[u], g) for u in range(n_vertices)]
+                         for g in window])
+    phi = basis_map((gi * n_base + i, idx) for gi, lifted in enumerate(tables)
+                    for i, idx in enumerate(lifted) if idx is not None)
+    return psi, phi, smash_coalg, induced
 
 
 def twist_iso(base_pindex, weighting, vertex_weighting, window):

@@ -15,8 +15,9 @@ set alone, certifies every fiber, and ignores `--window`.
 """
 
 from .coalgebra import (
-    CoalgebraError, PathIndex, SparseVector, is_homogeneous, minimal_partition,
-    smash_coalgebra, smash_projection_map, vector_label, verify_coalgebra_map,
+    CoalgebraError, PathIndex, SparseVector, is_homogeneous, lift_paths,
+    minimal_partition, smash_coalgebra, smash_projection_map, vector_label,
+    verify_coalgebra_map,
 )
 from .exactlin import Subspace, smith_normal_form
 from .groups import FinitelyPresented, FreeGroup, abelianize, generates, \
@@ -28,25 +29,6 @@ from .voltage import ArrowWeighting, is_connected_weighting, smash_quiver, \
 
 class CoveringError(ValueError):
     pass
-
-
-def _lift_vector(smash_q, cover_pindex, base_pindex, vec, start_fiber):
-    """Path-by-path lift of a base vector from one fiber, each path to its
-    unique lift through that fiber; None if any support path falls off the
-    window."""
-    out = {}
-    for i, c in vec.items():
-        src, _, arrows = base_pindex.paths[i]
-        if arrows:
-            lifted = smash_q.lift_arrows(arrows, start_fiber)
-            idx = None if lifted is None else cover_pindex.path_of(lifted)
-        else:
-            v = smash_q.vertex_of(src, start_fiber)
-            idx = None if v is None else cover_pindex.vertex_path(v)
-        if idx is None:
-            return None
-        out[idx] = c
-    return SparseVector._wrap(out)
 
 
 class CoalgebraCovering:
@@ -69,7 +51,10 @@ def reach_set(base, weighting):
     """The fibers that lifts from the identity fiber of the rows of support
     >= 2 pass through, identity first: the weight w(a_k)...w(a_1) of every
     prefix of every path in those rows' supports, and w(a) and w(a)^-1 for
-    each arrow, which keep every vertex (v, e) interior."""
+    each arrow, which keep every vertex (v, e) interior.  A weighting on
+    another quiver raises `CoalgebraError`: it would be read by index."""
+    if not base.pindex.quiver.same_as(weighting.quiver):
+        raise CoalgebraError("the weighting is on another quiver than the subcoalgebra")
     group = weighting.group
     reach = {group.identity(): None}
     for g in weighting.assignment.values():
@@ -110,18 +95,27 @@ def span_of_liftings(base, weighting, window):
       of h, a), so the out-arrows of (t, h) are lifts of out-arrows of t in
       their order.  By induction on length, lifting from (u, g) keeps the
       order of the paths from u.
+
+    Each fiber's lifts come from one `lift_paths` table, the rule that
+    builds phi in `covering_coalgebra_iso`.
     """
     fibers = list(window)
     smash_q = smash_quiver(base.pindex.quiver, weighting, fibers)
     cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
+    starts = [[smash_q.vertex_of(u, g) for u in range(base.pindex.quiver.num_vertices())]
+              for g in fibers]
+    tables = lift_paths(base.pindex, cover_pindex, smash_q.morphism.lifts, starts)
     pieces = {}  # cover (source, target) -> the lifts that start and end there
     for sym in base.symbols():
         vec, src = base.row_vector(sym), base.row_endpoints(sym)[0]
-        for g in fibers:
-            lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
-            ends = () if lifted is None else {cover_pindex.target(i) for i in lifted.entries}
+        for start, lift in zip(starts, tables):
+            lifted = {lift[i]: c for i, c in vec.items()}
+            if None in lifted:  # a support path falls off the window
+                continue
+            ends = {cover_pindex.target(i) for i in lifted}
             if len(ends) == 1:
-                pieces.setdefault((smash_q.vertex_of(src, g), ends.pop()), []).append(lifted)
+                pair = (start[src], ends.pop())
+                pieces.setdefault(pair, []).append(SparseVector._wrap(lifted))
     spans = {}
     for pair, rows in sorted(pieces.items()):
         rows.sort(key=SparseVector.leading)

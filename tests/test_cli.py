@@ -9,8 +9,12 @@ import pytest
 
 from covol import cli
 from covol.cli import build_arg_parser, main, run_command
+from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.voltage import smash_quiver, window_ball
 from covol.workspace import parse
+
+from iso_pair_oracle import _small_window_element
+from test_covering import _s3
 
 FIXTURES = ["loop", "dbl", "kron", "tri_ac", "tri_acbc", "sl2"]
 
@@ -132,8 +136,22 @@ def test_csm_iso_default_window_keeps_every_small_element(tmp_path):
         sq = smash_quiver(weighting.quiver, weighting, window_ball(group, 3))
         for v in range(weighting.quiver.num_vertices()):
             for g in sq.window:
-                if cli._small_window_element(group, g):
+                if _small_window_element(group, g):
                     assert sq.vertex_of(v, g) in sq.interior_vertices, (name, v, g)
+
+
+def test_csm_iso_small_elements_are_the_radius_1_window():
+    # `csm-iso` draws among the window elements that lie in
+    # window_ball(group, 1); the backend-by-backend rule it replaced picks
+    # the same elements, in window order, on every backend at radii 0-4
+    groups = [FgAbelian(1), FiniteTable.cyclic(5), FgAbelian(2), FgAbelian(1, (2, 3)),
+              FgAbelian(0), FreeGroup(1), FreeGroup(2), _s3(), FiniteTable.cyclic(4)]
+    for group in groups:
+        ball = set(window_ball(group, 1))
+        for radius in range(5):
+            window = window_ball(group, radius)
+            assert [g for g in window if g in ball] \
+                == [g for g in window if _small_window_element(group, g)], (group, radius)
 
 
 def test_csm_iso_without_interior_lift_exits_2(tmp_path, capsys):

@@ -10,7 +10,7 @@ from covol.coalgebra import CoalgebraError, PathIndex, SparseVector, is_homogene
     smash_coalgebra, subcoalgebra_closure
 from covol import cli, covering
 from covol.covering import (
-    CoveringError, _lift_vector, build_lifted_subcoalgebra,
+    CoveringError, build_lifted_subcoalgebra,
     covering_crosscheck, extract_relators, is_coalgebra_covering, reach_set,
     relators_vanish, span_of_liftings, universal_cover, universal_factor_map,
     universal_grading_group, word_image,
@@ -26,6 +26,7 @@ from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
 import test_identity_fiber_oracle as oracle
 from intersection_oracle import intersect_coordinates
+from iso_pair_oracle import _lift_vector, oracle_span_of_liftings
 from test_identity_fiber_oracle import _is_minimal_in, oracle_identity_span, \
     oracle_is_coalgebra_covering, oracle_windowed_span
 
@@ -647,12 +648,9 @@ def test_lifted_pivot_is_the_lift_of_the_base_pivot():
     assert lifts > 1000 and inhomogeneous
 
 
-def test_span_of_liftings_drops_straddling_lifts():
-    # a, b, x: u -> m and c: m -> v with generators c.a + c.x and c.b + c.x,
-    # x of weight 1: both rows lift to paths ending at two vertices, and
-    # their difference c.a - c.b, which the global RREF finds, lies in one
-    # pair.  Each piece is the RREF of its pair's one-pair lifts, inside
-    # the block split's piece, which is larger.
+def _straddling_example():
+    """a, b, x: u -> m and c: m -> v with generators c.a + c.x and c.b + c.x,
+    x of weight 1, over Z at radius 1: (base, weighting, window)."""
     quiver = Quiver(["u", "m", "v"], [("a", "u", "m"), ("b", "u", "m"),
                                       ("x", "u", "m"), ("c", "m", "v")])
     pindex = PathIndex(quiver, 2)
@@ -661,7 +659,15 @@ def test_span_of_liftings_drops_straddling_lifts():
         SparseVector({pindex.from_names(["c", "b"]): 1, pindex.from_names(["c", "x"]): 1})])
     weighting = ArrowWeighting.by_name(quiver, Z, {"a": zint(0), "b": zint(0),
                                                    "x": zint(1), "c": zint(0)})
-    window = window_ball(Z, 1)
+    return base, weighting, window_ball(Z, 1)
+
+
+def test_span_of_liftings_drops_straddling_lifts():
+    # both rows of the straddling example lift to paths ending at two
+    # vertices, and their difference c.a - c.b, which the global RREF
+    # finds, lies in one pair.  Each piece is the RREF of its pair's
+    # one-pair lifts, inside the block split's piece, which is larger.
+    base, weighting, window = _straddling_example()
     assert not is_homogeneous(base, weighting)
     got = span_of_liftings(base, weighting, window)
     old = oracle_windowed_span(base, weighting, window)
@@ -704,6 +710,7 @@ def test_weighting_on_another_quiver_is_refused():
             shared += fx is not other
             continue
         for call in (lambda: is_homogeneous(fx.basis, w),
+                     lambda: reach_set(fx.basis, w),
                      lambda: smash_coalgebra(fx.basis, w, window),
                      lambda: covering_crosscheck(fx.basis, w, fx.pres),
                      lambda: build_lifted_subcoalgebra(fx.basis, w, window)):
@@ -715,6 +722,27 @@ def test_weighting_on_another_quiver_is_refused():
                 call()
         refused += 1
     assert shared == 2 and refused == len(fixtures) * (len(fixtures) - 1) - shared
+
+
+def test_span_of_liftings_matches_the_path_by_path_lift():
+    # the lift table gives the same pairs, rows, pivots and entry types as
+    # lifting each row path by path (`_lift_vector`), homogeneous or not:
+    # every fixture at radii 1-4, the criterion-5 instances, the
+    # straddling example and every fixture's universal cover
+    cases = [(fx.basis, fx.weighting, fx.window(r)) for fx in all_fixtures()
+             for r in (1, 2, 3, 4)] + _random_cases(1073, 3) + [_straddling_example()]
+    inhomogeneous = 0
+    for base, weighting, window in cases:
+        got = span_of_liftings(base, weighting, window)
+        want = oracle_span_of_liftings(base, weighting, window)
+        assert _typed_spans(got) == _typed_spans(want)
+        assert got.fibers == want.fibers
+        inhomogeneous += not is_homogeneous(base, weighting)
+    for fx in all_fixtures():
+        univ, cov = universal_cover(fx.basis, fx.pres)
+        want = oracle_span_of_liftings(fx.basis, univ.weighting, cov.fibers)
+        assert _typed_spans(cov) == _typed_spans(want), fx.name
+    assert len(cases) == 24 + 45 + 1 and inhomogeneous > 1
 
 
 def _identity_fiber_pieces(cov):

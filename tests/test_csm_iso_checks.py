@@ -2,12 +2,14 @@
 path coproduct table.
 
 `cmd_csm_iso` decides "psi and phi are mutually inverse" and "psi lies
-over the cover projection" by lookup (`composite_agrees`), without
-building `compose_maps` composites.  These tests take the composites as
-the oracle: on every shipped fixture, with the canonical and the 5
-seeded liftings the command itself draws, and on mutated copies of the
-maps, both must give the same verdict.  A check that compares no symbol,
-or skips a symbol of its first map, must not count as a pass.
+over the cover projection" on the `compose_maps` composites
+(`_inverse_over_base`), whose unit images are read as they stand.  Two
+oracles check it: the composites built through `apply_map` alone, and the
+lookup check the command used before (`composite_agrees`, kept verbatim in
+`iso_pair_oracle`).  On every shipped fixture, with the canonical and the
+5 seeded liftings the command itself draws, and on mutated copies of the
+maps, all three must give the same verdict.  A check that compares no
+symbol, or skips a symbol of its first map, must not count as a pass.
 
 Smash symbols and base symbols are both ints: a psi, phi or projection
 that puts one where the other belongs must fail the command on every
@@ -34,10 +36,10 @@ import pytest
 
 from covol import cli
 from covol.cli import (
-    CommandError, _inverse_over_base, _small_window_element, _weighting_of,
+    CommandError, _inverse_over_base, _weighting_of,
 )
 from covol.coalgebra import (
-    PathIndex, TruncatedPathCoalgebra, compose_maps, composite_agrees,
+    PathIndex, TruncatedPathCoalgebra, compose_maps,
     counit_vector, cover_projection_map, covering_coalgebra_iso, delta_terms,
     is_identity_map, smash_path_coalgebra, smash_projection_map,
     verify_coalgebra_map,
@@ -47,6 +49,7 @@ from covol.fixtures import loop_fixture
 from covol.voltage import GaloisCoverData, VertexWeighting, smash_quiver, window_ball
 from covol.workspace import parse
 
+from iso_pair_oracle import _small_window_element, compose_by_apply_map, composite_agrees
 from test_closure_oracle import delta_vector
 
 FIXTURES = ["loop", "dbl", "kron", "tri_ac", "tri_acbc", "sl2"]
@@ -106,8 +109,11 @@ def _unit_at(sym):
 
 
 def _oracle_checks(psi, phi, smash, expected):
-    psi_phi, phi_psi = compose_maps(psi, phi), compose_maps(phi, psi)
-    proj = compose_maps(smash_projection_map(smash), psi)
+    psi_phi = compose_by_apply_map(psi, phi)
+    phi_psi = compose_by_apply_map(phi, psi)
+    proj = compose_by_apply_map(smash_projection_map(smash), psi)
+    assert (psi_phi, phi_psi, proj) == (compose_maps(psi, phi), compose_maps(phi, psi),
+                                        compose_maps(smash_projection_map(smash), psi))
     return ((is_identity_map(psi_phi), len(psi_phi)),
             (is_identity_map(phi_psi), len(phi_psi)),
             (proj == {sym: expected[sym] for sym in proj}, len(proj)))
@@ -130,6 +136,8 @@ def _assert_same_verdicts(psi, phi, smash, expected):
     # each composite must be defined on every symbol of its first map
     verdict = all(ok and 0 < size == len(first)
                   for (ok, size), first in zip(oracle, (phi, psi, psi)))
+    assert all(ok and 0 < compared == len(first)
+               for (ok, compared), first in zip(lookup, (phi, psi, psi))) == verdict
     assert cli._inverse_over_base(psi, phi, smash, expected) == verdict
     return [ok for ok, _ in oracle] + [verdict]
 

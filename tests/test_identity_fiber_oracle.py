@@ -48,7 +48,7 @@ import pytest
 from covol import cli, coalgebra, covering, exactlin
 from covol.coalgebra import CoalgebraError, PathIndex, SmashCoalgebra, SparseVector, \
     is_homogeneous, smash_coalgebra, subcoalgebra_closure, vector_label
-from covol.covering import CoalgebraCovering, _lift_vector, covering_crosscheck, \
+from covol.covering import CoalgebraCovering, covering_crosscheck, \
     is_coalgebra_covering, reach_set, span_of_liftings
 from covol.exactlin import Subspace, finest_block_partition, rref
 from covol.fixtures import all_fixtures, double_loop_fixture, sl2_fixture, tri_fixture
@@ -57,6 +57,7 @@ from covol.quiver import Quiver, spanning_tree_pi1
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
 from intersection_oracle import intersect_coordinates
+from iso_pair_oracle import _lift_vector
 
 
 def oracle_all_path_symbols(base):

@@ -19,13 +19,14 @@ import pytest
 
 from covol.coalgebra import (
     CoalgebraError, SubcoalgebraBasis, TruncatedPathCoalgebra,
-    apply_map, basis_map, coassociativity_ok, compose_maps, composite_agrees,
+    apply_map, basis_map, coassociativity_ok, compose_maps,
     coproduct_of_vector, is_homogeneous, smash_coalgebra,
     is_identity_map, smash_projection_map, verify_coalgebra_map,
 )
 from covol.exactlin import SparseVector, rref
 from covol.fixtures import all_fixtures, kronecker_fixture
 
+from iso_pair_oracle import compose_by_apply_map, composite_agrees
 from test_closure_oracle import delta_vector
 
 
@@ -479,6 +480,49 @@ def test_zero_coefficient_in_a_unit_image_agrees_with_compose_maps():
     assert composite_agrees(second.get, first, lambda s: {5: 1, 6: 0}) == (False, 0)
     assert composite_agrees(second.get, {0: {0: 2}}, lambda s: {5: 2}) == (True, 1)
     assert composite_agrees({0: {5: 0}}.get, first, lambda s: {}) == (True, 1)
+
+
+def _zero_free(linmap):
+    return {s: {t: c for t, c in image.items() if c} for s, image in linmap.items()}
+
+
+def _typed(linmap):
+    return {s: [(t, c, type(c)) for t, c in image.items()] for s, image in linmap.items()}
+
+
+def test_compose_maps_reads_a_unit_image_as_it_stands():
+    # compose_maps takes a unit image {t: 1} to be second's image of t, its
+    # zeros dropped: the same composite, with the same entry types, as
+    # every image through `apply_map` (`compose_by_apply_map`), and the
+    # same as the delete oracle on second without its zeros, when second's
+    # images carry explicit zeros, when first's images have coefficient 2,
+    # and when they leave second's domain
+    second, first = {0: {5: 1, 6: 0}}, {0: {0: 1}}
+    assert compose_maps(second, first) == oracle_compose_maps(_zero_free(second), first) \
+        == compose_by_apply_map(second, first) == {0: {5: 1}}
+    rng = random.Random(2012)
+    seen = {"unit with zero": 0, "coefficient 2": 0, "skipped": 0}
+    for _ in range(400):
+        symbols = list(range(rng.randint(2, 8)))
+        targets = list(range(rng.randint(1, 4)))
+        second = _random_map(rng, symbols, targets)
+        for image in second.values():
+            if rng.random() < 0.5:
+                image[rng.choice(targets) if rng.random() < 0.3 else len(targets)] = 0
+        first = {s: {rng.choice(symbols): rng.choice((1, 1, 2, -1, Fraction(1, 2)))}
+                 for s in symbols if rng.random() < 0.8}
+        got = compose_maps(second, first)
+        assert _typed(got) == _typed(compose_by_apply_map(second, first))
+        assert got == oracle_compose_maps(_zero_free(second), first)
+        for sym, image in first.items():
+            (t, c), = image.items()
+            if t not in second:
+                seen["skipped"] += 1
+            elif c == 1 and 0 in second[t].values():
+                seen["unit with zero"] += 1
+            elif c == 2:
+                seen["coefficient 2"] += 1
+    assert all(n > 50 for n in seen.values()), seen
 
 
 def test_identity_map_ignores_zero_coefficients():

@@ -357,32 +357,38 @@ def test_lift_arrows_matches_lift_walk_on_every_fixture_path():
 
 def test_canonical_phi_is_the_path_lift_of_the_covering_test():
     """phi of the covering isomorphism at the canonical lifting sends each
-    smash symbol (p, g) to the lift of the unit path p from fiber g that
-    the covering test reads (`_lift_vector`), and is undefined exactly
-    where that lift leaves the window."""
-    from covol.coalgebra import PathIndex, SparseVector, covering_coalgebra_iso
-    from covol.covering import _lift_vector
+    smash symbol (p, g) to the lift of the unit path p from fiber g: the
+    entry of p in the `lift_paths` table from fiber g, which
+    `span_of_liftings` reads, and the path-by-path lift (`_lift_vector`,
+    which read `lift_arrows`); it is undefined exactly where that lift
+    leaves the window.  Every fixture path at radii 1-4."""
+    from covol.coalgebra import PathIndex, SparseVector, covering_coalgebra_iso, lift_paths
+    from iso_pair_oracle import _lift_vector
     from covol.fixtures import all_fixtures
     defined = undefined = 0
     for fx in all_fixtures():
-        for radius in (1, 3):
+        nv = fx.quiver.num_vertices()
+        for radius in (1, 2, 3, 4):
             window = fx.window(radius)
             sq = smash_quiver(fx.quiver, fx.weighting, window)
             cover_pindex = PathIndex(sq.quiver, fx.pindex.truncation)
             _, phi, smash, _ = covering_coalgebra_iso(
                 GaloisCoverData.from_smash(sq), sq.canonical_lifting(),
                 fx.pindex, cover_pindex, window)
+            tables = lift_paths(fx.pindex, cover_pindex, sq.morphism.lifts,
+                                [[sq.vertex_of(u, g) for u in range(nv)] for g in window])
             symbols = set()
-            for g in window:
+            for g, table in zip(window, tables):
                 for i in range(len(fx.pindex)):
                     lifted = _lift_vector(sq, cover_pindex, fx.pindex,
                                           SparseVector.unit(i), g)
                     sym = smash.symbol(i, g)
                     if lifted is None:
-                        assert sym not in phi, (fx.name, radius, g, i)
+                        assert sym not in phi and table[i] is None, (fx.name, radius, g, i)
                         undefined += 1
                     else:
-                        assert phi[sym] == lifted.entries, (fx.name, radius, g, i)
+                        assert phi[sym] == lifted.entries == {table[i]: 1}, \
+                            (fx.name, radius, g, i)
                         symbols.add(sym)
                         defined += 1
             assert set(phi) == symbols, (fx.name, radius)
