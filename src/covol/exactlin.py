@@ -379,26 +379,3 @@ def matmul_int(a, b):
                 for j in range(cols):
                     out[i][j] += aik * b[k][j]
     return out
-
-
-def det_int(a):
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = Fraction(1) / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-    assert det.denominator == 1
-    return int(det)

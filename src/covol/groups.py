@@ -11,7 +11,7 @@ tuples with torsion residues in canonical range.
 
 from operator import add, neg
 
-from .exactlin import smith_normal_form, matmul_int, det_int
+from .exactlin import smith_normal_form
 
 
 class GroupError(ValueError):
@@ -418,20 +418,3 @@ def generates(group, gens):
     if isinstance(group, FreeGroup):
         return _generates_free(group, gens)
     raise GroupError("generation test unsupported for backend %r" % group)
-
-
-def verify_unimodular(matrix):
-    return abs(det_int(matrix)) == 1
-
-
-def snf_reconstructs(matrix, diagonal, left, right):
-    """Check left * matrix * right equals diag(diagonal) exactly."""
-    product = matmul_int(matmul_int(left, matrix), right)
-    nrows = len(product)
-    ncols = len(product[0]) if nrows else 0
-    for i in range(nrows):
-        for j in range(ncols):
-            want = diagonal[i] if i == j and i < len(diagonal) else 0
-            if product[i][j] != want:
-                return False
-    return True

@@ -8,6 +8,8 @@ the dimension count for homogeneity, the brute-force block partitions)
 import it from here.  `KeyedEchelon` is `_Echelon` as it was then: a row's
 pivot is its first column under `key`, and `subspace` reads the rows
 pivoted in `cols`.
+
+Copied at 6d78d7c from `covol/exactlin.py` as it stood at e98b432.
 """
 
 from fractions import Fraction

@@ -13,6 +13,9 @@ verbatim as oracles.
   `_lift_vector`.
 - `_small_window_element` restated `window_ball(group, 1)` backend by
   backend; `csm-iso` now reads that window.
+
+Copied at b1d38be from `covol/coalgebra.py`, `covol/covering.py` and
+`covol/cli.py` as they stood at 6d78d7c.
 """
 
 from covol.coalgebra import _ONE, PathIndex, _nonzero, apply_map

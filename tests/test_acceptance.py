@@ -42,16 +42,12 @@ from covol.voltage import (
 )
 from covol.workspace import emit, parse
 
-from intersection_oracle import intersect_coordinates
+from corpus import Z, zint
+from oracles.intersection import intersect_coordinates
 
 import os
 
 SEED = int(os.environ.get("COVOL_SEED", "20240801"))
-Z = FgAbelian(1)
-
-
-def zint(n):
-    return Z.element(free=[n])
 
 
 @contextmanager

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from corpus import ROOT
 
 with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _handle:
     WORKLOAD_NAMES = [w["name"] for w in json.load(_handle)["workloads"]]

@@ -3,8 +3,6 @@ import json
 import subprocess
 import sys
 
-import importlib.resources as resources
-
 import pytest
 
 from covol import cli
@@ -13,17 +11,8 @@ from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.voltage import smash_quiver, window_ball
 from covol.workspace import parse
 
-from iso_pair_oracle import _small_window_element
-from test_covering import _s3
-
-FIXTURES = ["loop", "dbl", "kron", "tri_ac", "tri_acbc", "sl2"]
-
-
-def fixture_path(name, tmp_path):
-    text = (resources.files("covol") / "fixtures" / ("%s.cov" % name)).read_text()
-    path = tmp_path / ("%s.cov" % name)
-    path.write_text(text)
-    return str(path)
+from corpus import FIXTURES, _s3, fixture_path
+from oracles.iso_pair import _small_window_element
 
 
 def run(command, name, tmp_path, *extra):

@@ -14,9 +14,10 @@ The closure then reads its basis straight off the echelon rows, taking
 each row's endpoint pair from its pivot, and `SubcoalgebraBasis.coproduct`
 keys its escape check on the int l * N + r.  The assembly that preceded
 them (`endpoints` per row over `echelon.subspace()`, `min` pivots) and the
-tuple-keyed escape check over `delta_vector` are copied below too.  On
-the same worklist, both must give the same spaces, rows entry by entry,
-pivots, symbol order and coproduct terms in order, or the same error.
+tuple-keyed escape check over `delta_vector` are copied below too, on the
+helpers kept in `oracles.path_vectors`.  On the same worklist, both must
+give the same spaces, rows entry by entry, pivots, symbol order and
+coproduct terms in order, or the same error.
 """
 
 import importlib.util
@@ -38,29 +39,13 @@ from covol.fixtures import (
 )
 from covol.quiver import Quiver
 
-from test_identity_fiber_oracle import RootedPathIndex
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from corpus import ROOT
+from oracles.identity_fiber import RootedPathIndex
+from oracles.path_vectors import delta_vector, endpoints
 
 
 # ---------------------------------------------------------------------------
-# oracles: the helpers, the basis assembly and the escape check as they
-# were, verbatim
-
-
-def delta_vector(pindex, vec):
-    """Coproduct of a path vector as a dict (left, right) -> coefficient.
-    A splitting composes to its own path, so no two terms share a key."""
-    table, split = pindex._coproducts, pindex._split
-    return {(l, r): c for i, c in vec.items() for _, l, r in (table[i] or split(i))[0]}
-
-
-def endpoints(pindex, vec):
-    """(source, target) if the vector is endpoint-homogeneous, else None."""
-    pairs = {(pindex.source(i), pindex.target(i)) for i in vec.support()}
-    if len(pairs) == 1:
-        return next(iter(pairs))
-    return None
+# oracles: the basis assembly and the escape check as they were, verbatim
 
 
 class OracleBasis(SubcoalgebraBasis):

@@ -25,13 +25,8 @@ from covol.voltage import (
     window_ball,
 )
 
-from test_closure_oracle import delta_vector, endpoints
-
-Z = FgAbelian(1)
-
-
-def zint(n):
-    return Z.element(free=[n])
+from corpus import Z, zint
+from oracles.path_vectors import delta_vector, endpoints
 
 
 def test_delta_vertex_and_arrow():

@@ -14,15 +14,10 @@ from covol.comodule import (
     push_down, to_smash_comodule, verify_comodule, witness_graded_comodule,
 )
 from covol.fixtures import kronecker_fixture, loop_fixture, sl2_fixture
-from covol.groups import FgAbelian
 from covol.quiver import Quiver
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
-Z = FgAbelian(1)
-
-
-def zint(n):
-    return Z.element(free=[n])
+from corpus import Z, zint
 
 
 def unit_symbol(basis, path_index):

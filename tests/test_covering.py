@@ -24,17 +24,12 @@ from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.quiver import Quiver, QuiverError, QuiverMorphism, spanning_tree_pi1
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
-import test_identity_fiber_oracle as oracle
-from intersection_oracle import intersect_coordinates
-from iso_pair_oracle import _lift_vector, oracle_span_of_liftings
-from test_identity_fiber_oracle import _is_minimal_in, oracle_identity_span, \
+from corpus import Z, _instances, _parallel_sums, _s3, zint
+from oracles import identity_fiber as oracle
+from oracles.identity_fiber import _is_minimal_in, oracle_identity_span, \
     oracle_is_coalgebra_covering, oracle_windowed_span
-
-Z = FgAbelian(1)
-
-
-def zint(n):
-    return Z.element(free=[n])
+from oracles.intersection import intersect_coordinates
+from oracles.iso_pair import _lift_vector, oracle_span_of_liftings
 
 
 def test_build_lifted_loop():
@@ -468,13 +463,6 @@ def test_change_of_tree_universal_groups_agree():
     assert c12 > 0 and c21 > 0
 
 
-def _s3():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    return FiniteTable([[index[tuple(a[b[k]] for k in range(3))] for b in perms]
-                        for a in perms])
-
-
 def _global_lifted_spans(base, smash_q, cover_pindex):
     """Reference formula: lift every path and every row from every fiber,
     reduce all lifts into one RREF, and intersect it with each (source,
@@ -538,17 +526,6 @@ def _criterion_5_quivers():
         tri_fixture("ac").quiver,
         Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "u")]),
     ]
-
-
-def _parallel_sums(rng, pindex):
-    """Closure of two combinations of 2-3 parallel paths."""
-    gens = []
-    for _ in range(2):
-        pair = rng.choice(sorted(pindex.by_pair))
-        same = [i for i in pindex.by_pair[pair] if pindex.length(i)]
-        support = rng.sample(same, min(len(same), rng.randint(2, 3)))
-        gens.append(SparseVector({i: rng.choice([1, 2, -1]) for i in support}))
-    return subcoalgebra_closure(pindex, gens)
 
 
 def test_span_of_liftings_matches_global_rref():
@@ -797,7 +774,7 @@ def test_crosscheck_builds_only_the_arrow_table(monkeypatch):
     # the crosscheck gives the same report on every fixture and on the
     # seeded instances of all five backends
     cases = [(base, w, spanning_tree_pi1(base.pindex.quiver, 0))
-             for base, w in oracle._instances()]
+             for base, w in _instances()]
     want = [covering_crosscheck(*case) for case in cases]
     fx = kronecker_fixture()
     for cls in (Quiver, QuiverMorphism):

@@ -6,7 +6,7 @@ over the cover projection" on the `compose_maps` composites
 (`_inverse_over_base`), whose unit images are read as they stand.  Two
 oracles check it: the composites built through `apply_map` alone, and the
 lookup check the command used before (`composite_agrees`, kept verbatim in
-`iso_pair_oracle`).  On every shipped fixture, with the canonical and the
+`oracles.iso_pair`).  On every shipped fixture, with the canonical and the
 5 seeded liftings the command itself draws, and on mutated copies of the
 maps, all three must give the same verdict.  A check that compares no
 symbol, or skips a symbol of its first map, must not count as a pass.
@@ -28,7 +28,6 @@ import collections
 import io
 import contextlib
 import json
-import importlib.resources as resources
 import os
 import random
 
@@ -49,19 +48,12 @@ from covol.fixtures import loop_fixture
 from covol.voltage import GaloisCoverData, VertexWeighting, smash_quiver, window_ball
 from covol.workspace import parse
 
-from iso_pair_oracle import _small_window_element, compose_by_apply_map, composite_agrees
-from test_closure_oracle import delta_vector
+from corpus import FIXTURES, fixture_path as _fixture_path
+from oracles.iso_pair import _small_window_element, compose_by_apply_map, composite_agrees
+from oracles.path_vectors import delta_vector
 
-FIXTURES = ["loop", "dbl", "kron", "tri_ac", "tri_acbc", "sl2"]
 # distinct liftings among the 6 that `csm-iso` draws at the default seed
 DISTINCT = {"loop": 2, "dbl": 4, "kron": 5, "tri_ac": 6, "tri_acbc": 6, "sl2": 6}
-
-
-def _fixture_path(name, tmp_path):
-    text = (resources.files("covol") / "fixtures" / ("%s.cov" % name)).read_text()
-    path = tmp_path / ("%s.cov" % name)
-    path.write_text(text)
-    return str(path)
 
 
 def _run_csm_iso(path, *options):

@@ -11,11 +11,10 @@ product per coproduct term, the interior by per-vertex products) are
 copied below as oracles.  Rows must agree entry by entry, with the same
 order and the same int/Fraction type, so reports stay byte-identical.
 The package echelon takes no key; the intersection order runs on the
-keyed copy in `intersection_oracle`, which must give the package
+keyed copy in `oracles.intersection`, which must give the package
 echelon's rows in natural order.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -27,12 +26,13 @@ from covol.coalgebra import (
 )
 from covol.exactlin import SparseVector, _Echelon, rref
 from covol.fixtures import all_fixtures, double_loop_fixture, sl2_fixture, tri_fixture
-from covol.groups import FgAbelian, FiniteTable, FreeGroup
-from covol.quiver import Quiver, QuiverError
+from covol.groups import FgAbelian, FreeGroup
+from covol.quiver import QuiverError
 from covol.voltage import ArrowWeighting, SmashQuiver, window_ball
 
-from intersection_oracle import KeyedEchelon, intersect_coordinates
-from test_closure_oracle import delta_vector, endpoints
+from corpus import _quivers, _s3
+from oracles.intersection import KeyedEchelon, intersect_coordinates
+from oracles.path_vectors import delta_vector, endpoints
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +200,6 @@ def _replay(vectors, key=None):
     return new
 
 
-def _s3():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    return FiniteTable([[index[tuple(a[b[k]] for k in range(3))] for b in perms]
-                        for a in perms])
-
-
 def _backends():
     """(group, weight sampler) for Z, Z/5, S3, Z^2 and free(2)."""
     z, z5, z2, f2, s3 = FgAbelian(1), FgAbelian(0, (5,)), FgAbelian(2), FreeGroup(2), _s3()
@@ -218,15 +211,6 @@ def _backends():
         (s3, lambda rng: rng.randrange(6)),
         (z2, lambda rng: z2.element(free=[rng.randint(-1, 1), rng.randint(0, 1)])),
         (f2, lambda rng: rng.choice(f2_letters)),
-    ]
-
-
-def _quivers():
-    return [
-        sl2_fixture(4).quiver,
-        tri_fixture("ac").quiver,
-        double_loop_fixture().quiver,
-        Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "u")]),
     ]
 
 

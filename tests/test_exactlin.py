@@ -3,11 +3,11 @@ from fractions import Fraction
 
 from covol.exactlin import (
     SparseVector, _Echelon, rref, finest_block_partition,
-    smith_normal_form, matmul_int, det_int, solve_affine,
+    smith_normal_form, matmul_int, solve_affine,
 )
-from covol.groups import snf_reconstructs, verify_unimodular
 
-from intersection_oracle import intersect_coordinates
+from oracles.intersection import intersect_coordinates
+from oracles.snf import det_int, snf_reconstructs, verify_unimodular
 
 
 def vec(*values):

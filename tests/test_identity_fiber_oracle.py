@@ -2,24 +2,17 @@
 for homogeneity that `is_homogeneous` and `smash_coalgebra` share.
 
 `is_coalgebra_covering` and `covering_crosscheck` decide the covering
-property from where the lifts of the base's rows of support >= 2 end.
-The three-certificate test that preceded them (common endpoint,
-membership in the pair's span, minimality by rank or by enumerating
-subsums) is copied below as the oracle, with the lifts that
-`span_of_liftings` used to keep.  So is the span over the identity fiber
-alone, on a rooted cover index that holds only the paths leaving that
-fiber, and, before it, over a cover index on every fiber of the reach set
-(lifting the unit vectors of every member path plus the rows of support
->= 2).  Cover indices differ, so lifted spans are compared by (cover
-source vertex, cover arrow tuple).  Both full spans lift rows of support
-1 too, so they run over `oracle_reach_set`, the reach set that also held
-the prefix weights of those rows' paths; `reach_set` now holds only what
-the crosscheck walks, and a property test checks that it is a subset of
-the oracle's on which every lift it walks stays.
-
-The proof that only the endpoint certificate can fail is checked as a
-test: every single-endpoint lift is a member of its pair's span, and the
-span meets the coordinates of its support in one dimension.
+property from where the lifts of the base's rows of support >= 2 end; the
+oracles are the three-certificate test and the identity-fiber span of
+`oracles.identity_fiber`.  The span before that, over a cover index on
+every fiber of `oracle_reach_set` (lifting the unit vectors of every member
+path plus the rows of support >= 2), is copied below.  Cover indices
+differ, so lifted spans are compared by (cover source vertex, cover arrow
+tuple).  `reach_set` holds only what the crosscheck walks, and a property
+test checks that it is a subset of the oracle's on which every lift it
+walks stays.  The proof that only the endpoint certificate can fail is
+checked as a test: every single-endpoint lift is a member of its pair's
+span, and the span meets the coordinates of its support in one dimension.
 
 `is_homogeneous` and `smash_coalgebra` decide homogeneity by whether
 every RREF row has one weight.  The dimension count it replaced (the
@@ -31,17 +24,9 @@ pair of two weights whose rows each have one, and a mixed row that is
 not the first of its pair.  No `intersect_coordinates` is left in the
 package, and a spy on the echelon shows that homogeneity, the crosscheck
 and the span of liftings add no row to one.
-
-`span_of_liftings` keeps each pair's lifted rows as they stand.  The
-function it replaced (the RREF of every lift, cut into pairs on its
-finest block partition, intersecting each block that straddles pairs) is
-kept as `oracle_windowed_span`, on the same block split as the
-identity-fiber oracles (`_cut_into_pairs`).
 """
 
 import importlib.resources as resources
-import itertools
-import random
 
 import pytest
 
@@ -50,14 +35,16 @@ from covol.coalgebra import CoalgebraError, PathIndex, SmashCoalgebra, SparseVec
     is_homogeneous, smash_coalgebra, subcoalgebra_closure, vector_label
 from covol.covering import CoalgebraCovering, covering_crosscheck, \
     is_coalgebra_covering, reach_set, span_of_liftings
-from covol.exactlin import Subspace, finest_block_partition, rref
-from covol.fixtures import all_fixtures, double_loop_fixture, sl2_fixture, tri_fixture
-from covol.groups import FgAbelian, FiniteTable, FreeGroup
+from covol.fixtures import all_fixtures
+from covol.groups import FgAbelian
 from covol.quiver import Quiver, spanning_tree_pi1
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
-from intersection_oracle import intersect_coordinates
-from iso_pair_oracle import _lift_vector
+from corpus import _instances
+from oracles.identity_fiber import RootedPathIndex, _cut_into_pairs, oracle_identity_span, \
+    oracle_is_coalgebra_covering, oracle_lifts, oracle_reach_set
+from oracles.intersection import intersect_coordinates
+from oracles.iso_pair import _lift_vector
 
 
 def oracle_all_path_symbols(base):
@@ -68,80 +55,6 @@ def oracle_all_path_symbols(base):
             if space.member(SparseVector.unit(i)):
                 out.append(i)
     return out
-
-
-class RootedPathIndex(PathIndex):
-    """The path index rooted at `sources`: only the paths starting at those
-    vertices, in the same relative order as in the full index.  It is not
-    closed under splitting (a later part starts elsewhere), so `_split`
-    refuses it."""
-
-    def __init__(self, quiver, truncation, sources):
-        self.quiver = quiver
-        self.truncation = truncation
-        self.paths = []
-        self._index = {}
-        self.by_pair = {}
-        for v in sorted(sources):
-            self._append(v, v, ())
-        frontier = list(range(len(self.paths)))
-        for _ in range(truncation):
-            nxt = []
-            for i in frontier:
-                src, tgt, arrows = self.paths[i]
-                for a in quiver.out_arrows[tgt]:
-                    nxt.append(self._append(src, quiver.target(a), arrows + (a,)))
-            frontier = nxt
-        self._coproducts = [None] * len(self.paths)
-        self._images = None
-
-    def _split(self, i):
-        raise CoalgebraError("a rooted path index is not closed under splitting")
-
-
-def _cut_into_pairs(generators, cover_pindex):
-    """The span of the generators cut into its (source, target) pieces on
-    its finest block partition, as `span_of_liftings` cuts it."""
-    total = rref(generators)
-    blocks = finest_block_partition(total)
-    block_of = {c: n for n, block in enumerate(blocks) for c in block}
-    block_rows = [[] for _ in blocks]
-    for row, p in zip(total.rows, total.pivots):
-        block_rows[block_of[p]].append(row)
-    pieces = {}
-    for block, rows in zip(blocks, block_rows):
-        coords = {}
-        for c in block:
-            pair = (cover_pindex.source(c), cover_pindex.target(c))
-            coords.setdefault(pair, []).append(c)
-        if len(coords) == 1:
-            pieces.setdefault(next(iter(coords)), []).extend(rows)
-            continue
-        space = Subspace(rows, [row.leading() for row in rows])
-        for pair, cs in coords.items():
-            pieces.setdefault(pair, []).extend(intersect_coordinates(space, cs).rows)
-    return {pair: Subspace(sorted(rows, key=SparseVector.leading),
-                           sorted(row.leading() for row in rows))
-            for pair, rows in sorted(pieces.items()) if rows}
-
-
-def oracle_reach_set(base, weighting):
-    """The fibers that lifts from the identity fiber pass through, identity
-    first: the weight w(a_k)...w(a_1) of every prefix of every path in the
-    base's row supports, and w(a) and w(a)^-1 for each arrow, which keep
-    every vertex (v, e) interior."""
-    group = weighting.group
-    reach = {group.identity(): None}
-    for g in weighting.assignment.values():
-        reach.update({g: None, group.inverse(g): None})
-    for space in base.spaces.values():
-        for row in space.rows:
-            for i in row.support():
-                g = group.identity()
-                for a in base.pindex.arrows(i):
-                    g = group.multiply(weighting.of(a), g)
-                    reach[g] = None
-    return list(reach)
 
 
 def oracle_span_of_liftings(base, weighting):
@@ -158,101 +71,6 @@ def oracle_span_of_liftings(base, weighting):
         for vec in vectors) if lifted is not None]
     return CoalgebraCovering(smash_q, base, cover_pindex,
                              _cut_into_pairs(generators, cover_pindex), [identity])
-
-
-def oracle_identity_span(base, weighting):
-    """`span_of_liftings` without a window: the base's rows lifted as they
-    stand from the identity fiber, over the smash quiver on `oracle_reach_set`,
-    into a cover index rooted at the identity fiber."""
-    quiver = base.pindex.quiver
-    identity = weighting.group.identity()
-    smash_q = smash_quiver(quiver, weighting, oracle_reach_set(base, weighting))
-    cover_pindex = RootedPathIndex(smash_q.quiver, base.pindex.truncation,
-                                   [smash_q.vertex_of(v, identity)
-                                    for v in range(quiver.num_vertices())])
-    generators = [_lift_vector(smash_q, cover_pindex, base.pindex, base.row_vector(sym),
-                               identity) for sym in base.symbols()]
-    return CoalgebraCovering(smash_q, base, cover_pindex,
-                             _cut_into_pairs(generators, cover_pindex), [identity])
-
-
-def oracle_windowed_span(base, weighting, window):
-    """`span_of_liftings` before it kept each pair's lifted rows as they
-    stand: the RREF of every lift through every fiber of the window, cut
-    into pairs on its finest block partition (`_cut_into_pairs`)."""
-    fibers = list(window)
-    smash_q = smash_quiver(base.pindex.quiver, weighting, fibers)
-    cover_pindex = PathIndex(smash_q.quiver, base.pindex.truncation)
-    generators = []
-    for sym in base.symbols():
-        vec = base.row_vector(sym)
-        for g in fibers:
-            lifted = _lift_vector(smash_q, cover_pindex, base.pindex, vec, g)
-            if lifted is not None:
-                generators.append(lifted)
-    return CoalgebraCovering(smash_q, base, cover_pindex,
-                             _cut_into_pairs(generators, cover_pindex), fibers)
-
-
-def oracle_minimal_rows(basis):
-    """Every RREF row with support of size >= 2, as (endpoint pair, row)."""
-    out = []
-    for sym in basis.symbols():
-        row = basis.row_vector(sym)
-        if len(row.support()) >= 2:
-            out.append((basis.row_endpoints(sym), row))
-    return out
-
-
-def oracle_lifts(cov):
-    """The lifts `span_of_liftings` kept for the covering test: (row, cover
-    start vertex, lift) for each row of support >= 2 and each fiber it
-    lifts through, in (symbol, fiber) order."""
-    base, smash_q = cov.base, cov.smash
-    out = []
-    for (src, _), rep in oracle_minimal_rows(base):
-        for g in cov.fibers:
-            lifted = _lift_vector(smash_q, cov.cover_pindex, base.pindex, rep, g)
-            if lifted is not None:
-                out.append((rep, smash_q.vertex_of(src, g), lifted))
-    return out
-
-
-def _is_minimal_in(space, vec):
-    """No proper nonempty subsum of vec, a member of the space, lies in it.
-    Such subsums lie in the space's intersection with the coordinates of
-    vec's support; when that is one-dimensional it is vec's span."""
-    local = intersect_coordinates(space, vec.support())
-    return local.dimension == 1 or not _has_member_subsum(local, vec)
-
-
-def _has_member_subsum(space, vec):
-    """Whether a proper nonempty subsum of vec, a member of the space, lies
-    in it.  A subsum is a member iff its complement is, so the subsums
-    without the last coordinate suffice."""
-    support = sorted(vec.support())
-    n = len(support)
-    return any(space.member(SparseVector({support[i]: vec[support[i]]
-                                          for i in range(n) if (mask >> i) & 1}))
-               for mask in range(1, 2 ** (n - 1)))
-
-
-def oracle_is_coalgebra_covering(cov):
-    """Every minimal element of the base lifts to a minimal element of the
-    lifted span at every fiber of `cov.fibers` where its support paths
-    materialize: common endpoint, membership, and minimality.  Quantifies
-    over every base row of support >= 2 (a block can carry several), each
-    a minimal element, through the lifts `span_of_liftings` kept
-    (`oracle_lifts`).  Returns (ok, witness) with witness = (minimal element,
-    fiber vertex) on failure."""
-    cover_pindex = cov.cover_pindex
-    for rep, start, candidate in oracle_lifts(cov):
-        ends = {cover_pindex.target(i) for i in candidate.support()}
-        space = cov.lifted_spans.get((start, ends.pop())) if len(ends) == 1 else None
-        if space is None or not space.member(candidate) \
-                or not _is_minimal_in(space, candidate):
-            return False, (rep, start)
-    return True, None
 
 
 def row_weight(basis, weighting, sym):
@@ -303,62 +121,6 @@ def oracle_is_homogeneous(basis, weighting):
                     break
     homogeneous = total == basis.dimension
     return homogeneous, (None if homogeneous else witness)
-
-
-def _s3():
-    perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    return FiniteTable([[index[tuple(a[b[k]] for k in range(3))] for b in perms]
-                        for a in perms])
-
-
-def _backends():
-    """(group, weight sampler) for Z, Z/5, S3, Z^2 and free(2)."""
-    z, z5, z2, f2, s3 = FgAbelian(1), FgAbelian(0, (5,)), FgAbelian(2), FreeGroup(2), _s3()
-    f2_letters = [f2.identity(), f2.generator(0), f2.generator(1),
-                  f2.inverse(f2.generator(0)), f2.inverse(f2.generator(1))]
-    return [
-        (z, lambda rng: z.element(free=[rng.randint(-1, 1)])),
-        (z5, lambda rng: z5.element(torsion=[rng.randrange(5)])),
-        (s3, lambda rng: rng.randrange(6)),
-        (z2, lambda rng: z2.element(free=[rng.randint(0, 1), rng.randint(0, 1)])),
-        (f2, lambda rng: rng.choice(f2_letters)),
-    ]
-
-
-def _quivers():
-    return [
-        sl2_fixture(4).quiver,
-        tri_fixture("ac").quiver,
-        double_loop_fixture().quiver,
-        Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "u")]),
-    ]
-
-
-def _parallel_sums(rng, pindex):
-    """Closure of two combinations of 2-3 parallel paths."""
-    gens = []
-    for _ in range(2):
-        pair = rng.choice(sorted(pindex.by_pair))
-        same = [i for i in pindex.by_pair[pair] if pindex.length(i)]
-        support = rng.sample(same, min(len(same), rng.randint(2, 3)))
-        gens.append(SparseVector({i: rng.choice([1, 2, -1]) for i in support}))
-    return subcoalgebra_closure(pindex, gens)
-
-
-def _instances(truncation=2):
-    """(base, weighting) for every fixture, then seeded random instances on
-    every backend, homogeneous or not, at the given truncation."""
-    out = [(fx.basis, fx.weighting) for fx in all_fixtures()]
-    rng = random.Random(1311)
-    for quiver in _quivers():
-        pindex = PathIndex(quiver, truncation)
-        for group, sample in _backends():
-            for _ in range(6):
-                w = ArrowWeighting(quiver, group, {a: sample(rng)
-                                                   for a in range(quiver.num_arrows())})
-                out.append((_parallel_sums(rng, pindex), w))
-    return out
 
 
 def _keyed_spans(cov):

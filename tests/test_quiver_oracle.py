@@ -20,7 +20,7 @@ morphism and interior, or the same error.
 import random
 from types import SimpleNamespace
 
-from covol.groups import FgAbelian, FiniteTable
+from covol.groups import FiniteTable
 from covol.quiver import (
     Quiver, QuiverError, QuiverMorphism, Walk, covering_automorphism,
     deck_group, is_covering, is_galois_on_fiber, lift_walk,
@@ -29,10 +29,7 @@ from covol.fixtures import all_fixtures
 from covol.voltage import ArrowWeighting, SmashQuiver, local_covering_ok, smash_quiver, \
     window_ball
 
-from test_identity_fiber_oracle import _backends, _quivers
-
-
-Z = FgAbelian(1)
+from corpus import Z, _backends, _quivers
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ from covol.coalgebra import (
 from covol.exactlin import SparseVector, rref
 from covol.fixtures import all_fixtures, kronecker_fixture
 
-from iso_pair_oracle import compose_by_apply_map, composite_agrees
-from test_closure_oracle import delta_vector
+from corpus import COEFFS, _Perturbed
+from oracles.iso_pair import compose_by_apply_map, composite_agrees
+from oracles.path_vectors import delta_vector
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +227,6 @@ def oracle_subcoalgebra_coproduct(basis, sym):
 # ---------------------------------------------------------------------------
 # inputs
 
-COEFFS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)]
-
 
 def _outcome(fn, *args):
     """The call's results, or the type and text of the CoalgebraError it
@@ -251,54 +250,6 @@ def _random_map(rng, domain, codomain, density=0.8):
     return {s: {t: rng.choice(COEFFS)
                 for t in rng.sample(codomain, min(len(codomain), rng.randint(1, 3)))}
             for s in domain if rng.random() < density}
-
-
-class _Perturbed:
-    """A coalgebra-with-basis whose coproducts are another's with each term
-    sometimes split in two and cancelling term pairs inserted, so that
-    every sum over it cancels; `damage` changes one coefficient, drops one
-    term or changes one counit."""
-
-    def __init__(self, base, rng, damage=None):
-        self.base = base
-        symbols = base.symbols()
-        self._symbols = symbols
-        self._terms = {}
-        for sym in symbols:
-            terms, truncated = base.coproduct(sym)
-            out = []
-            for coeff, l, r in terms:
-                d = rng.choice(COEFFS)
-                if rng.random() < 0.4 and d != coeff:
-                    out += [(coeff - d, l, r), (d, l, r)]
-                else:
-                    out.append((coeff, l, r))
-            for _ in range(rng.randint(0, 2)):
-                e, l, r = rng.choice(COEFFS), rng.choice(symbols), rng.choice(symbols)
-                out += [(e, l, r), (-e, l, r)]
-            rng.shuffle(out)
-            self._terms[sym] = (out, truncated)
-        self._counits = {sym: base.counit(sym) for sym in symbols}
-        if damage is not None:
-            sym = rng.choice(symbols)
-            terms, truncated = self._terms[sym]
-            k = rng.randrange(len(terms))
-            if damage == "coefficient":
-                c, l, r = terms[k]
-                terms[k] = (2 * c, l, r)
-            elif damage == "drop":
-                del terms[k]
-            else:
-                self._counits[sym] += 1
-
-    def symbols(self):
-        return list(self._symbols)
-
-    def coproduct(self, sym):
-        return self._terms[sym]
-
-    def counit(self, sym):
-        return self._counits[sym]
 
 
 def _coalgebras(fx):

@@ -25,8 +25,7 @@ from covol.coalgebra import (
 from covol.fixtures import all_fixtures
 from covol.voltage import window_ball
 
-from test_identity_fiber_oracle import _instances
-from test_sparse_oracle import _Perturbed
+from corpus import _Perturbed, _instances
 
 
 # ---------------------------------------------------------------------------

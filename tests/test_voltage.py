@@ -15,7 +15,7 @@ from covol.voltage import (
     twist_weighting, weight_walk, weighting_from_lifting, window_ball,
 )
 
-Z = FgAbelian(1)
+from corpus import Z, zint
 
 
 def loop():
@@ -24,10 +24,6 @@ def loop():
 
 def kronecker():
     return Quiver(["x", "y"], [("a", "x", "y"), ("b", "x", "y")])
-
-
-def zint(n):
-    return Z.element(free=[n])
 
 
 def test_weight_walk_basic():
@@ -363,7 +359,7 @@ def test_canonical_phi_is_the_path_lift_of_the_covering_test():
     which read `lift_arrows`); it is undefined exactly where that lift
     leaves the window.  Every fixture path at radii 1-4."""
     from covol.coalgebra import PathIndex, SparseVector, covering_coalgebra_iso, lift_paths
-    from iso_pair_oracle import _lift_vector
+    from oracles.iso_pair import _lift_vector
     from covol.fixtures import all_fixtures
     defined = undefined = 0
     for fx in all_fixtures():
