@@ -222,6 +222,7 @@ def cmd_csm_iso(ws, args):
     # reads command state or fills caches), so a repeated draw is checked
     # once and counted once per draw.
     outcomes = {}  # cover vertices in base-vertex order -> (verified, checked)
+    projection = None  # one for all liftings: each smash is len(basis.pindex) x |window|
     verified = 0
     total_checked = 0
     for lifting in liftings:
@@ -233,8 +234,9 @@ def cmd_csm_iso(ws, args):
             ok2, _, c2 = verify_coalgebra_map(phi, smash_coalg, cover_coalg)
             lifted = sum(paths_at[v] for start in lifting.values() for g in window
                          if (v := cover.act_vertex(start, g)) is not None)
+            projection = projection or smash_projection_map(smash_coalg)
             ok = bool(ok1 and ok2 and c1 and c2 and len(phi) == lifted
-                      and _inverse_over_base(psi, phi, smash_coalg, expected))
+                      and _inverse_over_base(psi, phi, projection, expected))
             outcomes[key] = (ok, c1 + c2)
         ok, checked = outcomes[key]
         verified += ok
@@ -248,15 +250,15 @@ def cmd_csm_iso(ws, args):
     return report, None, 0 if verified == len(liftings) else 1
 
 
-def _inverse_over_base(psi, phi, smash_coalg, expected):
+def _inverse_over_base(psi, phi, projection, expected):
     """psi and phi are mutually inverse and psi lies over the cover
     projection `expected`: compose_maps(psi, phi) and compose_maps(phi,
-    psi) are identities, and compose_maps(smash_projection_map(smash_coalg),
-    psi) equals `expected`, each composite defined on every symbol of its
-    first map, and on at least one, so that no check holds vacuously or by
-    skipping: a symbol left out of phi, or an image that leaves the other
-    map's domain, fails."""
-    over = compose_maps(smash_projection_map(smash_coalg), psi)
+    psi) are identities, and compose_maps(projection, psi), `projection`
+    the smash coalgebra's `smash_projection_map`, equals `expected`, each
+    composite defined on every symbol of its first map, and on at least
+    one, so that no check holds vacuously or by skipping: a symbol left
+    out of phi, or an image that leaves the other map's domain, fails."""
+    over = compose_maps(projection, psi)
     return all(0 < len(composite) == len(first) and is_identity_map(composite)
                for composite, first in ((compose_maps(psi, phi), phi),
                                         (compose_maps(phi, psi), psi))) \

@@ -10,7 +10,8 @@ A coalgebra-with-basis exposes `symbols()`, `coproduct(sym)` returning
 silently dropped: every verifier skips symbols whose expansion hits the
 window boundary.  `coproduct` raises `CoalgebraError` on an id outside
 `range(dimension)`, and `verify_coalgebra_map` fails a symbol whose image
-the target refuses.
+the target refuses.  Coproduct tables (`PathIndex`, smash) are read as
+`table[i] or coproduct(i)` where i lies in range by construction.
 
 Zero rule for sparse sums: terms are added as `out[k] = out.get(k, 0) + v`
 and no sum deletes a key; a finished sum keeps only its nonzero values
@@ -163,12 +164,13 @@ class PathIndex:
         if not 0 <= i < len(self.paths):
             raise CoalgebraError("no path %r in an index of %d paths" % (i, len(self.paths)))
         src, tgt, arrows = self.paths[i]
+        index = self._index  # every part of an indexed path is indexed
         if not arrows:
             terms = [(_ONE, i, i)]
         else:
-            terms = [(_ONE, self.vertex_path(tgt), i), (_ONE, i, self.vertex_path(src))]
+            terms = [(_ONE, index[("v", tgt)], i), (_ONE, i, index[("v", src)])]
             for k in range(1, len(arrows)):
-                terms.append((_ONE, self.path_of(arrows[k:]), self.path_of(arrows[:k])))
+                terms.append((_ONE, index[arrows[k:]], index[arrows[:k]]))
         entry = self._coproducts[i] = (terms, False)
         return entry
 
@@ -633,11 +635,13 @@ def verify_coalgebra_map(linmap, source, target):
     """Check (f tensor f) . Delta = Delta . f and counit preservation on
     every symbol whose expansions avoid the window boundary on both sides.
     A symbol with an image id that the target refuses (`CoalgebraError`
-    from its coproduct) fails.
+    from its coproduct) fails.  Images are flattened once to tuples; tensor
+    keys stay pairs, as l * D + r is not injective on out-of-range image ids.
 
     Returns (ok, witness symbol, checked count).
     """
-    get, source_coproduct, source_counit = linmap.get, source.coproduct, source.counit
+    get = {sym: tuple(image.items()) for sym, image in linmap.items()}.get
+    source_coproduct, source_counit = source.coproduct, source.counit
     target_coproduct, target_counit = target.coproduct, target.counit
     checked = 0
     for sym in source.symbols():
@@ -648,14 +652,15 @@ def verify_coalgebra_map(linmap, source, target):
         if truncated:
             continue
         diff = {}  # Delta . f minus (f tensor f) . Delta
+        dget = diff.get
         try:
-            for t, c in image.items():
+            for t, c in image:
                 image_terms, truncated = target_coproduct(t)
                 if truncated:
                     break
                 for coeff, l, r in image_terms:
                     key = (l, r)
-                    diff[key] = diff.get(key, 0) + c * coeff
+                    diff[key] = dget(key, 0) + c * coeff
         except CoalgebraError:
             return False, sym, checked
         if truncated:
@@ -664,15 +669,16 @@ def verify_coalgebra_map(linmap, source, target):
             il, ir = get(l), get(r)
             if il is None or ir is None:
                 break
-            for a, ca in il.items():
-                for b, cb in ir.items():
+            for a, ca in il:
+                ca = coeff * ca
+                for b, cb in ir:
                     key = (a, b)
-                    diff[key] = diff.get(key, 0) - coeff * ca * cb
+                    diff[key] = dget(key, 0) - ca * cb
         else:
             if any(diff.values()):
                 return False, sym, checked
             eps = 0
-            for t, c in image.items():
+            for t, c in image:
                 e = target_counit(t)
                 if e:
                     eps += c * e
@@ -704,10 +710,12 @@ def coassociativity_ok(coalgebra):
     symbol.  The limit: the certificate is for the smash formula, and a
     shift table damaged only at fibers that no first interior symbol's
     expansion reads goes unseen.  Other coalgebras are checked at every
-    symbol.
+    symbol.  A smash term's factors k * n + c1 and j * n + c2 are in
+    range(dimension), so they are read as `table[l] or coproduct(l)`.
     """
     coproduct, counit = coalgebra.coproduct, coalgebra.counit
-    n = coalgebra.base.dimension if isinstance(coalgebra, SmashCoalgebra) else None
+    smash = isinstance(coalgebra, SmashCoalgebra)
+    n, table = (coalgebra.base.dimension, coalgebra._coproducts) if smash else (None, None)
     held = set()  # base symbols whose laws held at their first interior symbol
     checked = 0
     for sym in coalgebra.symbols():
@@ -717,8 +725,8 @@ def coassociativity_ok(coalgebra):
         known = n is not None and sym % n in held
         diff = {}  # (Delta x id) Delta minus (id x Delta) Delta
         for coeff, l, r in terms:
-            lt, t1 = coproduct(l)
-            rt, t2 = coproduct(r)
+            lt, t1 = coproduct(l) if table is None else table[l] or coproduct(l)
+            rt, t2 = coproduct(r) if table is None else table[r] or coproduct(r)
             if t1 or t2:
                 break
             if known:

@@ -35,6 +35,14 @@ def fixture_path(name, tmp_path):
     return str(path)
 
 
+def _outcome(fn, *args):
+    """A call's result, or the type and text of the error it raised."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return "raised", type(exc).__name__, str(exc)
+
+
 def _s3():
     perms = list(itertools.permutations(range(3)))
     index = {p: i for i, p in enumerate(perms)}

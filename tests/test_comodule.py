@@ -14,7 +14,6 @@ from covol.comodule import (
     push_down, to_smash_comodule, verify_comodule, witness_graded_comodule,
 )
 from covol.fixtures import kronecker_fixture, loop_fixture, sl2_fixture
-from covol.quiver import Quiver
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
 from corpus import Z, zint

@@ -10,6 +10,8 @@ lookup check the command used before (`composite_agrees`, kept verbatim in
 5 seeded liftings the command itself draws, and on mutated copies of the
 maps, all three must give the same verdict.  A check that compares no
 symbol, or skips a symbol of its first map, must not count as a pass.
+The command builds the smash projection map once: every lifting's smash
+coalgebra has n = len(base index) and n * |window| symbols.
 
 Smash symbols and base symbols are both ints: a psi, phi or projection
 that puts one where the other belongs must fail the command on every
@@ -130,7 +132,7 @@ def _assert_same_verdicts(psi, phi, smash, expected):
                   for (ok, size), first in zip(oracle, (phi, psi, psi)))
     assert all(ok and 0 < compared == len(first)
                for (ok, compared), first in zip(lookup, (phi, psi, psi))) == verdict
-    assert cli._inverse_over_base(psi, phi, smash, expected) == verdict
+    assert cli._inverse_over_base(psi, phi, smash_projection_map(smash), expected) == verdict
     return [ok for ok, _ in oracle] + [verdict]
 
 
@@ -183,7 +185,10 @@ MUTATIONS = [_swap_two, _drop_one, _scale_one, _two_terms, _two_terms_one_outsid
 @pytest.mark.parametrize("name", FIXTURES)
 def test_lookup_checks_match_composites(monkeypatch, tmp_path, name):
     failed = collections.Counter()
-    for psi, phi, smash, expected in _captured_isos(monkeypatch, tmp_path, name):
+    isos = _captured_isos(monkeypatch, tmp_path, name)
+    # so one projection map, built once by the command, serves every lifting
+    assert len({(smash.base.dimension, smash.dimension) for _, _, smash, _ in isos}) == 1
+    for psi, phi, smash, expected in isos:
         assert _assert_same_verdicts(psi, phi, smash, expected) == [True] * 4
         for mutate in MUTATIONS:
             for verdicts in (_assert_same_verdicts(psi, mutate(phi), smash, expected),
@@ -341,15 +346,16 @@ def test_disjoint_domains_do_not_pass_vacuously():
     assert is_identity_map(compose_maps(phi, psi))
     assert composite_agrees(psi.get, phi, _unit_at) == (True, 0)
     assert composite_agrees(phi.get, psi, _unit_at) == (True, 0)
-    assert not cli._inverse_over_base(psi, phi, smash, expected)
+    projection = smash_projection_map(smash)
+    assert not cli._inverse_over_base(psi, phi, projection, expected)
     # the same maps made inverse on one symbol, over the right base path
     psi, phi = {0: {at(0, e): 1}}, {at(0, e): {0: 1}}
-    assert cli._inverse_over_base(psi, phi, smash, {0: {0: 1}})
-    assert not cli._inverse_over_base(psi, phi, smash, {0: {1: 1}})
+    assert cli._inverse_over_base(psi, phi, projection, {0: {0: 1}})
+    assert not cli._inverse_over_base(psi, phi, projection, {0: {1: 1}})
     # psi's image is no smash symbol: the square compares nothing
     outside = smash.dimension
     assert not cli._inverse_over_base({0: {outside: 1}},
-                                      {outside: {0: 1}}, smash, {0: {0: 1}})
+                                      {outside: {0: 1}}, projection, {0: {0: 1}})
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +435,8 @@ def test_shared_table_matches_a_fresh_computation(tmp_path, name):
 
 def oracle_cmd_csm_iso(ws, args):
     """`cli.cmd_csm_iso` checking every drawn lifting from scratch, a
-    verbatim copy of the loop before repeats were checked once."""
+    verbatim copy of the loop before repeats were checked once; its
+    `_inverse_over_base` call builds the projection map per lifting."""
     decl = ws.sole("subcoalgebra", args.subcoalgebra)
     basis = decl.basis
     weighting = _weighting_of(ws, args, on=decl)
@@ -475,7 +482,7 @@ def oracle_cmd_csm_iso(ws, args):
         lifted = sum(paths_at[v] for start in lifting.values() for g in window
                      if (v := cover.act_vertex(start, g)) is not None)
         if ok1 and ok2 and c1 and c2 and len(phi) == lifted \
-                and _inverse_over_base(psi, phi, smash_coalg, expected):
+                and _inverse_over_base(psi, phi, smash_projection_map(smash_coalg), expected):
             verified += 1
         total_checked += c1 + c2
     report = {

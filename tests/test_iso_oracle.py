@@ -23,6 +23,7 @@ from covol.groups import FiniteTable
 from covol.quiver import Quiver, QuiverError, QuiverMorphism, lift_walk
 from covol.voltage import GaloisCoverData, smash_quiver, weighting_from_lifting
 
+from corpus import _outcome
 
 # ---------------------------------------------------------------------------
 # oracles: the per-path rules, verbatim but for the smash symbols, which
@@ -108,14 +109,6 @@ def oracle_verify_coalgebra_map(linmap, source, target):
 
 # ---------------------------------------------------------------------------
 # comparison
-
-
-def _outcome(fn, *args):
-    """The call's results, or the type and text of the error it raised."""
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:  # noqa: BLE001 - the error itself is compared
-        return "raised", type(exc).__name__, str(exc)
 
 
 def _compare(cover, lifting, base_pindex, cover_pindex, window, seen):

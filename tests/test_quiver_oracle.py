@@ -29,7 +29,7 @@ from covol.fixtures import all_fixtures
 from covol.voltage import ArrowWeighting, SmashQuiver, local_covering_ok, smash_quiver, \
     window_ball
 
-from corpus import Z, _backends, _quivers
+from corpus import Z, _backends, _outcome, _quivers
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +219,6 @@ class OracleSmashQuiver:
 
 # ---------------------------------------------------------------------------
 # seeded random morphisms
-
-
-def _outcome(fn, *args):
-    """A call's result, or the type and text of the error it raised."""
-    try:
-        return "ok", fn(*args)
-    except Exception as exc:  # noqa: BLE001 - the error itself is compared
-        return "raised", type(exc).__name__, str(exc)
 
 
 def _random_base(rng):

@@ -14,8 +14,15 @@ A shift table damaged by hand shows the certificate's limit: a wrong
 shift at a fiber that some first interior symbol's expansion reads fails
 both checks, and a wrong shift at a fiber that none reads fails only the
 oracle.
+
+`coassociativity_ok` reads a smash term's factor coproducts from the
+smash table as `table[l] or coproduct(l)`.  A fresh table, one partly
+filled before the check and one filled in full give the oracle's triple
+on each of the five backends; on the full table the check calls
+`coproduct` once per symbol and reads every factor from the table.
 """
 
+import collections
 import random
 
 from covol.coalgebra import (
@@ -25,7 +32,7 @@ from covol.coalgebra import (
 from covol.fixtures import all_fixtures
 from covol.voltage import window_ball
 
-from corpus import _Perturbed, _instances
+from corpus import _Perturbed, _backends, _instances
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +103,26 @@ def _fixture_smashes(radii):
             yield smash_path_coalgebra(fx.pindex, fx.weighting, window)
 
 
-def _counting_counit(smash):
-    """Count the counit calls made on `smash` from now on."""
+def _counting(smash, method):
+    """Count the calls of the named method made on `smash` from now on."""
     calls = [0]
-    counit = smash.counit
+    call = getattr(smash, method)
 
     def counted(sym):
         calls[0] += 1
-        return counit(sym)
+        return call(sym)
 
-    smash.counit = counted
+    setattr(smash, method, counted)
     return calls
+
+
+def _filled(smash, rng, share):
+    """`smash` with the coproducts of about `share` of its symbols, drawn
+    by rng, already in its table."""
+    for sym in smash.symbols():
+        if rng.random() < share:
+            smash.coproduct(sym)
+    return smash
 
 
 def _interior(smash, sym):
@@ -154,7 +170,7 @@ def _with_wrong_identity_shift(fresh, j, k):
 def test_translation_matches_oracle_on_every_homogeneous_fixture():
     saved = 0
     for smash in _fixture_smashes(range(5)):
-        calls = _counting_counit(smash)
+        calls = _counting(smash, "counit")
         got = coassociativity_ok(smash)
         new_calls, calls[0] = calls[0], 0
         want = oracle_coassociativity_ok(smash)
@@ -240,3 +256,38 @@ def test_wrong_shift_at_an_unread_fiber_fails_only_the_oracle():
         assert got[0] and not want[0], fx.name
         missed += 1
     assert missed == 5
+
+
+def test_table_reads_match_oracle_on_every_backend():
+    """Fresh, partly filled and full tables give the oracle's triple, and a
+    wrong identity shift at the first read fiber fails the check and the
+    oracle alike, on Z, Z/5, S3, Z^2 and free(2)."""
+    backends = {repr(group) for group, _ in _backends()}
+    rng = random.Random(2707)
+    seen = collections.Counter()
+    for base, weighting in _instances():
+        group = weighting.group
+        if repr(group) not in backends:
+            continue
+        window = window_ball(group, 1)
+        builders = [lambda: smash_path_coalgebra(base.pindex, weighting, window)]
+        if is_homogeneous(base, weighting):
+            builders.append(lambda: smash_coalgebra(base, weighting, window))
+        for fresh in builders:
+            want = oracle_coassociativity_ok(fresh())
+            partly = _filled(fresh(), rng, 0.5)
+            assert None in partly._coproducts and any(partly._coproducts)
+            assert coassociativity_ok(fresh()) == coassociativity_ok(partly) == want
+            full = _filled(fresh(), rng, 1)
+            calls = _counting(full, "coproduct")
+            assert coassociativity_ok(full) == want
+            assert calls[0] == full.dimension
+            read, interior = _read_fibers(fresh())
+            j = min(read)
+            k = min(interior - {j})
+            got = coassociativity_ok(_filled(_with_wrong_identity_shift(fresh, j, k), rng, 0.5))
+            wrong = oracle_coassociativity_ok(_with_wrong_identity_shift(fresh, j, k))
+            assert not got[0] and not wrong[0]
+            assert wrong[1] <= got[1]
+            seen[repr(group)] += want[0] and want[2] > 0
+    assert set(seen) == backends and all(seen.values()), seen
