@@ -175,12 +175,6 @@ class PathIndex:
         return entry
 
 
-def delta_terms(pindex, i):
-    """Splittings of a path as (later part, earlier part) pairs, read from
-    the index's coproduct table."""
-    return [(l, r) for _, l, r in (pindex._coproducts[i] or pindex._split(i))[0]]
-
-
 def counit_vector(pindex, vec):
     return sum((c for i, c in vec.items() if pindex.length(i) == 0), 0)
 
@@ -541,9 +535,6 @@ class SmashCoalgebra:
         if 0 <= sym < self.dimension:
             return self._counits[sym % self._n]
         raise _no_symbol(self, sym)
-
-    def is_interior(self, sym):
-        return not self.coproduct(sym)[1]
 
     def label(self, sym):
         c, g = self.decode(sym)

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .coalgebra import CoalgebraError, _nonzero, coproduct_of_vector, \
-    apply_map, rational_str, smash_projection_map
+    apply_map, smash_projection_map
 from .exactlin import SparseVector, matmul_int, rref, solve_affine
 from .groups import FgAbelian
 
@@ -203,18 +203,6 @@ def from_smash_comodule(N):
     under = push_down(M, smash_projection_map(smash), base)
     graded = GradedComodule(under, degrees, smash.weight_of, group)
     return graded, change
-
-
-def comodule_to_json(M):
-    """Coaction triples (row, column, coalgebra element) with labeled
-    symbols and exact rational coefficient strings."""
-    triples = []
-    for (i, j) in sorted(M.coaction):
-        element = [{"symbol": M.coalgebra.label(sym), "coeff": rational_str(c)}
-                   for sym, c in sorted(M.coaction[(i, j)].items(),
-                                        key=lambda kv: str(kv[0]))]
-        triples.append([i, j, element])
-    return {"schema": 1, "labels": list(M.labels), "coaction": triples}
 
 
 def push_down(N, projection, target):

@@ -75,7 +75,7 @@ def span_of_liftings(base, weighting, window):
     """The lifts of the base subcoalgebra's RREF rows through every fiber
     of the window whose lift stays inside, each in the (source, target)
     pair of cover vertices where it starts and ends (the endpoint rule of
-    `_lifts_end_together`); a lift that ends at several vertices joins no
+    `is_coalgebra_covering`); a lift that ends at several vertices joins no
     pair.  For a homogeneous base every lift ends at one vertex, and this
     is the lifted subcoalgebra: the rows of support 1 lift the vertices and
     arrows, every row of support >= 2 is a minimal element, and lifting is
@@ -143,11 +143,14 @@ def build_lifted_subcoalgebra(base, weighting, window):
     return cov
 
 
-def _lifts_end_together(smash_q, base, fibers):
-    """(ok, witness): the lift of each base row of support >= 2 from each
-    fiber ends at one cover vertex, read from the smash quiver's arrow
-    table.  A lift that leaves the window is skipped; witness = (row, cover
-    start vertex) is the first failure in (symbol, fiber) order."""
+def is_coalgebra_covering(smash_q, base, fibers):
+    """Every base minimal element lifts to a minimal element of the lifted
+    span at every fiber of `fibers` where it materializes, read from the
+    lifts' endpoints (see `covering_crosscheck`): the lift of each base row
+    of support >= 2 from each fiber ends at one cover vertex, read from the
+    smash quiver's arrow table.  A lift that leaves the window is skipped.
+    Returns (ok, witness) with witness = (row, cover start vertex), the
+    first failure in (symbol, fiber) order."""
     ends, paths = smash_q.arrow_ends, base.pindex.paths  # the basis refuses other row ids
     for sym in base.symbols():
         row = base.row_vector(sym)
@@ -161,14 +164,6 @@ def _lifts_end_together(smash_q, base, fibers):
                                           for p in lifts}) > 1:
                 return False, (row, start)
     return True, None
-
-
-def is_coalgebra_covering(cov):
-    """Every base minimal element lifts to a minimal element of the lifted
-    span at every fiber of `cov.fibers` where it materializes, read from
-    the lifts' endpoints (see `covering_crosscheck`).  Returns (ok,
-    witness) with witness = (minimal element, fiber vertex) on failure."""
-    return _lifts_end_together(cov.smash, cov.base, cov.fibers)
 
 
 def covering_crosscheck(base, weighting, pres, window=None):
@@ -196,7 +191,7 @@ def covering_crosscheck(base, weighting, pres, window=None):
     homogeneous, witness = is_homogeneous(base, weighting, return_witness=True)
     connected = is_connected_weighting(weighting, pres)
     smash_q = smash_quiver(base.pindex.quiver, weighting, reach_set(base, weighting))
-    covering_ok, _ = _lifts_end_together(smash_q, base, [weighting.group.identity()])
+    covering_ok, _ = is_coalgebra_covering(smash_q, base, [weighting.group.identity()])
     if homogeneous != covering_ok:
         raise CoveringError(
             "homogeneity and covering property disagree: %r vs %r"
@@ -337,14 +332,6 @@ def universal_grading_group(base, pres):
         raise CoveringError("universal weighting is not connected")
     return UniversalGradingGroup(pres, relator_set, presentation, backend,
                                  images, weighting, abelianized)
-
-
-def universal_cover(base, pres, window_radius=None):
-    """Lifted subcoalgebra over the universal weighting."""
-    univ = universal_grading_group(base, pres)
-    radius = base.pindex.truncation + 2 if window_radius is None else window_radius
-    window = window_ball(univ.backend, radius)
-    return univ, build_lifted_subcoalgebra(base, univ.weighting, window)
 
 
 def relators_vanish(relator_set, weighting):

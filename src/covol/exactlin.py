@@ -118,13 +118,6 @@ class Subspace:
     def member(self, vec):
         return self.reduce(vec).is_zero()
 
-    def coordinates(self, vec):
-        """Coefficients of vec in the RREF basis, or None if not a member."""
-        coeffs = [vec[p] for p in self.pivots]
-        if self.reduce(vec).is_zero():
-            return coeffs
-        return None
-
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.rows == other.rows
 

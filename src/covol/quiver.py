@@ -143,16 +143,6 @@ class Walk:
         return Walk(self.quiver, self.end,
                     tuple((a, -sign) for a, sign in reversed(self.steps)))
 
-    def reduced_steps(self):
-        """Steps after cancelling immediate backtracking a a^-."""
-        out = []
-        for step in self.steps:
-            if out and out[-1][0] == step[0] and out[-1][1] == -step[1]:
-                out.pop()
-            else:
-                out.append(step)
-        return tuple(out)
-
     def display(self):
         if not self.steps:
             return "(%s)" % self.quiver.vertices[self.start]
@@ -179,12 +169,6 @@ def concat(second, first):
         raise QuiverError("endpoint mismatch: second walk starts at %r, first ends at %r" %
                           (second.start, first.end))
     return Walk(first.quiver, first.start, first.steps + second.steps)
-
-
-def path_walk(quiver, start, arrow_names):
-    """Path from arrow names given in right-to-left display order."""
-    steps = [(quiver.arrow_index[n], 1) for n in reversed(arrow_names)]
-    return Walk(quiver, start, steps)
 
 
 class Pi1Presentation:

@@ -65,11 +65,6 @@ class VertexWeighting:
         return cls(quiver, group,
                    {quiver.vertex_index[n]: g for n, g in named.items()})
 
-    @classmethod
-    def constant(cls, quiver, group, value=None):
-        value = group.identity() if value is None else value
-        return cls(quiver, group, {v: value for v in range(quiver.num_vertices())})
-
 
 def weight_walk(weighting, walk):
     """Weight of a walk: the sign-respecting product of its arrow weights,

@@ -1,4 +1,5 @@
-"""Instances and constants that several test modules use, defined once.
+"""Instances, constants and brute-force references that several test
+modules use, defined once.
 A helper that one module uses stays there, and a same-named helper that
 draws otherwise (the Z^2 sampler of `test_echelon_oracle._backends`) keeps
 its own definition, since merging it would change seeded test data."""
@@ -14,6 +15,8 @@ from covol.fixtures import all_fixtures, double_loop_fixture, sl2_fixture, tri_f
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.quiver import Quiver
 from covol.voltage import ArrowWeighting
+
+from oracles.intersection import intersect_coordinates
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -82,6 +85,39 @@ def _parallel_sums(rng, pindex):
         support = rng.sample(same, min(len(same), rng.randint(2, 3)))
         gens.append(SparseVector({i: rng.choice([1, 2, -1]) for i in support}))
     return subcoalgebra_closure(pindex, gens)
+
+
+def _random_subcoalgebra(rng, pindex):
+    """Closure of up to two combinations of 1-3 parallel paths of length >= 1."""
+    gens = []
+    for _ in range(rng.randint(0, 2)):
+        anchor = rng.randrange(len(pindex))
+        pair = (pindex.source(anchor), pindex.target(anchor))
+        same = [i for i in pindex.by_pair[pair] if pindex.length(i) >= 1]
+        if not same:
+            continue
+        support = rng.sample(same, min(len(same), rng.randint(1, 3)))
+        gens.append(SparseVector({i: rng.choice([1, 2, -1]) for i in support}))
+    return subcoalgebra_closure(pindex, gens)
+
+
+def brute_force_partition(space, coords):
+    """The finest split of `coords` into parts whose coordinate
+    intersections with `space` add up to its dimension, by trying every
+    bipartition: the reference for `finest_block_partition`."""
+    coords = sorted(coords)
+    if not coords:
+        return []
+    n = len(coords)
+    for mask in range(1, 2 ** (n - 1)):
+        part = {coords[i] for i in range(n) if (mask >> i) & 1}
+        rest = set(coords) - part
+        a = intersect_coordinates(space, part)
+        b = intersect_coordinates(space, rest)
+        if a.dimension + b.dimension == space.dimension:
+            return (brute_force_partition(a, part) +
+                    brute_force_partition(b, rest))
+    return [coords]
 
 
 def _instances(truncation=2):

@@ -16,7 +16,7 @@ from covol.coalgebra import (
     compose_maps, cover_projection_map, covering_coalgebra_iso,
     is_homogeneous, is_identity_map, minimal_partition,
     smash_coalgebra, smash_path_coalgebra, smash_projection_map,
-    subcoalgebra_closure, twist_iso,
+    twist_iso,
     verify_coalgebra_map,
 )
 from covol.comodule import (
@@ -42,8 +42,7 @@ from covol.voltage import (
 )
 from covol.workspace import emit, parse
 
-from corpus import Z, zint
-from oracles.intersection import intersect_coordinates
+from corpus import Z, _random_subcoalgebra, brute_force_partition, zint
 
 import os
 
@@ -169,21 +168,8 @@ def test_criterion_4_smash_path_coalgebra_bijection():
             assert ok and checked > 0, (fx.name, witness)
             images = [next(iter(img)) for img in emap.values()]
             assert len(images) == len(set(images))  # injective on symbols
-            interior = [s for s in smash.symbols() if smash.is_interior(s)]
+            interior = [s for s in smash.symbols() if not smash.coproduct(s)[1]]
             assert all(s in emap for s in interior)
-
-
-def _random_subcoalgebra(rng, pindex):
-    gens = []
-    for _ in range(rng.randint(0, 2)):
-        anchor = rng.randrange(len(pindex))
-        pair = (pindex.source(anchor), pindex.target(anchor))
-        same = [i for i in pindex.by_pair[pair] if pindex.length(i) >= 1]
-        if not same:
-            continue
-        support = rng.sample(same, min(len(same), rng.randint(1, 3)))
-        gens.append(SparseVector({i: rng.choice([1, 2, -1]) for i in support}))
-    return subcoalgebra_closure(pindex, gens)
 
 
 def test_criterion_5_covering_equivalence():
@@ -224,24 +210,8 @@ def test_criterion_5_covering_equivalence():
                 with pytest.raises(CoveringError):
                     build_lifted_subcoalgebra(basis, w, window)
                 cov = span_of_liftings(basis, w, window)
-            ok, _ = is_coalgebra_covering(cov)
+            ok, _ = is_coalgebra_covering(cov.smash, cov.base, cov.fibers)
             assert ok == homogeneous, trial
-
-
-def _brute_force_partition(space, coords):
-    coords = sorted(coords)
-    if not coords:
-        return []
-    n = len(coords)
-    for mask in range(1, 2 ** (n - 1)):
-        part = {coords[i] for i in range(n) if (mask >> i) & 1}
-        rest = set(coords) - part
-        a = intersect_coordinates(space, part)
-        b = intersect_coordinates(space, rest)
-        if a.dimension + b.dimension == space.dimension:
-            return (_brute_force_partition(a, part) +
-                    _brute_force_partition(b, rest))
-    return [coords]
 
 
 def _random_subspaces():
@@ -268,7 +238,7 @@ def test_criterion_6_minimal_partition_oracle():
                 supported |= r.support()
             got = finest_block_partition(space)
             want = sorted((sorted(b) for b in
-                           _brute_force_partition(space, supported)),
+                           brute_force_partition(space, supported)),
                           key=lambda b: b[0] if b else -1)
             assert got == want, trial
 
@@ -279,7 +249,7 @@ def test_criterion_6_minimal_partition_oracle():
                     supported |= r.support()
                 got = finest_block_partition(space)
                 want = sorted((sorted(b) for b in
-                               _brute_force_partition(space, supported)),
+                               brute_force_partition(space, supported)),
                               key=lambda b: b[0])
                 assert got == want, fx.name
 

@@ -6,7 +6,7 @@ import pytest
 from covol.coalgebra import (
     CoalgebraError, PathIndex, SmashCoalgebra, SparseVector, SubcoalgebraBasis,
     TruncatedPathCoalgebra, basis_map, coassociativity_ok, counit_vector,
-    cover_projection_map, covering_coalgebra_iso, delta_terms, subcoalgebra_closure,
+    cover_projection_map, covering_coalgebra_iso, subcoalgebra_closure,
     is_homogeneous, is_identity_map, compose_maps,
     minimal_partition, smash_coalgebra,
     smash_path_coalgebra, smash_projection_map,
@@ -25,18 +25,19 @@ from covol.voltage import (
     window_ball,
 )
 
-from corpus import Z, zint
+from corpus import Z, _random_subcoalgebra, zint
 from oracles.path_vectors import delta_vector, endpoints
 
 
 def test_delta_vertex_and_arrow():
     fx = kronecker_fixture()
     pindex = fx.pindex
+    paths = TruncatedPathCoalgebra(pindex)
     x = pindex.vertex_path("x")
-    assert delta_terms(pindex, x) == [(x, x)]
+    assert paths.coproduct(x) == ([(1, x, x)], False)
     a = pindex.arrow_path("a")
     y = pindex.vertex_path("y")
-    assert sorted(delta_terms(pindex, a)) == sorted([(y, a), (a, x)])
+    assert sorted(paths.coproduct(a)[0]) == sorted([(1, y, a), (1, a, x)])
 
 
 def test_delta_length_two():
@@ -45,7 +46,8 @@ def test_delta_length_two():
     ac = pindex.from_names(["a", "c"])
     x, z = pindex.vertex_path("x"), pindex.vertex_path("z")
     a, c = pindex.arrow_path("a"), pindex.arrow_path("c")
-    assert sorted(delta_terms(pindex, ac)) == sorted([(z, ac), (ac, x), (a, c)])
+    assert sorted(TruncatedPathCoalgebra(pindex).coproduct(ac)[0]) == \
+        sorted([(1, z, ac), (1, ac, x), (1, a, c)])
 
 
 def test_counit():
@@ -66,8 +68,9 @@ def test_coradical_grading():
     # splitting a path never increases total length
     fx = double_loop_fixture(truncation=4)
     pindex = fx.pindex
+    paths = TruncatedPathCoalgebra(pindex)
     for i in range(len(pindex)):
-        for l, r in delta_terms(pindex, i):
+        for _, l, r in paths.coproduct(i)[0]:
             if pindex.length(i) == 0:
                 assert pindex.length(l) == 0 and pindex.length(r) == 0
             else:
@@ -288,20 +291,6 @@ def test_homogeneity_sl2():
     assert is_homogeneous(fx.basis, fx.weighting)
 
 
-def _random_subcoalgebra(rng, pindex):
-    gens = []
-    for _ in range(rng.randint(0, 2)):
-        anchor = rng.randrange(len(pindex))
-        pair = (pindex.source(anchor), pindex.target(anchor))
-        same = [i for i in pindex.by_pair[pair] if pindex.length(i) >= 1]
-        if not same:
-            continue
-        support = rng.sample(same, min(len(same), rng.randint(1, 3)))
-        gens.append(SparseVector({i: rng.choice([1, 2, -1]) for i in support}))
-    from covol.coalgebra import subcoalgebra_closure
-    return subcoalgebra_closure(pindex, gens)
-
-
 def test_homogeneity_dimension_test_matches_blockwise_test():
     # the per-weight dimension-sum test agrees with the constant-weight
     # test on the minimal blocks, over random subcoalgebras and weightings
@@ -457,7 +446,7 @@ def test_verify_fails_where_the_target_refuses_an_image():
     fx = loop_fixture(4)
     smash = smash_path_coalgebra(fx.pindex, fx.weighting, fx.window(1))
     paths = TruncatedPathCoalgebra(fx.pindex)
-    first = min(s for s in smash.symbols() if smash.is_interior(s))
+    first = min(s for s in smash.symbols() if not smash.coproduct(s)[1])
     for target in (smash, paths):
         dim = target.dimension
         for bad in (dim, 3 * dim, -1, -dim - 1):
@@ -610,7 +599,7 @@ def test_twist_iso():
     ok, witness, checked = verify_coalgebra_map(tmap, source, target)
     assert ok and checked > 0
     # identity vertex weighting gives the identity map
-    ident = VertexWeighting.constant(fx.quiver, Z)
+    ident = VertexWeighting(fx.quiver, Z, {v: Z.identity() for v in range(fx.quiver.num_vertices())})
     imap, src2, tgt2, tw2 = twist_iso(fx.pindex, fx.weighting, ident, window)
     assert tw2 == fx.weighting
     assert is_identity_map(imap)

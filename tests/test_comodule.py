@@ -10,7 +10,7 @@ from covol.coalgebra import (
 )
 from covol.comodule import (
     Comodule, GradedComodule, Gradable, QuiverRepresentation, Ungradable,
-    Unknown, comodule_to_json, from_smash_comodule, gradability_probe,
+    Unknown, from_smash_comodule, gradability_probe,
     push_down, to_smash_comodule, verify_comodule, witness_graded_comodule,
 )
 from covol.fixtures import kronecker_fixture, loop_fixture, sl2_fixture
@@ -500,18 +500,6 @@ def test_probe_respects_window_precondition():
     rep = kronecker_rep([[1, 0], [0, 1]], [[0, 0], [1, 0]], 2, 2)
     with pytest.raises(CoalgebraError):
         gradability_probe(rep, fx.weighting, window_ball(Z, 2))
-
-
-def test_comodule_json():
-    import json
-    fx = sl2_fixture(4)
-    M = weyl_comodule(fx)
-    doc = comodule_to_json(M)
-    assert doc["schema"] == 1 and doc["labels"] == ["m0", "m1"]
-    assert [t[:2] for t in doc["coaction"]] == [[0, 0], [1, 0], [1, 1]]
-    symbols = {term["symbol"] for _, _, el in doc["coaction"] for term in el}
-    assert "a0" in symbols
-    json.dumps(doc)  # serializable as-is
 
 
 def test_probe_unknown_for_unsupported_group():

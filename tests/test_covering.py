@@ -12,7 +12,7 @@ from covol import cli, covering
 from covol.covering import (
     CoveringError, build_lifted_subcoalgebra,
     covering_crosscheck, extract_relators, is_coalgebra_covering, reach_set,
-    relators_vanish, span_of_liftings, universal_cover, universal_factor_map,
+    relators_vanish, span_of_liftings, universal_factor_map,
     universal_grading_group, word_image,
 )
 from covol.exactlin import finest_block_partition, rref
@@ -109,7 +109,7 @@ def test_smash_command_decides_homogeneity_once(monkeypatch, name):
 def test_build_lifted_sl2_contains_minimal_lifts():
     fx = sl2_fixture(5)
     cov = build_lifted_subcoalgebra(fx.basis, fx.weighting, fx.window(4))
-    ok, witness = is_coalgebra_covering(cov)
+    ok, witness = is_coalgebra_covering(cov.smash, cov.base, cov.fibers)
     assert ok, witness
 
 
@@ -126,7 +126,7 @@ def test_span_of_liftings_matches_build_on_homogeneous():
 def test_coalgebra_covering_fails_for_inhomogeneous():
     fx = tri_fixture("ac+bc")
     cov = span_of_liftings(fx.basis, fx.weighting, fx.window(4))
-    ok, witness = is_coalgebra_covering(cov)
+    ok, witness = is_coalgebra_covering(cov.smash, cov.base, cov.fibers)
     assert not ok
     rep, vertex = witness
     pindex = fx.pindex
@@ -139,7 +139,7 @@ def test_coalgebra_covering_fails_for_inhomogeneous():
 def test_coalgebra_covering_vacuous_without_minimal():
     fx = tri_fixture("ac")
     cov = span_of_liftings(fx.basis, fx.weighting, fx.window(4))
-    assert is_coalgebra_covering(cov) == (True, None)
+    assert is_coalgebra_covering(cov.smash, cov.base, cov.fibers) == (True, None)
 
 
 def test_crosscheck_sl2():
@@ -207,7 +207,7 @@ def test_crosscheck_random_instances():
             with pytest.raises(CoveringError):
                 build_lifted_subcoalgebra(basis, w, window)
             cov = span_of_liftings(basis, w, window)
-        ok, _ = is_coalgebra_covering(cov)
+        ok, _ = is_coalgebra_covering(cov.smash, cov.base, cov.fibers)
         assert ok == homogeneous, trial
         agreements += 1
     assert agreements == 50
@@ -362,31 +362,35 @@ def test_universal_group_tri():
 
 def test_universal_cover_loop():
     fx = loop_fixture(4)
-    univ, cov = universal_cover(fx.basis, fx.pres, window_radius=4)
+    univ = universal_grading_group(fx.basis, fx.pres)
+    cov = build_lifted_subcoalgebra(fx.basis, univ.weighting, window_ball(univ.backend, 4))
     # directed A-infinity strip: every interior vertex one in, one out
     q = cov.smash.quiver
     for v in cov.smash.interior_vertices:
         assert len(q.out_arrows[v]) == 1 and len(q.in_arrows[v]) == 1
-    ok, witness = is_coalgebra_covering(cov)
+    ok, witness = is_coalgebra_covering(cov.smash, cov.base, cov.fibers)
     assert ok
 
 
 def test_universal_cover_sl2():
     fx = sl2_fixture(4)
-    univ, cov = universal_cover(fx.basis, fx.pres, window_radius=4)
+    univ = universal_grading_group(fx.basis, fx.pres)
+    cov = build_lifted_subcoalgebra(fx.basis, univ.weighting, window_ball(univ.backend, 4))
     assert univ.describe() == "Z (abelianized)"
     assert is_homogeneous(fx.basis, univ.weighting)
-    ok, witness = is_coalgebra_covering(cov)
+    ok, witness = is_coalgebra_covering(cov.smash, cov.base, cov.fibers)
     assert ok, witness
 
 
 def test_universal_cover_trivial_quotient():
     fx = tri_fixture("ac+bc")
-    univ, cov = universal_cover(fx.basis, fx.pres)
+    univ = universal_grading_group(fx.basis, fx.pres)
+    cov = build_lifted_subcoalgebra(fx.basis, univ.weighting,
+                                    window_ball(univ.backend, fx.pindex.truncation + 2))
     # trivial group: the covering is the base itself
     assert len(cov.smash.window) == 1
     assert cov.lifted_dimension == fx.basis.dimension
-    ok, _ = is_coalgebra_covering(cov)
+    ok, _ = is_coalgebra_covering(cov.smash, cov.base, cov.fibers)
     assert ok
 
 
@@ -594,7 +598,9 @@ def test_span_of_liftings_matches_block_split_on_homogeneous_bases():
         backends.add(repr(weighting.group))
         checked += 1
     for fx in all_fixtures():
-        univ, cov = universal_cover(fx.basis, fx.pres)
+        univ = universal_grading_group(fx.basis, fx.pres)
+        cov = build_lifted_subcoalgebra(fx.basis, univ.weighting,
+                                        window_ball(univ.backend, fx.pindex.truncation + 2))
         want = oracle_windowed_span(fx.basis, univ.weighting, cov.fibers)
         assert _typed_spans(cov) == _typed_spans(want), fx.name
         checked += 1
@@ -716,7 +722,9 @@ def test_span_of_liftings_matches_the_path_by_path_lift():
         assert got.fibers == want.fibers
         inhomogeneous += not is_homogeneous(base, weighting)
     for fx in all_fixtures():
-        univ, cov = universal_cover(fx.basis, fx.pres)
+        univ = universal_grading_group(fx.basis, fx.pres)
+        cov = build_lifted_subcoalgebra(fx.basis, univ.weighting,
+                                        window_ball(univ.backend, fx.pindex.truncation + 2))
         want = oracle_span_of_liftings(fx.basis, univ.weighting, cov.fibers)
         assert _typed_spans(cov) == _typed_spans(want), fx.name
     assert len(cases) == 24 + 45 + 1 and inhomogeneous > 1
@@ -759,8 +767,8 @@ def test_identity_fiber_certifies_every_fiber():
                 homogeneous = is_homogeneous(basis, w)
                 assert covering_crosscheck(basis, w, spanning_tree_pi1(q, 0))[
                     "coveringOK"] == homogeneous
-                assert is_coalgebra_covering(ident)[0] == homogeneous
-                assert is_coalgebra_covering(windowed)[0] == homogeneous
+                for cov in (ident, windowed):
+                    assert is_coalgebra_covering(cov.smash, cov.base, cov.fibers)[0] == homogeneous
                 assert _identity_fiber_pieces(ident) == _identity_fiber_pieces(windowed)
                 inhomogeneous += not homogeneous
                 with_minimal += homogeneous and any(
@@ -787,6 +795,25 @@ def test_crosscheck_builds_only_the_arrow_table(monkeypatch):
     sq = smash_quiver(fx.quiver, fx.weighting, fx.window(1))
     with pytest.raises(AssertionError):
         sq.quiver
+
+
+def test_crosscheck_runs_the_covering_test_once_on_the_identity_fiber(monkeypatch):
+    # the crosscheck and the lifted-subcoalgebra tests run one covering rule
+    # under one name: one call per crosscheck, on the identity fiber, whose
+    # verdict is the report's, on every fixture and the seeded instances of
+    # all five backends
+    covering_test, calls = is_coalgebra_covering, []
+
+    def spy(smash_q, base, fibers):
+        verdict = covering_test(smash_q, base, fibers)
+        calls.append((base, fibers, verdict[0]))
+        return verdict
+
+    monkeypatch.setattr(covering, "is_coalgebra_covering", spy)
+    for base, w in _instances():
+        calls.clear()
+        report = covering_crosscheck(base, w, spanning_tree_pi1(base.pindex.quiver, 0))
+        assert calls == [(base, [w.group.identity()], report["coveringOK"])]
 
 
 @pytest.mark.parametrize("name, arrow, onto, fiber", [
@@ -918,5 +945,6 @@ def test_star_crosscheck_enumerates_no_subsums(tmp_path, monkeypatch):
     basis, weighting = ws.sole("subcoalgebra", None).basis, ws.sole("weighting", None).weighting
     for cov in (oracle_identity_span(basis, weighting),
                 span_of_liftings(basis, weighting, window_ball(Z, 1))):
-        assert oracle_is_coalgebra_covering(cov) == is_coalgebra_covering(cov) == (True, None)
+        assert oracle_is_coalgebra_covering(cov) == (True, None)
+        assert is_coalgebra_covering(cov.smash, cov.base, cov.fibers) == (True, None)
     assert calls == []

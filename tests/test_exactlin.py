@@ -6,6 +6,7 @@ from covol.exactlin import (
     smith_normal_form, matmul_int, solve_affine,
 )
 
+from corpus import brute_force_partition
 from oracles.intersection import intersect_coordinates
 from oracles.snf import det_int, snf_reconstructs, verify_unimodular
 
@@ -100,16 +101,6 @@ def test_member_is_linear():
         assert space.member(a) and space.member(b)
         assert space.member(a + b)
         assert space.member(a.scale(Fraction(7, 3)))
-
-
-def test_coordinates_roundtrip():
-    space = rref([vec(1, 1, 0), vec(0, 1, 1)])
-    target = vec(2, 3, 1)
-    coeffs = space.coordinates(target)
-    assert coeffs is not None
-    rebuilt = sum((r.scale(c) for r, c in zip(space.rows, coeffs)), SparseVector())
-    assert rebuilt == target
-    assert space.coordinates(vec(0, 0, 0, 1)) is None
 
 
 # intersect_coordinates left the package; these tests pin the oracle copy
@@ -281,25 +272,6 @@ def test_smith_reconstruction_random():
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0 if a else b == 0
         assert all(d >= 0 for d in diag)
-
-
-def brute_force_partition(space, coords):
-    """Oracle: recursive splitting; a split (S, S^c) is valid iff
-    dim(V ∩ span S) + dim(V ∩ span S^c) = dim V."""
-    coords = sorted(coords)
-    if not coords:
-        return []
-    n = len(coords)
-    for mask in range(1, 2 ** (n - 1)):
-        part = {coords[i] for i in range(n) if (mask >> i) & 1}
-        rest = set(coords) - part
-        a = intersect_coordinates(space, part)
-        b = intersect_coordinates(space, rest)
-        if a.dimension + b.dimension == space.dimension:
-            left = brute_force_partition(a, part)
-            right = brute_force_partition(b, rest)
-            return left + right
-    return [coords]
 
 
 def supported(space):

