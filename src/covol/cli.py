@@ -24,7 +24,7 @@ from .coalgebra import (
     is_identity_map, minimal_partition, smash_coalgebra, smash_projection_map,
     subcoalgebra_to_json, vector_label, verify_coalgebra_map,
 )
-from .comodule import gradability_probe
+from .comodule import gradability_probe, probe_searches
 from .covering import covering_crosscheck, extract_relators, universal_grading_group
 from .groups import FgAbelian, FiniteTable
 from .quiver import is_covering, is_galois_on_fiber, spanning_tree_pi1
@@ -300,7 +300,9 @@ def cmd_gradable(ws, args):
     radius = args.window
     if radius < rep.total_dim:
         radius = rep.total_dim
-    window = window_ball(weighting.group, radius)
+    group = weighting.group
+    # the probe refuses an unsearched group before it reads the window
+    window = window_ball(group, radius) if probe_searches(group) else []
     result = gradability_probe(rep, weighting, window)
     report = {"command": "gradable", "verdict": result.verdict}
     if result.verdict == "gradable":

@@ -10,8 +10,8 @@ coacting basis element m_j.  This is exactly the convention that makes
 the smash-comodule structure map coassociative.
 """
 
-import math
 from fractions import Fraction
+from itertools import product
 
 from .coalgebra import CoalgebraError, _nonzero, coproduct_of_vector, \
     apply_map, smash_projection_map
@@ -305,7 +305,7 @@ class Unknown:
     verdict = "unknown"
 
 
-def _degree_value(group, el):
+def _degree_value(el):
     """Integer coordinate of a rank-one free abelian element."""
     return el[0][0]
 
@@ -328,6 +328,12 @@ def _enumerate_dimension_vectors(dims, window_values):
     return out
 
 
+def probe_searches(group):
+    """Whether the gradability probe searches gradings by the group: only
+    rank-one free abelian groups are searched."""
+    return isinstance(group, FgAbelian) and group.free_rank == 1 and not group.torsion
+
+
 def gradability_probe(rep, weighting, window):
     """Decide whether a quiver representation admits a grading compatible
     with the weighting: a splitting of each vertex space such that every
@@ -339,17 +345,15 @@ def gradability_probe(rep, weighting, window):
     Gradable carries a verified witness, Ungradable an exhaustive list of
     refuted dimension vectors.
     """
-    group = weighting.group
-    if not (isinstance(group, FgAbelian) and group.free_rank == 1
-            and not group.torsion):
+    if not probe_searches(weighting.group):
         return Unknown("probe only searches rank-one free abelian gradings")
     if not window:
         return Unknown("empty window")
-    radius = max(abs(_degree_value(group, g)) for g in window)
+    radius = max(abs(_degree_value(g)) for g in window)
     if radius < rep.total_dim:
         raise CoalgebraError("window radius %d below comodule dimension %d"
                              % (radius, rep.total_dim))
-    window_values = sorted((_degree_value(group, g) for g in window),
+    window_values = sorted((_degree_value(g) for g in window),
                            key=lambda v: (abs(v), v))
 
     # degree operator: block matrices D_v with
@@ -368,7 +372,7 @@ def gradability_probe(rep, weighting, window):
     for a in range(rep.quiver.num_arrows()):
         s, t = rep.quiver.source(a), rep.quiver.target(a)
         T = rep.maps[a]
-        w = _degree_value(group, weighting.of(a))
+        w = _degree_value(weighting.of(a))
         for i in range(rep.dims[t]):
             for j in range(rep.dims[s]):
                 coeffs = {}
@@ -382,8 +386,7 @@ def gradability_probe(rep, weighting, window):
     solved = solve_affine(equations, nvars)
 
     vectors = _enumerate_dimension_vectors(rep.dims, window_values)
-    fast_refutations = _refute_single_degree_vectors(rep, weighting, group,
-                                                     vectors)
+    fast_refutations = _refute_single_degree_vectors(rep, weighting, vectors)
 
     if solved is None:
         # no degree operator at all: every dimension vector is infeasible
@@ -396,7 +399,7 @@ def gradability_probe(rep, weighting, window):
         return Ungradable(refuted)
 
     particular, homogeneous = solved
-    witness = _search_witness(rep, weighting, group, window_values,
+    witness = _search_witness(rep, weighting, window_values, radius,
                               particular, homogeneous, var)
     if witness is not None:
         return witness
@@ -407,7 +410,7 @@ def gradability_probe(rep, weighting, window):
                    "undecided subspace search")
 
 
-def _refute_single_degree_vectors(rep, weighting, group, vectors):
+def _refute_single_degree_vectors(rep, weighting, vectors):
     """Complete feasibility decision for the dimension vectors concentrated
     in a single degree per vertex: the splitting is forced, so only the
     arrow constraints matter.  Returns a dict of refuted vectors -> reason."""
@@ -425,7 +428,7 @@ def _refute_single_degree_vectors(rep, weighting, group, vectors):
             if s not in degree or t not in degree:
                 continue
             if any(x for row in rep.maps[a] for x in row):
-                w = _degree_value(group, weighting.of(a))
+                w = _degree_value(weighting.of(a))
                 if degree[t] != degree[s] - w:
                     bad = ("arrow %s forces degree %d at %s, assigned %d"
                            % (rep.quiver.arrow_name(a), degree[s] - w,
@@ -436,20 +439,19 @@ def _refute_single_degree_vectors(rep, weighting, group, vectors):
     return out
 
 
-def _search_witness(rep, weighting, group, window_values, particular,
+def _search_witness(rep, weighting, window_values, radius, particular,
                     homogeneous, var):
     """Try small rational combinations of the affine degree-operator family
     and accept any member with integer spectrum and exact eigenspace
     splitting; the witness is verified as a graded comodule structure."""
-    from itertools import product as iproduct
     grid = [Fraction(k) for k in (-2, -1, 0, 1, 2)]
     params = homogeneous[:3]
-    for combo in iproduct(grid, repeat=len(params)):
+    for combo in product(grid, repeat=len(params)):
         D = list(particular)
         for lam, direction in zip(combo, params):
             if lam:
                 D = [d + lam * e for d, e in zip(D, direction)]
-        result = _integral_eigensplit(rep, D, var)
+        result = _integral_eigensplit(rep, D, var, radius)
         if result is None:
             continue
         degrees, blocks = result
@@ -457,7 +459,7 @@ def _search_witness(rep, weighting, group, window_values, particular,
         degrees = {k: v + shift for k, v in degrees.items()}
         if any(d not in window_values for d in degrees.values()):
             continue
-        witness = _witness_from_split(rep, weighting, group, degrees, blocks)
+        witness = _witness_from_split(rep, weighting, degrees, blocks)
         if witness is not None:
             return witness
     return None
@@ -468,9 +470,13 @@ def _block_matrix(rep, D, var, v):
     return [[D[var(v, i, j)] for j in range(d)] for i in range(d)]
 
 
-def _integral_eigensplit(rep, D, var):
+def _integral_eigensplit(rep, D, var, radius):
     """Integer eigenvalues and exact eigenspace decomposition of each
-    vertex block, or None."""
+    vertex block, or None.  A block M of size d is scanned at the integers
+    within the radius of its mean trace(M)/d, in increasing order: the
+    witness search accepts only spectra spanning at most the radius, and a
+    block's mean lies inside its own spectrum.  The block splits exactly
+    when these eigenspaces have total dimension d."""
     degrees = {}
     blocks = {}
     for v in range(len(rep.dims)):
@@ -478,16 +484,15 @@ def _integral_eigensplit(rep, D, var):
         if d == 0:
             continue
         mat = _block_matrix(rep, D, var, v)
-        eigen = _rational_eigenvalues(mat)
-        if eigen is None or any(x.denominator != 1 for x in eigen):
-            return None
+        trace = sum(mat[i][i] for i in range(d))
         vectors = []
-        for value in sorted(set(eigen)):
-            space = _kernel(_shift(mat, value))
-            for col in space:
-                vectors.append((int(value), col))
+        for value in range(-((d * radius - trace) // d),
+                           (trace + d * radius) // d + 1):
+            vectors += [(value, col) for col in _kernel(_shift(mat, value))]
+            if len(vectors) == d:
+                break
         if len(vectors) != d:
-            return None  # not diagonalizable
+            return None  # a non-integer or far eigenvalue, or not diagonalizable
         for k, (value, col) in enumerate(vectors):
             degrees[(v, k)] = value
         blocks[v] = vectors
@@ -507,114 +512,13 @@ def _kernel(mat):
                         n)[1]
 
 
-def _char_roots_linear_quadratic(mat):
-    n = len(mat)
-    if n == 1:
-        return [Fraction(mat[0][0])]
-    if n == 2:
-        tr = mat[0][0] + mat[1][1]
-        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-        disc = tr * tr - 4 * det
-        if disc < 0:
-            return None
-        root = _fraction_sqrt(disc)
-        if root is None:
-            return None
-        return [Fraction(tr + root, 2), Fraction(tr - root, 2)]
-    return None
-
-
-def _fraction_sqrt(x):
-    x = Fraction(x)
-    if x < 0:
-        return None
-    num = _int_sqrt(x.numerator)
-    den = _int_sqrt(x.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _int_sqrt(n):
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def _rational_eigenvalues(mat):
-    """All eigenvalues when they are rational; None when undecided.
-    Handles size <= 2 directly and larger sizes by rational root search
-    of the characteristic polynomial."""
-    n = len(mat)
-    direct = _char_roots_linear_quadratic(mat)
-    if direct is not None or n <= 2:
-        return direct
-    poly = _char_poly(mat)  # monic, integer-scaled
-    roots = []
-    work = poly
-    for _ in range(n):
-        root = _find_rational_root(work)
-        if root is None:
-            return None
-        roots.append(root)
-        work = _deflate(work, root)
-    return roots
-
-
-def _char_poly(mat):
-    # Faddeev-LeVerrier: monic coefficients of det(tI - M), degree first
-    n = len(mat)
-    cs = [Fraction(1)]
-    A = None
-    for k in range(1, n + 1):
-        A = mat if k == 1 else matmul_int(mat, _shift(A, -cs[-1]))
-        trace = sum(A[i][i] for i in range(n))
-        cs.append(Fraction(-trace, k))
-    return cs
-
-
-def _find_rational_root(poly):
-    # poly: monic with rational coefficients, highest degree first
-    scale = math.lcm(*(c.denominator for c in poly))
-    ints = [int(c * scale) for c in poly]
-    lead, const = ints[0], ints[-1]
-    if const == 0:
-        return Fraction(0)
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            for sign in (1, -1):
-                cand = Fraction(sign * p, q)
-                if _poly_eval(poly, cand) == 0:
-                    return cand
-    return None
-
-
-def _poly_eval(poly, x):
-    out = Fraction(0)
-    for c in poly:
-        out = out * x + c
-    return out
-
-
-def _deflate(poly, root):
-    out = [poly[0]]
-    for c in poly[1:-1]:
-        out.append(c + out[-1] * root)
-    return out
-
-
-def _divisors(n):
-    """Positive divisors of n >= 1 in ascending order, paired up to isqrt(n)."""
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
-
-
-def _witness_from_split(rep, weighting, group, degrees, blocks):
+def _witness_from_split(rep, weighting, degrees, blocks):
     """Check the eigen-splitting against the arrow constraints and package
     it as a verified graded quiver representation witness."""
     for a in range(rep.quiver.num_arrows()):
         s, t = rep.quiver.source(a), rep.quiver.target(a)
         T = rep.maps[a]
-        w = _degree_value(group, weighting.of(a))
+        w = _degree_value(weighting.of(a))
         for k, (gs, col) in enumerate(blocks.get(s, [])):
             image = [sum(T[i][j] * col[j] for j in range(rep.dims[s]))
                      for i in range(rep.dims[t])]

@@ -34,10 +34,6 @@ class WorkspaceError(ValueError):
         super().__init__(text)
 
 
-PUNCT = ("->", "{", "}", "(", ")", ";", ":", ",", "=", ".", "+", "-", "*",
-         "^", "/", "@")
-
-
 class Token:
     __slots__ = ("kind", "value", "line", "col")
 

@@ -26,6 +26,17 @@ Z = FgAbelian(1)
 
 COEFFS = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-3, 2)]
 
+# The Kronecker string representations of total dimension <= 4, as the
+# (a matrix, b matrix, dim at x, dim at y) of arrows a, b: x -> y; each
+# is gradable by the zig-zag weighting a = 0, b = 1.
+KRONECKER_STRINGS = [
+    ([[1]], [[0]], 1, 1),
+    ([[0]], [[1]], 1, 1),
+    ([[1, 0]], [[0, 1]], 2, 1),
+    ([[1], [0]], [[0], [1]], 1, 2),
+    ([[1, 0], [0, 1]], [[0, 0], [1, 0]], 2, 2),
+]
+
 
 def zint(n):
     return Z.element(free=[n])

@@ -42,7 +42,9 @@ from covol.voltage import (
 )
 from covol.workspace import emit, parse
 
-from corpus import Z, _random_subcoalgebra, brute_force_partition, zint
+from corpus import (
+    KRONECKER_STRINGS, Z, _random_subcoalgebra, brute_force_partition, zint,
+)
 
 import os
 
@@ -472,14 +474,7 @@ def test_criterion_10_comodule_suite():
 
         # strings of total dimension <= 4 are gradable with verified
         # witnesses
-        strings = [
-            ([[1]], [[0]], 1, 1),
-            ([[0]], [[1]], 1, 1),
-            ([[1, 0]], [[0, 1]], 2, 1),
-            ([[1], [0]], [[0], [1]], 1, 2),
-            ([[1, 0], [0, 1]], [[0, 0], [1, 0]], 2, 2),
-        ]
-        for a_mat, b_mat, dx, dy in strings:
+        for a_mat, b_mat, dx, dy in KRONECKER_STRINGS:
             rep = QuiverRepresentation(kfx.quiver, [dx, dy],
                                        {0: a_mat, 1: b_mat})
             result = gradability_probe(rep, kfx.weighting, window_ball(Z, 4))

@@ -220,6 +220,40 @@ comodule s on kron { basis m @ x, n @ y; map a: m -> n; }
     assert report["degrees"]["x.0"] == report["degrees"]["y.0"]
 
 
+def test_gradable_prints_the_witness_degrees_of_a_2_plus_2_string(tmp_path, capsys):
+    # the band refutes every vector before a witness search; this string
+    # reaches the eigen-splitting and the witness check
+    path = tmp_path / "string22.cov"
+    path.write_text(
+        "quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"
+        "group G = Z;\n"
+        "weighting d on kron into G { a = 0; b = 1; }\n"
+        "comodule s on kron { basis m0 @ x, m1 @ x, n0 @ y, n1 @ y;"
+        " map a: m0 -> n0; map a: m1 -> n1; map b: m0 -> n1; }\n")
+    assert main(["gradable", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "command": "gradable",\n  "degrees": {\n    "x.0": 0,\n'
+        '    "x.1": 1,\n    "y.0": 0,\n    "y.1": 1\n  },\n'
+        '  "schema": 1,\n  "verdict": "gradable"\n}\n')
+
+
+def test_gradable_builds_no_window_for_an_unsearched_group(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("gradable built a window")
+    monkeypatch.setattr(cli, "window_ball", refuse)
+    path = tmp_path / "free.cov"
+    path.write_text(
+        "quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"
+        "group F = free(a, b);\n"
+        "weighting d on kron into F { a = a; b = b; }\n"
+        "comodule band on kron { basis m @ x, n @ y; map a: m -> n; map b: m -> n; }\n")
+    assert main(["gradable", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "command": "gradable",\n'
+        '  "reason": "probe only searches rank-one free abelian gradings",\n'
+        '  "schema": 1,\n  "verdict": "unknown"\n}\n')
+
+
 def test_export(tmp_path):
     report, dot, code = run("export", "kron", tmp_path, "--dot")
     assert code == 0

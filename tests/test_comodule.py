@@ -12,11 +12,13 @@ from covol.comodule import (
     Comodule, GradedComodule, Gradable, QuiverRepresentation, Ungradable,
     Unknown, from_smash_comodule, gradability_probe,
     push_down, to_smash_comodule, verify_comodule, witness_graded_comodule,
+    _integral_eigensplit,
 )
 from covol.fixtures import kronecker_fixture, loop_fixture, sl2_fixture
+from covol.quiver import Quiver
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
 
-from corpus import Z, zint
+from corpus import KRONECKER_STRINGS, Z, zint
 
 
 def unit_symbol(basis, path_index):
@@ -476,14 +478,8 @@ def test_probe_band_ungradable():
 def test_probe_strings_gradable():
     fx = kronecker_fixture()
     window = window_ball(Z, 4)
-    cases = [
-        kronecker_rep([[1]], [[0]], 1, 1),
-        kronecker_rep([[0]], [[1]], 1, 1),
-        kronecker_rep([[1, 0]], [[0, 1]], 2, 1),
-        kronecker_rep([[1], [0]], [[0], [1]], 1, 2),
-        kronecker_rep([[1, 0], [0, 1]], [[0, 0], [1, 0]], 2, 2),
-    ]
-    for rep in cases:
+    for strings in KRONECKER_STRINGS:
+        rep = kronecker_rep(*strings)
         result = gradability_probe(rep, fx.weighting, window)
         assert isinstance(result, Gradable), getattr(result, "reason", None)
         graded = witness_graded_comodule(
@@ -512,30 +508,25 @@ def test_probe_unknown_for_unsupported_group():
     assert isinstance(result, Unknown)
 
 
-def test_int_sqrt_is_exact_on_large_integers():
-    from covol.comodule import _fraction_sqrt, _int_sqrt
-    big = 2 ** 60 + 12345
-    assert _int_sqrt(big * big) == big  # a float root misses this square
-    assert _int_sqrt(10 ** 400) == 10 ** 200  # a float root overflows here
-    assert _int_sqrt(big * big + 1) is None
-    assert _fraction_sqrt(Fraction(big * big, 10 ** 400)) == Fraction(big, 10 ** 200)
+def test_eigensplit_scans_integers_within_the_radius_of_each_block_mean():
+    # one vertex block: a diagonalisable integer spectrum splits into
+    # sorted (value, column) pairs with M v = value v; anything else is None
+    def split(mat, radius=4):
+        n = len(mat)
+        rep = QuiverRepresentation(Quiver(["p"], []), [n], {})
+        D = [Fraction(x) for row in mat for x in row]
+        result = _integral_eigensplit(rep, D, lambda v, i, j: i * n + j, radius)
+        if result is None:
+            return None
+        degrees, blocks = result
+        pairs = blocks[0]
+        assert [degrees[(0, k)] for k in range(n)] == [value for value, _ in pairs]
+        for value, col in pairs:
+            assert type(value) is int
+            assert [sum(row[j] * col[j] for j in range(n)) for row in mat] == \
+                [value * x for x in col], mat
+        return [value for value, _ in pairs]
 
-
-def test_divisors_match_brute_force():
-    from covol.comodule import _divisors
-    for n in range(1, 2001):
-        assert _divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
-    # 2^12 * 5^12: a trial loop up to n would not finish; pairing up to
-    # isqrt(n) = 10^6 does, and the list stays ascending
-    big = _divisors(10 ** 12)
-    assert len(big) == 13 * 13 and big == sorted(set(big))
-    assert big[:4] == [1, 2, 4, 5] and big[-2:] == [5 * 10 ** 11, 10 ** 12]
-    assert all(10 ** 12 % d == 0 for d in big)
-
-
-def test_char_poly_and_eigenvalues_are_exact_on_integer_matrices():
-    from covol.comodule import _char_poly, _rational_eigenvalues
-    assert _char_poly([[1, 0, 0], [0, 2, 0], [0, 0, 3]]) == [1, -6, 11, -6]
     cases = [
         ([[5]], [5]),
         ([[-2]], [-2]),
@@ -545,17 +536,18 @@ def test_char_poly_and_eigenvalues_are_exact_on_integer_matrices():
         ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 2, 3]),
         ([[2, 1, 0], [0, 3, 4], [0, 0, -1]], [-1, 2, 3]),
         ([[0, 1, 0], [0, 0, 1], [6, -11, 6]], [1, 2, 3]),  # companion matrix
-        ([[1, 1, 0], [0, 1, 0], [0, 0, 2]], [1, 1, 2]),  # repeated root
     ]
     for mat, want in cases:
-        poly = _char_poly(mat)
-        assert all(type(c) in (int, Fraction) for c in poly), mat
-        assert len(poly) == len(mat) + 1 and poly[0] == 1
-        eigen = _rational_eigenvalues(mat)
-        assert sorted(eigen) == want, mat
-        assert all(type(x) in (int, Fraction) for x in eigen), mat
+        assert split(mat) == want, mat
+    # the repeated root 1 has a one-dimensional eigenspace: not diagonalisable
+    assert split([[1, 1, 0], [0, 1, 0], [0, 0, 2]]) is None
     # t^3 - t^2 - 2t + 2 = (t - 1)(t^2 - 2): the root sqrt(2) is irrational
-    assert _rational_eigenvalues([[0, 2, 0], [1, 0, 0], [0, 0, 1]]) is None
+    assert split([[0, 2, 0], [1, 0, 0], [0, 0, 1]]) is None
+    assert split([[Fraction(3, 2)]]) is None
+    assert split([[Fraction(1, 2), 0], [0, Fraction(5, 2)]]) is None
+    # eigenvalues 0 and 10 lie 5 from the mean 5: beyond radius 4, within 5
+    assert split([[0, 0], [0, 10]]) is None
+    assert split([[0, 0], [0, 10]], radius=5) == [0, 10]
 
 
 def _det(mat):
