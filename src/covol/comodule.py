@@ -10,6 +10,7 @@ coacting basis element m_j.  This is exactly the convention that makes
 the smash-comodule structure map coassociative.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -283,10 +284,18 @@ class QuiverRepresentation:
 
 
 class Gradable:
-    def __init__(self, degrees, graded, dimension_vector):
-        self.degrees = degrees
+    """A grading: `graded` holds each vertex block's
+    (eigenvalue, column) pairs of the witness degree operator, and a basis
+    vector's degree is its eigenvalue plus `shift`."""
+
+    def __init__(self, graded, shift, num_vertices):
         self.graded = graded
-        self.dimension_vector = dimension_vector
+        self.degrees = {(v, k): value + shift for v, pairs in graded.items()
+                        for k, (value, _) in enumerate(pairs)}
+        self.dimension_vector = tuple(
+            tuple(sorted(Counter(value + shift
+                                 for value, _ in graded.get(v, ())).items()))
+            for v in range(num_vertices))
 
     verdict = "gradable"
 
@@ -311,8 +320,8 @@ def _degree_value(el):
 
 
 def _enumerate_dimension_vectors(dims, window_values):
-    """All assignments of per-vertex dimensions to window degrees, as
-    tuples of per-vertex sorted ((degree, count), ...) profiles."""
+    """All assignments of per-vertex dimensions to window degrees, lazily,
+    as tuples of per-vertex ((degree, count), ...) profiles."""
     per_vertex = []
     for d in dims:
         profiles = [()]
@@ -320,12 +329,8 @@ def _enumerate_dimension_vectors(dims, window_values):
             profiles = [p + ((value, k),) if k else p
                         for p in profiles
                         for k in range(min(d, d - sum(c for _, c in p)) + 1)]
-        profiles = [p for p in profiles if sum(c for _, c in p) == d]
-        per_vertex.append(profiles)
-    out = [()]
-    for profiles in per_vertex:
-        out = [o + (p,) for o in out for p in profiles]
-    return out
+        per_vertex.append([p for p in profiles if sum(c for _, c in p) == d])
+    return product(*per_vertex)
 
 
 def probe_searches(group):
@@ -341,9 +346,13 @@ def gradability_probe(rep, weighting, window):
     degree g * w(a)^-1 of its target.
 
     Only rank-one free abelian weightings are searched (the probe's
-    fixtures); everything else returns Unknown.  Verdicts are certified:
-    Gradable carries a verified witness, Ungradable an exhaustive list of
-    refuted dimension vectors.
+    fixtures); everything else returns Unknown.  The probe solves for a
+    degree operator, searches its family for a witness, and enumerates the
+    dimension vectors over the window only after the search fails.
+    Verdicts are certified: Gradable carries a verified witness,
+    Ungradable an exhaustive list of refuted dimension vectors, and
+    Unknown stops at the first vector that neither the arrow constraints
+    nor the degree-operator system refutes.
     """
     if not probe_searches(weighting.group):
         return Unknown("probe only searches rank-one free abelian gradings")
@@ -356,94 +365,73 @@ def gradability_probe(rep, weighting, window):
     window_values = sorted((_degree_value(g) for g in window),
                            key=lambda v: (abs(v), v))
 
-    # degree operator: block matrices D_v with
+    # degree operator: block matrices D_v, row-major from offsets[v], with
     # D_t T_a - T_a D_s = -w(a) T_a for every arrow
-    nvars = sum(d * d for d in rep.dims)
-    var_offset = []
-    total = 0
+    offsets, nvars = [], 0
     for d in rep.dims:
-        var_offset.append(total)
-        total += d * d
-
-    def var(v, i, j):
-        return var_offset[v] + i * rep.dims[v] + j
-
+        offsets.append(nvars)
+        nvars += d * d
     equations = []
     for a in range(rep.quiver.num_arrows()):
         s, t = rep.quiver.source(a), rep.quiver.target(a)
+        ds, dt = rep.dims[s], rep.dims[t]
         T = rep.maps[a]
         w = _degree_value(weighting.of(a))
-        for i in range(rep.dims[t]):
-            for j in range(rep.dims[s]):
+        for i in range(dt):
+            for j in range(ds):
                 coeffs = {}
-                for k in range(rep.dims[t]):
+                for k in range(dt):
                     if T[k][j]:
-                        coeffs[var(t, i, k)] = coeffs.get(var(t, i, k), 0) + T[k][j]
-                for k in range(rep.dims[s]):
+                        x = offsets[t] + i * dt + k
+                        coeffs[x] = coeffs.get(x, 0) + T[k][j]
+                for k in range(ds):
                     if T[i][k]:
-                        coeffs[var(s, k, j)] = coeffs.get(var(s, k, j), 0) - T[i][k]
+                        x = offsets[s] + k * ds + j
+                        coeffs[x] = coeffs.get(x, 0) - T[i][k]
                 equations.append((SparseVector(coeffs), Fraction(-w) * T[i][j]))
     solved = solve_affine(equations, nvars)
+    if solved is not None:
+        witness = _search_witness(rep, weighting, window_values, radius,
+                                  *solved, offsets)
+        if witness is not None:
+            return witness
 
-    vectors = _enumerate_dimension_vectors(rep.dims, window_values)
-    fast_refutations = _refute_single_degree_vectors(rep, weighting, vectors)
-
-    if solved is None:
-        # no degree operator at all: every dimension vector is infeasible
-        refuted = []
-        for vector in vectors:
-            reason = fast_refutations.get(vector,
-                                          "no degree operator satisfies the "
-                                          "arrow commutation relations")
-            refuted.append((vector, reason))
-        return Ungradable(refuted)
-
-    particular, homogeneous = solved
-    witness = _search_witness(rep, weighting, window_values, radius,
-                              particular, homogeneous, var)
-    if witness is not None:
-        return witness
-
-    if all(v in fast_refutations for v in vectors):
-        return Ungradable([(v, fast_refutations[v]) for v in vectors])
-    return Unknown("no witness found and some dimension vectors need an "
-                   "undecided subspace search")
+    refuted = []
+    for vector in _enumerate_dimension_vectors(rep.dims, window_values):
+        reason = _single_degree_refutation(rep, weighting, vector)
+        if reason is None:
+            if solved is not None:
+                return Unknown("no witness found and some dimension vectors "
+                               "need an undecided subspace search")
+            reason = "no degree operator satisfies the arrow commutation relations"
+        refuted.append((vector, reason))
+    return Ungradable(refuted)
 
 
-def _refute_single_degree_vectors(rep, weighting, vectors):
-    """Complete feasibility decision for the dimension vectors concentrated
-    in a single degree per vertex: the splitting is forced, so only the
-    arrow constraints matter.  Returns a dict of refuted vectors -> reason."""
-    out = {}
-    for vector in vectors:
-        if any(len(profile) > 1 for profile in vector):
-            continue  # needs a genuine subspace search
-        degree = {}
-        for v, profile in enumerate(vector):
-            if profile:
-                degree[v] = profile[0][0]
-        bad = None
-        for a in range(rep.quiver.num_arrows()):
-            s, t = rep.quiver.source(a), rep.quiver.target(a)
-            if s not in degree or t not in degree:
-                continue
-            if any(x for row in rep.maps[a] for x in row):
-                w = _degree_value(weighting.of(a))
-                if degree[t] != degree[s] - w:
-                    bad = ("arrow %s forces degree %d at %s, assigned %d"
-                           % (rep.quiver.arrow_name(a), degree[s] - w,
-                              rep.quiver.vertices[t], degree[t]))
-                    break
-        if bad:
-            out[vector] = bad
-    return out
+def _single_degree_refutation(rep, weighting, vector):
+    """Why a dimension vector concentrated in a single degree per vertex is
+    infeasible, or None: its splitting is forced, so only the arrow
+    constraints matter.  A vector that spreads a vertex over several
+    degrees needs a genuine subspace search and also gives None."""
+    if any(len(profile) > 1 for profile in vector):
+        return None
+    degree = {v: profile[0][0] for v, profile in enumerate(vector) if profile}
+    for a in range(rep.quiver.num_arrows()):
+        s, t = rep.quiver.source(a), rep.quiver.target(a)
+        if s in degree and t in degree and any(x for row in rep.maps[a] for x in row):
+            w = _degree_value(weighting.of(a))
+            if degree[t] != degree[s] - w:
+                return ("arrow %s forces degree %d at %s, assigned %d"
+                        % (rep.quiver.arrow_name(a), degree[s] - w,
+                           rep.quiver.vertices[t], degree[t]))
+    return None
 
 
 def _search_witness(rep, weighting, window_values, radius, particular,
-                    homogeneous, var):
+                    homogeneous, offsets):
     """Try small rational combinations of the affine degree-operator family
-    and accept any member with integer spectrum and exact eigenspace
-    splitting; the witness is verified as a graded comodule structure."""
+    and accept the first member whose integer eigen-splitting, shifted to
+    least degree 0, fits the window and is respected by every arrow."""
     grid = [Fraction(k) for k in (-2, -1, 0, 1, 2)]
     params = homogeneous[:3]
     for combo in product(grid, repeat=len(params)):
@@ -451,39 +439,30 @@ def _search_witness(rep, weighting, window_values, radius, particular,
         for lam, direction in zip(combo, params):
             if lam:
                 D = [d + lam * e for d, e in zip(D, direction)]
-        result = _integral_eigensplit(rep, D, var, radius)
-        if result is None:
+        blocks = _integral_eigensplit(rep, D, offsets, radius)
+        if blocks is None:
             continue
-        degrees, blocks = result
-        shift = -min(degrees.values())
-        degrees = {k: v + shift for k, v in degrees.items()}
-        if any(d not in window_values for d in degrees.values()):
-            continue
-        witness = _witness_from_split(rep, weighting, degrees, blocks)
-        if witness is not None:
+        shift = -min(value for pairs in blocks.values() for value, _ in pairs)
+        witness = Gradable(blocks, shift, len(rep.dims))
+        if (all(g in window_values for g in witness.degrees.values())
+                and _arrows_respect(rep, weighting, blocks)):
             return witness
     return None
 
 
-def _block_matrix(rep, D, var, v):
-    d = rep.dims[v]
-    return [[D[var(v, i, j)] for j in range(d)] for i in range(d)]
-
-
-def _integral_eigensplit(rep, D, var, radius):
+def _integral_eigensplit(rep, D, offsets, radius):
     """Integer eigenvalues and exact eigenspace decomposition of each
-    vertex block, or None.  A block M of size d is scanned at the integers
-    within the radius of its mean trace(M)/d, in increasing order: the
-    witness search accepts only spectra spanning at most the radius, and a
-    block's mean lies inside its own spectrum.  The block splits exactly
-    when these eigenspaces have total dimension d."""
-    degrees = {}
+    vertex block, read row by row from D at the vertex's offset, as
+    {v: [(eigenvalue, column), ...]}, or None.  A block M of size d is
+    scanned at the integers within the radius of its mean trace(M)/d, in
+    increasing order: the witness search accepts only spectra spanning at
+    most the radius, and a block's mean lies inside its own spectrum.  The
+    block splits exactly when these eigenspaces have total dimension d."""
     blocks = {}
-    for v in range(len(rep.dims)):
-        d = rep.dims[v]
+    for v, d in enumerate(rep.dims):
         if d == 0:
             continue
-        mat = _block_matrix(rep, D, var, v)
+        mat = [D[offsets[v] + i * d:offsets[v] + (i + 1) * d] for i in range(d)]
         trace = sum(mat[i][i] for i in range(d))
         vectors = []
         for value in range(-((d * radius - trace) // d),
@@ -493,10 +472,8 @@ def _integral_eigensplit(rep, D, var, radius):
                 break
         if len(vectors) != d:
             return None  # a non-integer or far eigenvalue, or not diagonalizable
-        for k, (value, col) in enumerate(vectors):
-            degrees[(v, k)] = value
         blocks[v] = vectors
-    return degrees, blocks
+    return blocks
 
 
 def _shift(mat, value):
@@ -512,33 +489,23 @@ def _kernel(mat):
                         n)[1]
 
 
-def _witness_from_split(rep, weighting, degrees, blocks):
-    """Check the eigen-splitting against the arrow constraints and package
-    it as a verified graded quiver representation witness."""
+def _arrows_respect(rep, weighting, blocks):
+    """Whether every arrow maps each eigenvector of its source block into
+    the target eigenspace of the degree its weight forces."""
     for a in range(rep.quiver.num_arrows()):
         s, t = rep.quiver.source(a), rep.quiver.target(a)
         T = rep.maps[a]
         w = _degree_value(weighting.of(a))
-        for k, (gs, col) in enumerate(blocks.get(s, [])):
+        for gs, col in blocks.get(s, []):
             image = [sum(T[i][j] * col[j] for j in range(rep.dims[s]))
                      for i in range(rep.dims[t])]
-            if all(x == 0 for x in image):
+            if not any(image):
                 continue
-            # image must lie in the degree gs - w eigenspace of the target
-            target_cols = [c for gt, c in blocks.get(t, []) if gt == gs - w]
-            span = rref([SparseVector(dict(enumerate(c))) for c in target_cols])
+            span = rref([SparseVector(dict(enumerate(c)))
+                         for gt, c in blocks.get(t, []) if gt == gs - w])
             if not span.member(SparseVector(dict(enumerate(image)))):
-                return None
-    dimension_vector = []
-    degree_list = {}
-    for v in range(len(rep.dims)):
-        profile = {}
-        for k, (g, _) in enumerate(blocks.get(v, [])):
-            shifted = degrees[(v, k)]
-            profile[shifted] = profile.get(shifted, 0) + 1
-            degree_list[(v, k)] = shifted
-        dimension_vector.append(tuple(sorted(profile.items())))
-    return Gradable(degree_list, blocks, tuple(dimension_vector))
+                return False
+    return True
 
 
 def witness_graded_comodule(rep, weighting, witness, coalgebra, pindex):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from covol.comodule import (
     Comodule, GradedComodule, Gradable, QuiverRepresentation, Ungradable,
     Unknown, from_smash_comodule, gradability_probe,
     push_down, to_smash_comodule, verify_comodule, witness_graded_comodule,
-    _integral_eigensplit,
+    _enumerate_dimension_vectors, _integral_eigensplit,
 )
 from covol.fixtures import kronecker_fixture, loop_fixture, sl2_fixture
 from covol.quiver import Quiver
@@ -508,6 +509,111 @@ def test_probe_unknown_for_unsupported_group():
     assert isinstance(result, Unknown)
 
 
+def test_probe_refutes_every_vector_after_a_failed_search():
+    # the degree operator exists (D_y = D_x - 5) but spans 5 > radius 2, so
+    # no witness fits the window; every single-degree vector breaks arrow a
+    q = kronecker_fixture().quiver
+    w = ArrowWeighting(q, Z, {0: zint(5), 1: zint(0)})
+    result = gradability_probe(kronecker_rep([[1]], [[0]], 1, 1), w, window_ball(Z, 2))
+    assert isinstance(result, Ungradable)
+    assert len(result.refuted) == 25
+    assert result.refuted[0] == ((((2, 1),), ((2, 1),)),
+                                 "arrow a forces degree -3 at y, assigned 2")
+
+
+def test_probe_unknown_when_a_spread_vector_is_undecided():
+    q = kronecker_fixture().quiver
+    w = ArrowWeighting(q, Z, {0: zint(2), 1: zint(-3)})
+    rep = kronecker_rep([[1], [0]], [[-1], [2]], 1, 2)
+    result = gradability_probe(rep, w, window_ball(Z, 3))
+    assert isinstance(result, Unknown)
+    assert result.reason == ("no witness found and some dimension vectors "
+                             "need an undecided subspace search")
+
+
+def test_probe_finds_witnesses_without_enumerating(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a gradable input enumerated dimension vectors")
+    monkeypatch.setattr("covol.comodule._enumerate_dimension_vectors", refuse)
+    fx = kronecker_fixture()
+    for strings in KRONECKER_STRINGS:
+        result = gradability_probe(kronecker_rep(*strings), fx.weighting,
+                                   window_ball(Z, 12))
+        assert isinstance(result, Gradable), strings
+
+
+# (quiver, arrow cycles) for the seeded probe invariants
+PROBE_QUIVERS = [
+    (kronecker_fixture().quiver, []),
+    (Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "y", "z")]), []),
+    (Quiver(["u", "v"], [("a", "u", "v"), ("b", "v", "u")]), [[0, 1]]),
+    (Quiver(["p"], [("a", "p", "p")]), [[0]]),
+]
+
+
+def _arrows_allow(rep, weights, vector):
+    """Whether every nonzero arrow between nonzero vertices of a
+    single-degree vector lowers the degree by its weight."""
+    degree = [profile[0][0] if profile else None for profile in vector]
+    q = rep.quiver
+    return all(degree[q.target(a)] == degree[q.source(a)] - weights[a]
+               for a in range(q.num_arrows())
+               if None not in (degree[q.source(a)], degree[q.target(a)])
+               and any(x for row in rep.maps[a] for x in row))
+
+
+def test_probe_verdicts_meet_their_conditions_on_seeded_representations():
+    rng = random.Random(3030)
+    entries = [0, 0, 1, -1, 2, Fraction(1, 2)]
+    seen = set()
+    for _ in range(240):
+        q, cycles = rng.choice(PROBE_QUIVERS)
+        dims = [0] * len(q.vertices)
+        for _ in range(rng.randint(1, 4)):
+            dims[rng.randrange(len(dims))] += 1
+        rep = QuiverRepresentation(q, dims, {
+            a: [[rng.choice(entries) for _ in range(dims[q.source(a)])]
+                for _ in range(dims[q.target(a)])] for a in range(q.num_arrows())})
+        weights = [rng.randint(-3, 3) for _ in range(q.num_arrows())]
+        w = ArrowWeighting(q, Z, {a: zint(x) for a, x in enumerate(weights)})
+        radius = rep.total_dim + rng.randint(0, 2)
+        result = gradability_probe(rep, w, window_ball(Z, radius))
+        seen.add(result.verdict)
+        values = sorted(range(-radius, radius + 1), key=lambda v: (abs(v), v))
+        vectors = _enumerate_dimension_vectors(rep.dims, values)
+        if isinstance(result, Gradable):
+            pindex = PathIndex(q, rep.total_dim)
+            try:
+                graded = witness_graded_comodule(
+                    rep, w, result, TruncatedPathCoalgebra(pindex), pindex)
+            except CoalgebraError:
+                # a graded representation fails to be nilpotent only
+                # around a cycle of total weight zero
+                assert any(sum(weights[a] for a in c) == 0 for c in cycles)
+                continue
+            ok, failure = graded.verify()
+            assert ok, failure
+            ok, failure = verify_comodule(graded.comodule)
+            assert ok, failure
+        elif isinstance(result, Ungradable):
+            assert [v for v, _ in result.refuted] == list(vectors)
+            assert all(reason for _, reason in result.refuted)
+            # one multiset of window degrees per vertex, counted independently
+            count = 1
+            for d in rep.dims:
+                count *= math.comb(len(values) + d - 1, d)
+            assert len(result.refuted) == count
+        else:
+            # an undecided vector spreads a vertex over two degrees, or puts
+            # each vertex in one degree that every arrow allows: a grading
+            # whose degrees span more than the radius, so that it fits the
+            # window only with its least degree below 0, where the witness
+            # search never places it
+            assert any(any(len(profile) > 1 for profile in v)
+                       or _arrows_allow(rep, weights, v) for v in vectors)
+    assert seen == {"gradable", "ungradable", "unknown"}
+
+
 def test_eigensplit_scans_integers_within_the_radius_of_each_block_mean():
     # one vertex block: a diagonalisable integer spectrum splits into
     # sorted (value, column) pairs with M v = value v; anything else is None
@@ -515,12 +621,12 @@ def test_eigensplit_scans_integers_within_the_radius_of_each_block_mean():
         n = len(mat)
         rep = QuiverRepresentation(Quiver(["p"], []), [n], {})
         D = [Fraction(x) for row in mat for x in row]
-        result = _integral_eigensplit(rep, D, lambda v, i, j: i * n + j, radius)
-        if result is None:
+        blocks = _integral_eigensplit(rep, D, [0], radius)
+        if blocks is None:
             return None
-        degrees, blocks = result
+        assert list(blocks) == [0]
         pairs = blocks[0]
-        assert [degrees[(0, k)] for k in range(n)] == [value for value, _ in pairs]
+        assert len(pairs) == n
         for value, col in pairs:
             assert type(value) is int
             assert [sum(row[j] * col[j] for j in range(n)) for row in mat] == \
