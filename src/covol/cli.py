@@ -297,23 +297,13 @@ def cmd_gradable(ws, args):
     decl = ws.sole("comodule", args.comodule)
     weighting = _weighting_of(ws, args, on=decl)
     rep = decl.representation
-    radius = args.window
-    if radius < rep.total_dim:
-        radius = rep.total_dim
     group = weighting.group
     # the probe refuses an unsearched group before it reads the window
-    window = window_ball(group, radius) if probe_searches(group) else []
+    window = window_ball(group, args.window) if probe_searches(group) else []
     result = gradability_probe(rep, weighting, window)
     report = {"command": "gradable", "verdict": result.verdict}
     if result.verdict == "gradable":
-        labels = rep.labels()
-        degrees = {}
-        index = 0
-        for v in range(len(rep.dims)):
-            for k in range(rep.dims[v]):
-                degrees[labels[index]] = result.degrees[(v, k)]
-                index += 1
-        report["degrees"] = degrees
+        report["degrees"] = dict(zip(rep.labels(), result.degrees))
     elif result.verdict == "ungradable":
         report["refutedVectors"] = len(result.refuted)
     else:

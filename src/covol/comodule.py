@@ -1,7 +1,7 @@
 """
 Finite-dimensional right comodules over a coalgebra-with-basis, graded
 comodules, the correspondence with comodules over the smash coproduct,
-push-down along coalgebra projections, and a bounded gradability probe
+push-down along coalgebra projections, and an exact gradability probe
 for quiver-representation-shaped comodules.
 
 Compatibility convention for graded comodules: for every coaction term
@@ -10,7 +10,6 @@ coacting basis element m_j.  This is exactly the convention that makes
 the smash-comodule structure map coassociative.
 """
 
-from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -284,25 +283,24 @@ class QuiverRepresentation:
 
 
 class Gradable:
-    """A grading: `graded` holds each vertex block's
-    (eigenvalue, column) pairs of the witness degree operator, and a basis
-    vector's degree is its eigenvalue plus `shift`."""
+    """A grading: `graded` holds each vertex block's (degree, column)
+    pairs in vertex order, the columns a basis of the block in increasing
+    degree, and `degrees` lists those degrees in that order, one per basis
+    vector; the least degree of each chain of linked eigenvalues is 0."""
 
-    def __init__(self, graded, shift, num_vertices):
+    def __init__(self, graded):
         self.graded = graded
-        self.degrees = {(v, k): value + shift for v, pairs in graded.items()
-                        for k, (value, _) in enumerate(pairs)}
-        self.dimension_vector = tuple(
-            tuple(sorted(Counter(value + shift
-                                 for value, _ in graded.get(v, ())).items()))
-            for v in range(num_vertices))
+        self.degrees = [degree for pairs in graded.values() for degree, _ in pairs]
 
     verdict = "gradable"
 
 
 class Ungradable:
-    def __init__(self, refuted):
+    def __init__(self, refuted, fredholm):
         self.refuted = refuted  # list of (dimension vector, reason)
+        # y with y.A = 0 and y.b = 1 on the degree-operator system, one
+        # coordinate per (arrow, target row, source column), in that order
+        self.fredholm = fredholm
 
     verdict = "ungradable"
 
@@ -334,8 +332,8 @@ def _enumerate_dimension_vectors(dims, window_values):
 
 
 def probe_searches(group):
-    """Whether the gradability probe searches gradings by the group: only
-    rank-one free abelian groups are searched."""
+    """Whether the gradability probe decides gradings by the group: only
+    rank-one free abelian groups are decided."""
     return isinstance(group, FgAbelian) and group.free_rank == 1 and not group.torsion
 
 
@@ -345,28 +343,32 @@ def gradability_probe(rep, weighting, window):
     arrow operator maps the degree-g part of its source into the part of
     degree g * w(a)^-1 of its target.
 
-    Only rank-one free abelian weightings are searched (the probe's
-    fixtures); everything else returns Unknown.  The probe solves for a
-    degree operator, searches its family for a witness, and enumerates the
-    dimension vectors over the window only after the search fails.
-    Verdicts are certified: Gradable carries a verified witness,
-    Ungradable an exhaustive list of refuted dimension vectors, and
-    Unknown stops at the first vector that neither the arrow constraints
-    nor the degree-operator system refutes.
+    Only rank-one free abelian weightings are decided (the probe's
+    fixtures); everything else returns Unknown.  A grading exists exactly
+    when the degree-operator system is solvable: a grading's diagonal
+    degree operator solves it, and `_graded_by_chains` grades by any
+    solution.  Gradable carries that grading; Ungradable a Fredholm vector
+    of the system and the dimension vectors over the window, each refuted
+    by it.  The window only lists those vectors.
     """
     if not probe_searches(weighting.group):
         return Unknown("probe only searches rank-one free abelian gradings")
-    if not window:
-        return Unknown("empty window")
-    radius = max(abs(_degree_value(g)) for g in window)
-    if radius < rep.total_dim:
-        raise CoalgebraError("window radius %d below comodule dimension %d"
-                             % (radius, rep.total_dim))
+    equations, offsets, nvars = _degree_operator_system(rep, weighting)
+    solved = solve_affine(equations, nvars)
+    if solved is not None:
+        return _graded_by_chains(rep, weighting, solved[0], offsets)
     window_values = sorted((_degree_value(g) for g in window),
                            key=lambda v: (abs(v), v))
+    reason = "no degree operator satisfies the arrow commutation relations"
+    return Ungradable([(vector, reason) for vector in
+                       _enumerate_dimension_vectors(rep.dims, window_values)],
+                      _fredholm(equations))
 
-    # degree operator: block matrices D_v, row-major from offsets[v], with
-    # D_t T_a - T_a D_s = -w(a) T_a for every arrow
+
+def _degree_operator_system(rep, weighting):
+    """The degree operator's linear system D_t T_a - T_a D_s = -w(a) T_a,
+    one equation per (arrow, target row, source column): block matrices
+    D_v, row-major from offsets[v].  Returns (equations, offsets, nvars)."""
     offsets, nvars = [], 0
     for d in rep.dims:
         offsets.append(nvars)
@@ -389,97 +391,130 @@ def gradability_probe(rep, weighting, window):
                         x = offsets[s] + k * ds + j
                         coeffs[x] = coeffs.get(x, 0) - T[i][k]
                 equations.append((SparseVector(coeffs), Fraction(-w) * T[i][j]))
-    solved = solve_affine(equations, nvars)
-    if solved is not None:
-        witness = _search_witness(rep, weighting, window_values, radius,
-                                  *solved, offsets)
-        if witness is not None:
-            return witness
-
-    refuted = []
-    for vector in _enumerate_dimension_vectors(rep.dims, window_values):
-        reason = _single_degree_refutation(rep, weighting, vector)
-        if reason is None:
-            if solved is not None:
-                return Unknown("no witness found and some dimension vectors "
-                               "need an undecided subspace search")
-            reason = "no degree operator satisfies the arrow commutation relations"
-        refuted.append((vector, reason))
-    return Ungradable(refuted)
+    return equations, offsets, nvars
 
 
-def _single_degree_refutation(rep, weighting, vector):
-    """Why a dimension vector concentrated in a single degree per vertex is
-    infeasible, or None: its splitting is forced, so only the arrow
-    constraints matter.  A vector that spreads a vertex over several
-    degrees needs a genuine subspace search and also gives None."""
-    if any(len(profile) > 1 for profile in vector):
-        return None
-    degree = {v: profile[0][0] for v, profile in enumerate(vector) if profile}
-    for a in range(rep.quiver.num_arrows()):
-        s, t = rep.quiver.source(a), rep.quiver.target(a)
-        if s in degree and t in degree and any(x for row in rep.maps[a] for x in row):
-            w = _degree_value(weighting.of(a))
-            if degree[t] != degree[s] - w:
-                return ("arrow %s forces degree %d at %s, assigned %d"
-                        % (rep.quiver.arrow_name(a), degree[s] - w,
-                           rep.quiver.vertices[t], degree[t]))
-    return None
+def _fredholm(equations):
+    """y with y.A = 0 and y.b = 1 for an inconsistent system of (row of A,
+    entry of b) pairs: by the Fredholm alternative the transposed system
+    is consistent exactly when the original is not."""
+    columns = {}
+    for i, (coeffs, _) in enumerate(equations):
+        for j, c in coeffs.items():
+            columns.setdefault(j, {})[i] = c
+    transposed = [(SparseVector(column), 0) for column in columns.values()]
+    transposed.append((SparseVector({i: b for i, (_, b) in enumerate(equations)}), 1))
+    return solve_affine(transposed, len(equations))[0]
 
 
-def _search_witness(rep, weighting, window_values, radius, particular,
-                    homogeneous, offsets):
-    """Try small rational combinations of the affine degree-operator family
-    and accept the first member whose integer eigen-splitting, shifted to
-    least degree 0, fits the window and is respected by every arrow."""
-    grid = [Fraction(k) for k in (-2, -1, 0, 1, 2)]
-    params = homogeneous[:3]
-    for combo in product(grid, repeat=len(params)):
-        D = list(particular)
-        for lam, direction in zip(combo, params):
-            if lam:
-                D = [d + lam * e for d, e in zip(D, direction)]
-        blocks = _integral_eigensplit(rep, D, offsets, radius)
-        if blocks is None:
-            continue
-        shift = -min(value for pairs in blocks.values() for value, _ in pairs)
-        witness = Gradable(blocks, shift, len(rep.dims))
-        if (all(g in window_values for g in witness.degrees.values())
-                and _arrows_respect(rep, weighting, blocks)):
-            return witness
-    return None
+def _graded_by_chains(rep, weighting, D, offsets):
+    """The grading by a solution D of the degree-operator system, with no
+    root computed.  D_t T_a = T_a (D_s - w(a)), so T_a maps the generalised
+    eigenspace of D_s at e into that of D_t at e - w(a).  Link two roots of
+    the square-free part f of the blocks' characteristic polynomials when
+    they differ by a nonzero weight; a root's degree is its offset above
+    the least root of its chain.  Relaxation over rational factors of f
+    finds the degrees: from level 0, the roots k above level m,
+    gcd(f, q_m(x - k)), rise to level m + k until nothing moves.  The
+    degree-m part of a block M of size d is ker q_m(M)^d, rational like
+    q_m; D need not be diagonalisable nor its spectrum rational."""
+    blocks = {v: [D[offsets[v] + i * d:offsets[v] + (i + 1) * d] for i in range(d)]
+              for v, d in enumerate(rep.dims) if d}
+    chi = [Fraction(1)]
+    for mat in blocks.values():
+        chi = _poly_mul(chi, _charpoly(mat))
+    f = _poly_divmod(chi, _poly_gcd(chi, [k * c for k, c in enumerate(chi)][1:]))[0]
+    steps = sorted({sign * _degree_value(weighting.of(a)) for sign in (1, -1)
+                    for a in range(rep.quiver.num_arrows())} - {0})
+    levels = {0: f}
+    moved = True
+    while moved:
+        moved = False
+        for m, k in product(sorted(levels), steps):
+            up = _poly_gcd(f, _shifted(levels[m], k))
+            for n in [n for n in levels if n < m + k]:
+                part = _poly_gcd(levels[n], up)
+                if len(part) > 1:
+                    levels[n] = _poly_divmod(levels[n], part)[0]
+                    levels[m + k] = _poly_mul(levels.get(m + k, [Fraction(1)]), part)
+                    moved = True
+    graded = {}
+    for v, mat in blocks.items():
+        for m in sorted(levels):
+            power = [Fraction(1)]
+            for _ in mat:
+                power = _poly_mul(power, levels[m])
+            graded.setdefault(v, []).extend(
+                (m, col) for col in _kernel(_at_matrix(power, mat)))
+    return Gradable(graded)
 
 
-def _integral_eigensplit(rep, D, offsets, radius):
-    """Integer eigenvalues and exact eigenspace decomposition of each
-    vertex block, read row by row from D at the vertex's offset, as
-    {v: [(eigenvalue, column), ...]}, or None.  A block M of size d is
-    scanned at the integers within the radius of its mean trace(M)/d, in
-    increasing order: the witness search accepts only spectra spanning at
-    most the radius, and a block's mean lies inside its own spectrum.  The
-    block splits exactly when these eigenspaces have total dimension d."""
-    blocks = {}
-    for v, d in enumerate(rep.dims):
-        if d == 0:
-            continue
-        mat = [D[offsets[v] + i * d:offsets[v] + (i + 1) * d] for i in range(d)]
-        trace = sum(mat[i][i] for i in range(d))
-        vectors = []
-        for value in range(-((d * radius - trace) // d),
-                           (trace + d * radius) // d + 1):
-            vectors += [(value, col) for col in _kernel(_shift(mat, value))]
-            if len(vectors) == d:
-                break
-        if len(vectors) != d:
-            return None  # a non-integer or far eigenvalue, or not diagonalizable
-        blocks[v] = vectors
-    return blocks
+# polynomials over Q: coefficient lists, constant term first, with a
+# nonzero last coefficient; the zero polynomial is []
 
 
-def _shift(mat, value):
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(p, q):
+    """Quotient and remainder of p by a nonzero q."""
+    p = list(p)
+    quotient = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    while len(p) >= len(q):
+        k = len(p) - len(q)
+        quotient[k] = Fraction(p[-1]) / q[-1]
+        for i, y in enumerate(q):
+            p[k + i] -= quotient[k] * y
+        while p and not p[-1]:
+            p.pop()
+    return quotient, p
+
+
+def _poly_gcd(p, q):
+    """Monic greatest common divisor of p and q, not both zero."""
+    while q:
+        p, q = q, _poly_divmod(p, q)[1]
+    return [Fraction(c) / p[-1] for c in p]
+
+
+def _shifted(q, k):
+    """q(x - k), by Horner's rule."""
+    out = q[-1:]
+    for c in reversed(q[:-1]):
+        out = _poly_mul(out, [-k, 1])
+        out[0] += c
+    return out
+
+
+def _charpoly(mat):
+    """det(x I - M) by Faddeev-LeVerrier: from N_0 = 0 and c_n = 1, N_k =
+    M N_(k-1) + c_(n-k+1) I and c_(n-k) = -trace(M N_k) / k."""
     n = len(mat)
-    return [[mat[i][j] - (value if i == j else 0) for j in range(n)]
-            for i in range(n)]
+    coeffs = [Fraction(1)]  # c_n, c_(n-1), ...
+    N = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        N = matmul_int(mat, N)
+        for i in range(n):
+            N[i][i] += coeffs[-1]
+        MN = matmul_int(mat, N)
+        coeffs.append(Fraction(-sum(MN[i][i] for i in range(n)), k))
+    return coeffs[::-1]
+
+
+def _at_matrix(q, mat):
+    """q(M) for a square matrix M, by Horner's rule."""
+    n = len(mat)
+    out = [[0] * n for _ in range(n)]
+    for c in reversed(q):
+        out = matmul_int(out, mat)
+        for i in range(n):
+            out[i][i] += c
+    return out
 
 
 def _kernel(mat):
@@ -489,39 +524,16 @@ def _kernel(mat):
                         n)[1]
 
 
-def _arrows_respect(rep, weighting, blocks):
-    """Whether every arrow maps each eigenvector of its source block into
-    the target eigenspace of the degree its weight forces."""
-    for a in range(rep.quiver.num_arrows()):
-        s, t = rep.quiver.source(a), rep.quiver.target(a)
-        T = rep.maps[a]
-        w = _degree_value(weighting.of(a))
-        for gs, col in blocks.get(s, []):
-            image = [sum(T[i][j] * col[j] for j in range(rep.dims[s]))
-                     for i in range(rep.dims[t])]
-            if not any(image):
-                continue
-            span = rref([SparseVector(dict(enumerate(c)))
-                         for gt, c in blocks.get(t, []) if gt == gs - w])
-            if not span.member(SparseVector(dict(enumerate(image)))):
-                return False
-    return True
-
-
 def witness_graded_comodule(rep, weighting, witness, coalgebra, pindex):
-    """Rebase the representation onto the witness eigen-splitting, path
+    """Rebase the representation onto the witness's graded columns, path
     expand it, and attach the witness degrees; the result satisfies the
     graded-comodule compatibility by construction and `verify` proves it.
     """
     group = weighting.group
     quiver = rep.quiver
     P, Pinv = {}, {}
-    for v in range(len(rep.dims)):
-        d = rep.dims[v]
-        if d == 0:
-            continue
-        cols = [col for _, col in witness.graded[v]]
-        P[v] = [[cols[t][i] for t in range(d)] for i in range(d)]
+    for v, pairs in witness.graded.items():  # the vertices of dimension > 0
+        P[v] = [[col[i] for _, col in pairs] for i in range(rep.dims[v])]
         Pinv[v] = _invert(P[v])
     new_maps = {}
     for a in range(quiver.num_arrows()):
@@ -530,9 +542,6 @@ def witness_graded_comodule(rep, weighting, witness, coalgebra, pindex):
             new_maps[a] = matmul_int(Pinv[t], matmul_int(rep.maps[a], P[s]))
     rebased = QuiverRepresentation(quiver, rep.dims, new_maps)
     comodule = rebased.as_comodule(coalgebra, pindex)
-    degrees = []
-    for v in range(len(rep.dims)):
-        for k in range(rep.dims[v]):
-            degrees.append(group.element(free=[witness.degrees[(v, k)]]))
+    degrees = [group.element(free=[degree]) for degree in witness.degrees]
     return GradedComodule(comodule, degrees,
                           lambda sym: pindex.weight(weighting, sym), group)

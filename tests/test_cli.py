@@ -221,8 +221,8 @@ comodule s on kron { basis m @ x, n @ y; map a: m -> n; }
 
 
 def test_gradable_prints_the_witness_degrees_of_a_2_plus_2_string(tmp_path, capsys):
-    # the band refutes every vector before a witness search; this string
-    # reaches the eigen-splitting and the witness check
+    # the band's system is unsolvable; this string's degrees come from the
+    # eigenvalue chains of a solution, listed per vertex in increasing order
     path = tmp_path / "string22.cov"
     path.write_text(
         "quiver kron { vertices x, y; arrows a: x -> y, b: x -> y; }\n"

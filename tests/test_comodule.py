@@ -1,3 +1,4 @@
+import importlib.resources as resources
 import itertools
 import math
 import random
@@ -13,13 +14,16 @@ from covol.comodule import (
     Comodule, GradedComodule, Gradable, QuiverRepresentation, Ungradable,
     Unknown, from_smash_comodule, gradability_probe,
     push_down, to_smash_comodule, verify_comodule, witness_graded_comodule,
-    _enumerate_dimension_vectors, _integral_eigensplit,
+    _degree_operator_system, _enumerate_dimension_vectors, _graded_by_chains,
 )
+from covol.exactlin import solve_affine
 from covol.fixtures import kronecker_fixture, loop_fixture, sl2_fixture
 from covol.quiver import Quiver
 from covol.voltage import ArrowWeighting, smash_quiver, window_ball
+from covol.workspace import parse
 
 from corpus import KRONECKER_STRINGS, Z, zint
+from oracles.gradability import check_fredholm, check_grading
 
 
 def unit_symbol(basis, path_index):
@@ -460,8 +464,7 @@ def test_probe_simple():
     result = gradability_probe(rep, fx.weighting, window_ball(Z, 3))
     assert isinstance(result, Gradable)
     # string (1,1): degrees x at h, y at h (arrow a forces equality)
-    degs = result.degrees
-    assert degs[(1, 0)] == degs[(0, 0)]
+    assert result.degrees[0] == result.degrees[1]
 
 
 def test_probe_band_ungradable():
@@ -474,6 +477,18 @@ def test_probe_band_ungradable():
     assert len(result.refuted) == 5 * 5
     for vector, reason in result.refuted:
         assert reason
+    assert check_fredholm(rep, fx.weighting, result.fredholm) is None
+
+
+def test_probe_certifies_the_kron_fixture_comodule_ungradable():
+    ws = parse((resources.files("covol") / "fixtures" / "kron.cov").read_text())
+    rep = ws.sole("comodule", None).representation
+    weighting = ws.sole("weighting", None).weighting
+    result = gradability_probe(rep, weighting, window_ball(Z, 3))
+    assert isinstance(result, Ungradable) and len(result.refuted) == 49
+    assert check_fredholm(rep, weighting, result.fredholm) is None
+    # a vector that vanishes on the weight terms certifies nothing
+    assert check_fredholm(rep, weighting, [0] * len(result.fredholm)) is not None
 
 
 def test_probe_strings_gradable():
@@ -483,6 +498,7 @@ def test_probe_strings_gradable():
         rep = kronecker_rep(*strings)
         result = gradability_probe(rep, fx.weighting, window)
         assert isinstance(result, Gradable), getattr(result, "reason", None)
+        assert check_grading(rep, fx.weighting, result.graded) is None
         graded = witness_graded_comodule(
             rep, fx.weighting, result,
             TruncatedPathCoalgebra(fx.pindex), fx.pindex)
@@ -492,11 +508,17 @@ def test_probe_strings_gradable():
         assert ok, failure
 
 
-def test_probe_respects_window_precondition():
+def test_probe_grades_a_representation_larger_than_the_window():
+    # total dimension 4 at radius 2: the window no longer bounds the probe
     fx = kronecker_fixture()
     rep = kronecker_rep([[1, 0], [0, 1]], [[0, 0], [1, 0]], 2, 2)
-    with pytest.raises(CoalgebraError):
-        gradability_probe(rep, fx.weighting, window_ball(Z, 2))
+    result = gradability_probe(rep, fx.weighting, window_ball(Z, 2))
+    assert isinstance(result, Gradable)
+    assert check_grading(rep, fx.weighting, result.graded) is None
+    graded = witness_graded_comodule(
+        rep, fx.weighting, result, TruncatedPathCoalgebra(fx.pindex), fx.pindex)
+    assert graded.verify() == (True, None)
+    assert verify_comodule(graded.comodule) == (True, None)
 
 
 def test_probe_unknown_for_unsupported_group():
@@ -509,26 +531,44 @@ def test_probe_unknown_for_unsupported_group():
     assert isinstance(result, Unknown)
 
 
-def test_probe_refutes_every_vector_after_a_failed_search():
-    # the degree operator exists (D_y = D_x - 5) but spans 5 > radius 2, so
-    # no witness fits the window; every single-degree vector breaks arrow a
+A3 = Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "y", "z")])
+
+
+def test_probe_grades_a_span_wider_than_the_window():
+    # D_y = D_x - 5: degrees that span 5 > radius 2
     q = kronecker_fixture().quiver
     w = ArrowWeighting(q, Z, {0: zint(5), 1: zint(0)})
     result = gradability_probe(kronecker_rep([[1]], [[0]], 1, 1), w, window_ball(Z, 2))
-    assert isinstance(result, Ungradable)
-    assert len(result.refuted) == 25
-    assert result.refuted[0] == ((((2, 1),), ((2, 1),)),
-                                 "arrow a forces degree -3 at y, assigned 2")
+    assert isinstance(result, Gradable)
+    assert result.degrees == [5, 0]
 
 
-def test_probe_unknown_when_a_spread_vector_is_undecided():
+def test_probe_grades_a_vertex_spread_over_two_degrees():
     q = kronecker_fixture().quiver
     w = ArrowWeighting(q, Z, {0: zint(2), 1: zint(-3)})
     rep = kronecker_rep([[1], [0]], [[-1], [2]], 1, 2)
     result = gradability_probe(rep, w, window_ball(Z, 3))
-    assert isinstance(result, Unknown)
-    assert result.reason == ("no witness found and some dimension vectors "
-                             "need an undecided subspace search")
+    assert isinstance(result, Gradable)
+    assert result.degrees == [2, 0, 5]
+    assert check_grading(rep, w, result.graded) is None
+
+
+@pytest.mark.parametrize("quiver, weights, dims, maps, radius, degrees", [
+    # gradings whose degrees span more than the radius
+    (A3, (-2, -3), [1, 1, 1], {0: [[2]], 1: [[2]]}, 3, [0, 2, 5]),
+    (kronecker_fixture().quiver, (3, 3), [1, 1], {0: [[1]], 1: [[1]]}, 2, [3, 0]),
+    # the zero representation is trivially graded
+    (A3, (-2, -3), [0, 0, 0], {}, 3, []),
+])
+def test_probe_verdict_does_not_depend_on_the_window(quiver, weights, dims, maps,
+                                                      radius, degrees):
+    w = ArrowWeighting(quiver, Z, {a: zint(x) for a, x in enumerate(weights)})
+    rep = QuiverRepresentation(quiver, dims, maps)
+    for window in (window_ball(Z, radius), window_ball(Z, 0), []):
+        result = gradability_probe(rep, w, window)
+        assert isinstance(result, Gradable)
+        assert result.degrees == degrees
+        assert check_grading(rep, w, result.graded) is None
 
 
 def test_probe_finds_witnesses_without_enumerating(monkeypatch):
@@ -542,24 +582,48 @@ def test_probe_finds_witnesses_without_enumerating(monkeypatch):
         assert isinstance(result, Gradable), strings
 
 
+def test_probe_gcd_count_does_not_depend_on_the_weight_magnitude(monkeypatch):
+    # the chains link roots by the weights themselves, never by the
+    # integers between them
+    from covol import comodule
+    calls = []
+
+    def counting(p, q, gcd=comodule._poly_gcd):
+        calls.append(1)
+        return gcd(p, q)
+    monkeypatch.setattr(comodule, "_poly_gcd", counting)
+    rep = kronecker_rep([[1, 0], [0, 1]], [[0, 0], [1, 0]], 2, 2)
+    counts = []
+    for weight in (3, 10 ** 6):
+        w = ArrowWeighting(rep.quiver, Z, {0: zint(weight), 1: zint(0)})
+        del calls[:]
+        result = gradability_probe(rep, w, window_ball(Z, 4))
+        assert isinstance(result, Gradable)
+        assert sorted(result.degrees) == [0, weight, weight, 2 * weight]
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 # (quiver, arrow cycles) for the seeded probe invariants
 PROBE_QUIVERS = [
     (kronecker_fixture().quiver, []),
-    (Quiver(["x", "y", "z"], [("a", "x", "y"), ("b", "y", "z")]), []),
+    (A3, []),
     (Quiver(["u", "v"], [("a", "u", "v"), ("b", "v", "u")]), [[0, 1]]),
     (Quiver(["p"], [("a", "p", "p")]), [[0]]),
 ]
 
 
-def _arrows_allow(rep, weights, vector):
-    """Whether every nonzero arrow between nonzero vertices of a
-    single-degree vector lowers the degree by its weight."""
-    degree = [profile[0][0] if profile else None for profile in vector]
-    q = rep.quiver
-    return all(degree[q.target(a)] == degree[q.source(a)] - weights[a]
-               for a in range(q.num_arrows())
-               if None not in (degree[q.source(a)], degree[q.target(a)])
-               and any(x for row in rep.maps[a] for x in row))
+def _seeded_representation(rng, entries):
+    q, cycles = rng.choice(PROBE_QUIVERS)
+    dims = [0] * len(q.vertices)
+    for _ in range(rng.randint(1, 4)):
+        dims[rng.randrange(len(dims))] += 1
+    rep = QuiverRepresentation(q, dims, {
+        a: [[rng.choice(entries) for _ in range(dims[q.source(a)])]
+            for _ in range(dims[q.target(a)])] for a in range(q.num_arrows())})
+    weights = [rng.randint(-3, 3) for _ in range(q.num_arrows())]
+    return rep, cycles, weights, ArrowWeighting(
+        q, Z, {a: zint(x) for a, x in enumerate(weights)})
 
 
 def test_probe_verdicts_meet_their_conditions_on_seeded_representations():
@@ -567,21 +631,16 @@ def test_probe_verdicts_meet_their_conditions_on_seeded_representations():
     entries = [0, 0, 1, -1, 2, Fraction(1, 2)]
     seen = set()
     for _ in range(240):
-        q, cycles = rng.choice(PROBE_QUIVERS)
-        dims = [0] * len(q.vertices)
-        for _ in range(rng.randint(1, 4)):
-            dims[rng.randrange(len(dims))] += 1
-        rep = QuiverRepresentation(q, dims, {
-            a: [[rng.choice(entries) for _ in range(dims[q.source(a)])]
-                for _ in range(dims[q.target(a)])] for a in range(q.num_arrows())})
-        weights = [rng.randint(-3, 3) for _ in range(q.num_arrows())]
-        w = ArrowWeighting(q, Z, {a: zint(x) for a, x in enumerate(weights)})
+        rep, cycles, weights, w = _seeded_representation(rng, entries)
+        q = rep.quiver
         radius = rep.total_dim + rng.randint(0, 2)
         result = gradability_probe(rep, w, window_ball(Z, radius))
         seen.add(result.verdict)
+        assert gradability_probe(rep, w, []).verdict == result.verdict
         values = sorted(range(-radius, radius + 1), key=lambda v: (abs(v), v))
         vectors = _enumerate_dimension_vectors(rep.dims, values)
         if isinstance(result, Gradable):
+            assert check_grading(rep, w, result.graded) is None
             pindex = PathIndex(q, rep.total_dim)
             try:
                 graded = witness_graded_comodule(
@@ -595,7 +654,8 @@ def test_probe_verdicts_meet_their_conditions_on_seeded_representations():
             assert ok, failure
             ok, failure = verify_comodule(graded.comodule)
             assert ok, failure
-        elif isinstance(result, Ungradable):
+        else:
+            assert check_fredholm(rep, w, result.fredholm) is None
             assert [v for v, _ in result.refuted] == list(vectors)
             assert all(reason for _, reason in result.refuted)
             # one multiset of window degrees per vertex, counted independently
@@ -603,57 +663,57 @@ def test_probe_verdicts_meet_their_conditions_on_seeded_representations():
             for d in rep.dims:
                 count *= math.comb(len(values) + d - 1, d)
             assert len(result.refuted) == count
-        else:
-            # an undecided vector spreads a vertex over two degrees, or puts
-            # each vertex in one degree that every arrow allows: a grading
-            # whose degrees span more than the radius, so that it fits the
-            # window only with its least degree below 0, where the witness
-            # search never places it
-            assert any(any(len(profile) > 1 for profile in v)
-                       or _arrows_allow(rep, weights, v) for v in vectors)
-    assert seen == {"gradable", "ungradable", "unknown"}
+    assert seen == {"gradable", "ungradable"}
 
 
-def test_eigensplit_scans_integers_within_the_radius_of_each_block_mean():
-    # one vertex block: a diagonalisable integer spectrum splits into
-    # sorted (value, column) pairs with M v = value v; anything else is None
-    def split(mat, radius=4):
-        n = len(mat)
-        rep = QuiverRepresentation(Quiver(["p"], []), [n], {})
-        D = [Fraction(x) for row in mat for x in row]
-        blocks = _integral_eigensplit(rep, D, [0], radius)
-        if blocks is None:
-            return None
-        assert list(blocks) == [0]
-        pairs = blocks[0]
-        assert len(pairs) == n
-        for value, col in pairs:
-            assert type(value) is int
-            assert [sum(row[j] * col[j] for j in range(n)) for row in mat] == \
-                [value * x for x in col], mat
-        return [value for value, _ in pairs]
+def _is_square(x):
+    x = Fraction(x)
+    return x >= 0 and all(math.isqrt(n) ** 2 == n for n in (x.numerator, x.denominator))
 
-    cases = [
-        ([[5]], [5]),
-        ([[-2]], [-2]),
-        ([[2, 1], [1, 2]], [1, 3]),
-        ([[0, 1], [-2, 3]], [1, 2]),
-        ([[1, 0], [0, 1]], [1, 1]),
-        ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 2, 3]),
-        ([[2, 1, 0], [0, 3, 4], [0, 0, -1]], [-1, 2, 3]),
-        ([[0, 1, 0], [0, 0, 1], [6, -11, 6]], [1, 2, 3]),  # companion matrix
-    ]
-    for mat, want in cases:
-        assert split(mat) == want, mat
-    # the repeated root 1 has a one-dimensional eigenspace: not diagonalisable
-    assert split([[1, 1, 0], [0, 1, 0], [0, 0, 2]]) is None
-    # t^3 - t^2 - 2t + 2 = (t - 1)(t^2 - 2): the root sqrt(2) is irrational
-    assert split([[0, 2, 0], [1, 0, 0], [0, 0, 1]]) is None
-    assert split([[Fraction(3, 2)]]) is None
-    assert split([[Fraction(1, 2), 0], [0, Fraction(5, 2)]]) is None
-    # eigenvalues 0 and 10 lie 5 from the mean 5: beyond radius 4, within 5
-    assert split([[0, 0], [0, 10]]) is None
-    assert split([[0, 0], [0, 10]], radius=5) == [0, 10]
+
+def test_chains_grade_every_solution_of_the_degree_operator_system():
+    # any solution grades, not only the particular one: perturb it along
+    # End(M), which makes some spectra irrational
+    rng = random.Random(3131)
+    entries = [0, 0, 1, -1, 2, Fraction(1, 2)]
+    solutions = irrational = 0
+    for _ in range(200):
+        rep, _, _, w = _seeded_representation(rng, entries)
+        equations, offsets, nvars = _degree_operator_system(rep, w)
+        solved = solve_affine(equations, nvars)
+        if solved is None:
+            continue
+        D, directions = solved
+        for direction in directions:
+            lam = rng.choice([0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+            D = [x + lam * e for x, e in zip(D, direction)]
+        assert all(sum(c * D[x] for x, c in row.items()) == b for row, b in equations)
+        graded = _graded_by_chains(rep, w, D, offsets).graded
+        assert check_grading(rep, w, graded) is None
+        solutions += 1
+        for v, d in enumerate(rep.dims):
+            if d == 2:  # x^2 - trace x + det with a non-square discriminant
+                m = D[offsets[v]:offsets[v] + 4]
+                irrational += not _is_square((m[0] - m[3]) ** 2 + 4 * m[1] * m[2])
+    assert solutions > 100 and irrational > 5
+
+
+@pytest.mark.parametrize("dims, T, weight, D, degrees", [
+    # spectrum {sqrt 2, -sqrt 2} at x and {sqrt 2 + 3, -sqrt 2 + 3} at y
+    ([2, 2], [[1, 0], [0, 1]], -3, [0, 2, 1, 0, 3, 2, 1, 3], [0, 0, 3, 3]),
+    # a Jordan block at 4 beside the eigenvalue 2 at x, the eigenvalue 0 at y
+    ([3, 1], [[1, 0, 0]], 2, [2, 0, 0, 0, 4, 1, 0, 0, 4, 0], [2, 4, 4, 0]),
+])
+def test_chains_grade_irrational_and_non_diagonalisable_solutions(dims, T, weight, D,
+                                                                   degrees):
+    quiver = Quiver(["x", "y"], [("a", "x", "y")])
+    rep = QuiverRepresentation(quiver, dims, {0: T})
+    w = ArrowWeighting(quiver, Z, {0: zint(weight)})
+    equations, offsets, _ = _degree_operator_system(rep, w)
+    assert all(sum(c * D[x] for x, c in row.items()) == b for row, b in equations)
+    result = _graded_by_chains(rep, w, [Fraction(x) for x in D], offsets)
+    assert result.degrees == degrees
+    assert check_grading(rep, w, result.graded) is None
 
 
 def _det(mat):
