@@ -227,6 +227,12 @@ class SubcoalgebraBasis:
     outside `range(N)`, N = len(pindex), is refused here, so the escape
     check's tensor key l * N + r is injective: its l and r are row entries
     or splitting-table ids, all in range(N).
+
+    The escape check leaves out a pivot split (c, l, r) whose two rows are
+    each the unit {p: 1} at their own pivot, as every vertex and arrow row
+    of an admissible subcoalgebra is: the coproduct's c at key l * N + r
+    and the rebuild's -c * 1 * 1, at that key alone, cancel exactly.  Every
+    other factor, a non-unit or a hand-built {p: 2}, is rebuilt.
     """
 
     def __init__(self, pindex, spaces):
@@ -242,6 +248,7 @@ class SubcoalgebraBasis:
         n = len(pindex)
         if not all(0 <= i < n for row in self._rows for i in row.entries):
             raise CoalgebraError("a row holds a path outside an index of %d paths" % n)
+        self._units = {p for p, sym in self._pivot_of.items() if self._rows[sym].entries == {p: 1}}
         self._coproduct_cache = {}
         self._counits = {}
 
@@ -291,14 +298,17 @@ class SubcoalgebraBasis:
         if not 0 <= sym < self.dimension:
             raise _no_symbol(self, sym)
         rows, pivot_of, n = self._rows, self._pivot_of, len(self.pindex)
-        table, split = self.pindex._coproducts, self.pindex._split
-        diff, terms = {}, []  # diff: Delta(row) at key l * n + r, then minus its rebuild
+        units, table, split = self._units, self.pindex._coproducts, self.pindex._split
+        diff, terms, rebuild = {}, [], []  # diff: Delta(row) at l * n + r, minus its rebuild
         for i, c in rows[sym].entries.items():  # a splitting composes to i, so none repeats
             for _, l, r in (table[i] or split(i))[0]:
-                diff[l * n + r] = c
                 if l in pivot_of and r in pivot_of:
                     terms.append((c, pivot_of[l], pivot_of[r]))
-        for coeff, sl, sr in terms:
+                    if l in units and r in units:
+                        continue  # +c and its rebuild -c * 1 * 1 cancel at this key
+                    rebuild.append(terms[-1])
+                diff[l * n + r] = c
+        for coeff, sl, sr in rebuild:
             rvec = rows[sr].entries
             for i, a in rows[sl].entries.items():
                 i *= n
@@ -327,8 +337,12 @@ def subcoalgebra_closure(pindex, generators):
     row that enlarged the span has its components queued.  Components are
     linear, so the rows added span a space closed under them.
 
-    The echelon starts with every vertex and arrow, and the worklist skips
-    a component that already lies in the final span:
+    An admissible subcoalgebra contains kQ0 + kQ1, so the echelon starts
+    with the unit of every vertex and arrow as its own row, reduced against
+    nothing: distinct units share no column, so together they are in RREF,
+    and a unit holds no column but its pivot, so no holder is recorded.
+    The worklist then skips a component that already lies in the final
+    span:
     - one supported on paths of length <= 1, the first |Q0| + |Q1| indices
       of a full index: those paths were added first;
     - one equal to the row just added: an endpoint-pure row is its own
@@ -340,10 +354,9 @@ def subcoalgebra_closure(pindex, generators):
     order: a row's pivot, its least path, names the (source, target) pair
     that every entry must share, and the row joins that pair's space."""
     quiver, echelon = pindex.quiver, _Echelon()
-    for v in range(quiver.num_vertices()):
-        echelon.add(SparseVector._wrap({pindex.vertex_path(v): 1}))
-    for a in range(quiver.num_arrows()):
-        echelon.add(SparseVector._wrap({pindex.arrow_path(a): 1}))
+    for p in [*map(pindex.vertex_path, range(quiver.num_vertices())),
+              *map(pindex.arrow_path, range(quiver.num_arrows()))]:
+        echelon.rows[p] = {p: 1}  # a unit holds no other column: no holders
     short = quiver.num_vertices() + quiver.num_arrows()
     work = list(generators)
     queued = set()  # paths k with a unit component {k: c} queued

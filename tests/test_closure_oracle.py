@@ -1,14 +1,15 @@
 """Differential test of the subcoalgebra closure worklist, its basis
 assembly and the escape check.
 
-`subcoalgebra_closure` seeds its echelon with every vertex and arrow and
-queues only components that can enlarge the span: none supported on
-paths of length <= 1, none equal to the row just added, and one unit
-component per path.  The closure that preceded it (vertices, arrows and
-every component pushed through the echelon) is copied below as the
-oracle.  Both must span the same space, so their RREF rows must agree by
-value, and both must raise, or not, alike.  A wrapper on `_Echelon.add`,
-installed only here, counts the echelon adds each one makes.
+`subcoalgebra_closure` seeds its echelon with the unit of every vertex and
+arrow as a row, with no `_Echelon.add`, and queues only components that
+can enlarge the span: none supported on paths of length <= 1, none equal
+to the row just added, and one unit component per path.  The closure that
+preceded it (vertices, arrows and every component pushed through the
+echelon) is copied below as the oracle.  Both must span the same space,
+so their RREF rows must agree by value, and both must raise, or not,
+alike.  A wrapper on `_Echelon.add`, installed only here, counts the
+echelon adds each one makes.
 
 The closure then reads its basis straight off the echelon rows, taking
 each row's endpoint pair from its pivot, and `SubcoalgebraBasis.coproduct`
@@ -17,7 +18,9 @@ them (`endpoints` per row over `echelon.subspace()`, `min` pivots) and the
 tuple-keyed escape check over `delta_vector` are copied below too, on the
 helpers kept in `oracles.path_vectors`.  On the same worklist, both must
 give the same spaces, rows entry by entry, pivots, symbol order and
-coproduct terms in order, or the same error.
+coproduct terms in order, or the same error.  The oracle check rebuilds
+every pivot split; the escape check leaves out a split whose two rows are
+units at their pivots, so the comparison covers that shortcut too.
 """
 
 import importlib.util
@@ -325,11 +328,25 @@ def test_closure_matches_oracle_on_benchmark_closures(monkeypatch):
 
 @pytest.mark.parametrize("m", [3, 5, 15, 24])
 def test_sl2_closure_wastes_no_echelon_add(monkeypatch, m):
+    """The vertex and arrow units are seeded as rows, so the only adds are
+    the m - 1 generators (|Q0| + |Q1| + m - 1 when the units were added)."""
     (pindex, gens), = _recorded_closures(monkeypatch, lambda: sl2_fixture(m))
     counter = _AddCounter(monkeypatch)
     (adds, wasted), (_, error) = _compare(counter, pindex, gens)
     assert error is None and wasted == 0
-    assert adds == pindex.quiver.num_vertices() + pindex.quiver.num_arrows() + m - 1
+    assert adds == m - 1
+
+
+@pytest.mark.parametrize("t, want", [(4, (43, 15)), (5, (91, 31)), (6, (187, 63))])
+def test_dbl_full_closure_echelon_adds(monkeypatch, t, want):
+    """The full double loop of `build_verify`: 2^(t+1) - 1 unit generators
+    and the queued unit components, 3 * 2^t - 5 adds in all, 2^t - 1 of them
+    already in the span (three more of each when the vertex and the two
+    arrow units were added)."""
+    pindex = PathIndex(double_loop_fixture(1).quiver, t)
+    counter = _AddCounter(monkeypatch)
+    adds, (_, error) = _compare(counter, pindex, _units(pindex))
+    assert error is None and adds == want
 
 
 def test_closure_matches_oracle_on_random_mixed_generators(monkeypatch):
@@ -390,12 +407,24 @@ def _dump_outcome(closure, pindex, gens):
         return None, (type(exc), str(exc))
 
 
+def _split_counts(basis):
+    """(left out, rebuilt): the pivot splits of every coproduct whose two
+    rows are each the unit at its own pivot, which the escape check leaves
+    out, and the other pivot splits, which it rebuilds.  Read off the terms
+    and the rows alone."""
+    pivots = [basis.spaces[pair].pivots[k] for pair, k in basis.basis_rows]
+    unit = [basis.row_vector(sym).entries == {p: 1} for sym, p in enumerate(pivots)]
+    splits = [(l, r) for sym in basis.symbols() for _, l, r in basis.coproduct(sym)[0]]
+    left_out = sum(unit[l] and unit[r] for l, r in splits)
+    return left_out, len(splits) - left_out
+
+
 def _assert_same_basis(pindex, gens):
-    """The closure and the oracle assembly on the same worklist agree;
-    returns whether they raised."""
-    got = _dump_outcome(subcoalgebra_closure, pindex, gens)
-    assert got == _dump_outcome(oracle_worklist_closure, pindex, gens)
-    return got[1] is not None
+    """The closure and the oracle assembly on the same worklist agree and
+    neither raises; returns the closure's `_split_counts`."""
+    basis = subcoalgebra_closure(pindex, gens)
+    assert (_dump(basis), None) == _dump_outcome(oracle_worklist_closure, pindex, gens)
+    return _split_counts(basis)
 
 
 def test_basis_off_the_echelon_matches_the_oracle_assembly(monkeypatch):
@@ -408,22 +437,35 @@ def test_basis_off_the_echelon_matches_the_oracle_assembly(monkeypatch):
     cases += [(fx.pindex, _units(fx.pindex)) for fx in all_fixtures()]
     cases += _benchmark_closures(monkeypatch)
     assert len(cases) == 26
-    for pindex, gens in cases:
-        assert not _assert_same_basis(pindex, gens)
+    for case in cases:
+        _assert_same_basis(*case)
     # the fixtures built by `full_subcoalgebra` run the same escape check
     for fx in all_fixtures():
         oracle = OracleBasis(fx.pindex, fx.basis.spaces)
         assert _dump(fx.basis) == _dump(oracle)
 
 
+def test_share_of_escape_splits_left_out(monkeypatch):
+    """The unit pairs are most of the escape check's pivot splits: 3,091
+    of 3,501 (88%) over the 11 `build_verify` closures at seed 11, and 123
+    of 131 (94%) over the six fixtures, whose terms the test above holds
+    to the oracle's."""
+    bench = [subcoalgebra_closure(*case) for case in _benchmark_closures(monkeypatch)]
+    fixture_bases = [fx.basis for fx in all_fixtures()]
+    for bases, want in [(bench, (3091, 410)), (fixture_bases, (123, 8))]:
+        assert tuple(map(sum, zip(*map(_split_counts, bases)))) == want
+
+
 def test_basis_off_the_echelon_matches_on_random_generators():
     """Seeded generator sets, endpoint-pure and mixed, on the sl2q, tri, uv
-    and double-loop quivers at truncation 2 to 4."""
+    and double-loop quivers at truncation 2 to 4.  Over them the escape
+    check both leaves unit pairs out and rebuilds other splits, with the
+    oracle's terms."""
     rng = random.Random(2023)
     quivers = [sl2_fixture(4).quiver, tri_fixture("ac").quiver,
                Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "u")]),
                double_loop_fixture().quiver]
-    cases = 0
+    counts = []
     for quiver in quivers:
         for truncation in (2, 3, 4):
             pindex = PathIndex(quiver, truncation)
@@ -432,9 +474,10 @@ def test_basis_off_the_echelon_matches_on_random_generators():
                     gens = _random_generators(rng, pindex)
                 else:
                     gens = _pure_generators(rng, pindex)
-                assert not _assert_same_basis(pindex, gens)
-                cases += 1
-    assert cases == 72
+                counts.append(_assert_same_basis(pindex, gens))
+    assert len(counts) == 72
+    left_out, rebuilt = map(sum, zip(*counts))
+    assert left_out > 0 and rebuilt > 0
 
 
 def test_assembly_raises_as_the_oracle_does(monkeypatch):
@@ -465,34 +508,67 @@ def test_assembly_raises_as_the_oracle_does(monkeypatch):
     assert got == _dump_outcome(oracle_worklist_closure, pindex, [])
 
 
+def _coproduct_outcomes(basis):
+    """Every symbol's coproduct terms, or the label and message it raises."""
+    out = []
+    for sym in basis.symbols():
+        try:
+            out.append(basis.coproduct(sym)[0])
+        except CoalgebraError as exc:
+            out.append((basis.label(sym), str(exc)))
+    return out
+
+
+def _assert_escapes_as_the_oracle(pindex, spaces):
+    """The int-keyed check and the tuple-keyed one give every symbol the
+    same terms or the same error, and some symbol escapes."""
+    got = _coproduct_outcomes(SubcoalgebraBasis(pindex, spaces))
+    assert got == _coproduct_outcomes(OracleBasis(pindex, spaces))
+    assert any(isinstance(o, tuple) and o[1].startswith("coproduct escapes the subcoalgebra at ")
+               for o in got)
+
+
 def test_escape_check_raises_at_the_oracle_symbol():
-    """sl2_fixture(4)'s spaces with one arrow row removed are not closed:
-    the int-keyed check and the tuple-keyed one raise at the same first
-    symbol, with the same label."""
-    fx = sl2_fixture(4)
+    """The spaces of sl2_fixture(4) and of the full double loop, each with
+    one arrow row removed, are not closed.  Every row of the double loop is
+    a unit, so all its pivot splits are left out, and only the splits
+    through the missing arrow find the escape."""
     raised = 0
-    for pair, space in fx.basis.spaces.items():
-        for k, p in enumerate(space.pivots):
-            if fx.pindex.length(p) != 1:
-                continue
-            spaces = dict(fx.basis.spaces)
-            spaces[pair] = Subspace(space.rows[:k] + space.rows[k + 1:],
-                                    space.pivots[:k] + space.pivots[k + 1:])
-            got, want = SubcoalgebraBasis(fx.pindex, spaces), OracleBasis(fx.pindex, spaces)
-            outcomes = []
-            for basis in (got, want):
-                for sym in basis.symbols():
-                    try:
-                        basis.coproduct(sym)
-                    except CoalgebraError as exc:
-                        outcomes.append((sym, basis.label(sym), str(exc)))
-                        break
-                else:
-                    outcomes.append(None)
-            assert outcomes[0] == outcomes[1]
-            assert outcomes[0] is not None and "escapes" in outcomes[0][2]
-            raised += 1
-    assert raised == fx.quiver.num_arrows() == 6
+    for fx in (sl2_fixture(4), double_loop_fixture()):
+        for pair, space in fx.basis.spaces.items():
+            for k, p in enumerate(space.pivots):
+                if fx.pindex.length(p) != 1:
+                    continue
+                spaces = dict(fx.basis.spaces)
+                spaces[pair] = Subspace(space.rows[:k] + space.rows[k + 1:],
+                                        space.pivots[:k] + space.pivots[k + 1:])
+                _assert_escapes_as_the_oracle(fx.pindex, spaces)
+                raised += 1
+    assert raised == 6 + 2
+
+
+def test_a_single_entry_row_off_the_unit_is_rebuilt():
+    """A hand-built row {p: 2} in place of a unit row, or a unit row {p: 1}
+    standing at another pivot q (two rows' pivots swapped), is no unit at
+    its pivot, so its splits go through the rebuild: at every unit row of
+    sl2_fixture(4) and of the full double loop (11 of 13 rows and 15 of
+    15), the verdict and the terms are the oracle's."""
+    cases = 0
+    for fx in (sl2_fixture(4), double_loop_fixture()):
+        for pair, space in fx.basis.spaces.items():
+            for k, p in enumerate(space.pivots):
+                if space.rows[k].entries != {p: 1}:
+                    continue
+                rows, pivots = list(space.rows), list(space.pivots)
+                rows[k] = SparseVector({p: 2})
+                variants = [Subspace(rows, space.pivots)]
+                if k + 1 < len(pivots):
+                    pivots[k], pivots[k + 1] = pivots[k + 1], pivots[k]
+                    variants.append(Subspace(space.rows, pivots))
+                for variant in variants:
+                    _assert_escapes_as_the_oracle(fx.pindex, {**fx.basis.spaces, pair: variant})
+                    cases += 1
+    assert cases == 26 + 17  # scaled rows, swapped pivots (3 in sl2, 14 in the loop)
 
 
 def test_a_row_outside_the_index_is_refused():
