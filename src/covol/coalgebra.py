@@ -525,24 +525,71 @@ class SmashCoalgebra:
             return entry
         if not 0 <= sym < self.dimension:
             raise _no_symbol(self, sym)
-        n = self._n
-        j, c = divmod(sym, n)
-        at, g = sym - c, self.window[j]
+        j, c = divmod(sym, self._n)
+        at = sym - c
         shifts, weight_id = self._shifts[j], self._weight_id
         terms = []
         base_terms, truncated = self.base.coproduct(c)
         for coeff, c1, c2 in base_terms:
-            w = weight_id[c2]
-            shift = shifts[w]
+            shift = shifts[weight_id[c2]]
             if shift is _UNSET:
-                k = self.window_pos.get(self.group.multiply(self._weights[w], g))
-                shift = shifts[w] = None if k is None else k * n
+                shift = self._shift(j, weight_id[c2])
             if shift is None:
                 truncated = True
             else:
                 terms.append((coeff, shift + c1, at + c2))
         entry = self._coproducts[sym] = (terms, truncated)
         return entry
+
+    def _shift(self, j, w):
+        """Fill and return the shift of window index j by weight id w."""
+        k = self.window_pos.get(self.group.multiply(self._weights[w], self.window[j]))
+        shift = self._shifts[j][w] = None if k is None else k * self._n
+        return shift
+
+    def _interior(self):
+        """The interior symbols (c, g) in order: those whose coproduct, and
+        the coproducts of both factors of each of its terms, are untruncated.
+        That holds exactly when reach(c) g lies in the window, which the
+        shift table answers with no coproduct built.  Over the terms
+        (c1, c2) of Delta c, reach(c) holds w(c2), w(e2) for (e1, e2) in
+        Delta c2 and w(d2) w(c2) for (d1, d2) in Delta c1, as the factor
+        (c1, w(c2) g) shifts by w(d2) (w(c2) g); it is None when a base
+        coproduct it reads is truncated.  It is kept as sorted weight ids:
+        each composite is multiplied once per (id, id) pair and interned
+        with a shift-table column."""
+        weight_id, weights, group, n = self._weight_id, self._weights, self.group, self._n
+        interned = {g: w for w, g in enumerate(weights)}
+        product = {}  # (id, id) -> id of the product
+        base = [self.base.coproduct(c) for c in range(n)]
+        right = [{weight_id[c2] for _, _, c2 in terms} for terms, _ in base]
+        reach = []
+        for c, (terms, truncated) in enumerate(base):
+            out = set(right[c])
+            for _, c1, c2 in terms:
+                w2 = weight_id[c2]
+                truncated = truncated or base[c1][1] or base[c2][1]
+                out |= right[c2]
+                for w1 in right[c1]:
+                    if (w1, w2) not in product:
+                        g = group.multiply(weights[w1], weights[w2])
+                        product[w1, w2] = interned.setdefault(g, len(interned))
+                    out.add(product[w1, w2])
+            reach.append(None if truncated else sorted(out))
+        weights.extend(list(interned)[len(weights):])
+        interior = []
+        for j, row in enumerate(self._shifts):
+            row.extend([_UNSET] * (len(weights) - len(row)))
+            for c, ids in enumerate(reach):
+                if ids is None:
+                    continue
+                for w in ids:
+                    shift = row[w]
+                    if shift is None or shift is _UNSET and self._shift(j, w) is None:
+                        break
+                else:
+                    interior.append(j * n + c)
+        return interior
 
     def counit(self, sym):
         if 0 <= sym < self.dimension:
@@ -697,44 +744,45 @@ def coassociativity_ok(coalgebra):
     two-level expansion hits the window boundary.  Returns (ok, witness,
     checked count).
 
-    On a `SmashCoalgebra` the sums run once per base symbol c, at its
-    first interior symbol (c, g) in symbol order, and each later interior
-    (c, g') reads that verdict.  This is exact.  With no term truncated,
-    the expansion of (c, g) is the smash formula in full: every key is
-    ((a, h1 g), (b, h2 g), (d, h3 g)), with h1, h2, h3 and every
-    coefficient read from the base alone (the terms of c and of their
-    factors, and the weights).  Right translation by g^-1 g' is injective,
-    so it maps the keys and coefficients at (c, g) one to one onto those
-    at (c, g'), and two keys collide at g exactly when they collide at g'.
-    So the coassociator vanishes at (c, g) exactly when it vanishes at
-    (c, g'), and so do the counit sums, keyed by (d, h g) with counits
-    read at base symbols.  This holds for any base, weights and group
-    backend (`FiniteTable` checks associativity when built), so the first
-    failing symbol and the count before it are those of a check at every
-    symbol.  The limit: the certificate is for the smash formula, and a
-    shift table damaged only at fibers that no first interior symbol's
-    expansion reads goes unseen.  Other coalgebras are checked at every
-    symbol.  A smash term's factors k * n + c1 and j * n + c2 are in
-    range(dimension), so they are read as `table[l] or coproduct(l)`.
+    On a `SmashCoalgebra` only the interior symbols are read, as decided
+    by `_interior` from reach(c) g with no coproduct built.  The sums run
+    once per base symbol c, at its first interior symbol in symbol order,
+    and each later interior (c, g') is counted and reads no coproduct.
+    This is exact.  With no term truncated, the expansion of (c, g) is the
+    smash formula in full: every key is ((a, h1 g), (b, h2 g), (d, h3 g)),
+    with h1, h2, h3 and every coefficient read from the base alone.  Right
+    translation by g^-1 g' is injective, so it maps the keys and
+    coefficients at (c, g) one to one onto those at (c, g'), and the
+    coassociator and the counit sums vanish at one exactly when they vanish
+    at the other, for any base, weights and group backend (`FiniteTable`
+    checks associativity when built).  So the witness and the count are
+    those of a check at every symbol.  The limit: the certificate is for
+    the smash formula.  `_interior` reads a shift entry only as None or
+    not, and only the expansions of first interior symbols read it as an
+    offset, so an entry damaged to another offset at a fiber that none of
+    them reads goes unseen.  Other coalgebras are checked at every symbol.
+    A smash term's factors are in range(dimension), so they are read as
+    `table[l] or coproduct(l)`.
     """
     coproduct, counit = coalgebra.coproduct, coalgebra.counit
-    smash = isinstance(coalgebra, SmashCoalgebra)
-    n, table = (coalgebra.base.dimension, coalgebra._coproducts) if smash else (None, None)
+    symbols, table, n = coalgebra.symbols(), None, None
+    if isinstance(coalgebra, SmashCoalgebra):
+        symbols, table, n = coalgebra._interior(), coalgebra._coproducts, coalgebra._n
     held = set()  # base symbols whose laws held at their first interior symbol
     checked = 0
-    for sym in coalgebra.symbols():
+    for sym in symbols:
+        if n is not None and sym % n in held:
+            checked += 1
+            continue
         terms, truncated = coproduct(sym)
         if truncated:
             continue
-        known = n is not None and sym % n in held
         diff = {}  # (Delta x id) Delta minus (id x Delta) Delta
         for coeff, l, r in terms:
             lt, t1 = coproduct(l) if table is None else table[l] or coproduct(l)
             rt, t2 = coproduct(r) if table is None else table[r] or coproduct(r)
             if t1 or t2:
                 break
-            if known:
-                continue
             for c2, a, b in lt:
                 key = (a, b, r)
                 diff[key] = diff.get(key, 0) + coeff * c2
@@ -742,22 +790,21 @@ def coassociativity_ok(coalgebra):
                 key = (l, a, b)
                 diff[key] = diff.get(key, 0) - coeff * c2
         else:
-            if not known:
-                if any(diff.values()):
-                    return False, sym, checked
-                # counit laws: (eps x id) Delta - id = 0 = (id x eps) Delta - id
-                lsum, rsum = {sym: -1}, {sym: -1}
-                for coeff, l, r in terms:
-                    e = counit(l)
-                    if e:
-                        lsum[r] = lsum.get(r, 0) + coeff * e
-                    e = counit(r)
-                    if e:
-                        rsum[l] = rsum.get(l, 0) + coeff * e
-                if any(lsum.values()) or any(rsum.values()):
-                    return False, sym, checked
-                if n is not None:
-                    held.add(sym % n)
+            if any(diff.values()):
+                return False, sym, checked
+            # counit laws: (eps x id) Delta - id = 0 = (id x eps) Delta - id
+            lsum, rsum = {sym: -1}, {sym: -1}
+            for coeff, l, r in terms:
+                e = counit(l)
+                if e:
+                    lsum[r] = lsum.get(r, 0) + coeff * e
+                e = counit(r)
+                if e:
+                    rsum[l] = rsum.get(l, 0) + coeff * e
+            if any(lsum.values()) or any(rsum.values()):
+                return False, sym, checked
+            if n is not None:
+                held.add(sym % n)
             checked += 1
     return True, None, checked
 
