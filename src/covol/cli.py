@@ -305,7 +305,7 @@ def cmd_gradable(ws, args):
     if result.verdict == "gradable":
         report["degrees"] = dict(zip(rep.labels(), result.degrees))
     elif result.verdict == "ungradable":
-        report["refutedVectors"] = len(result.refuted)
+        report["refutedVectors"] = result.refuted
     else:
         report["reason"] = result.reason
     return report, None, 0

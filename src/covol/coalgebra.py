@@ -13,6 +13,10 @@ window boundary.  `coproduct` raises `CoalgebraError` on an id outside
 the target refuses.  Coproduct tables (`PathIndex`, smash) are read as
 `table[i] or coproduct(i)` where i lies in range by construction.
 
+Every coalgebra map is a basis map, a dict symbol -> symbol (psi, phi,
+both projections and `twist_iso`'s map send each symbol to one symbol
+with coefficient 1); `apply_map` takes a vector's image under one.
+
 Zero rule for sparse sums: terms are added as `out[k] = out.get(k, 0) + v`
 and no sum deletes a key; a finished sum keeps only its nonzero values
 (`_nonzero`), and a verifier sums lhs - rhs in one dict and fails exactly
@@ -623,50 +627,32 @@ def smash_path_coalgebra(pindex, weighting, window):
 
 
 # ---------------------------------------------------------------------------
-# linear maps between coalgebras-with-basis
+# basis maps between coalgebras-with-basis: dicts symbol -> symbol
 
 
 def apply_map(get, vec):
-    """Image of a symbol-coefficient dict under the map with lookup `get`,
-    or None when a symbol has no image; a sum without a zero is not copied."""
+    """Image of a symbol-coefficient dict under the basis map with lookup
+    `get`, or None when a symbol has no image.  Two symbols can land on
+    one, so a sum with a zero is copied without it."""
     out = {}
     for sym, c in vec.items():
-        image = get(sym)
-        if image is None:
+        t = get(sym)
+        if t is None:
             return None
-        for t, d in image.items():
-            out[t] = out.get(t, 0) + c * d
+        out[t] = out.get(t, 0) + c
     return _nonzero(out) if 0 in out.values() else out
 
 
 def compose_maps(second, first):
     """second o first on every symbol of first whose image lies in second's
-    domain; the rest are skipped.  A unit image {t: 1} composes to second's
-    image of t as it stands (through `_nonzero` when it holds a zero), so a
-    composite may share second's image dicts: no caller mutates one."""
+    domain; the rest are skipped."""
     get = second.get
-    out = {}
-    for sym, image in first.items():
-        if len(image) == 1 and _ONE in image.values():
-            acc = get(next(iter(image)))
-            if acc is not None and 0 in acc.values():
-                acc = _nonzero(acc)
-        else:
-            acc = apply_map(get, image)
-        if acc is not None:
-            out[sym] = acc
-    return out
+    return {sym: image for sym, t in first.items() if (image := get(t)) is not None}
 
 
-def basis_map(pairs):
-    """Linear map sending each symbol to a single symbol with coefficient 1."""
-    return {src: {dst: _ONE} for src, dst in pairs}
-
-
-def is_identity_map(linmap):
-    """Whether every symbol maps to itself, zero coefficients aside."""
-    return all(image == {sym: _ONE} or _nonzero(image) == {sym: _ONE}
-               for sym, image in linmap.items())
+def is_identity_map(f):
+    """Whether every symbol maps to itself."""
+    return all(sym == t for sym, t in f.items())
 
 
 def coproduct_of_vector(coalgebra, vec):
@@ -682,58 +668,48 @@ def coproduct_of_vector(coalgebra, vec):
     return _nonzero(out), truncated
 
 
-def verify_coalgebra_map(linmap, source, target):
-    """Check (f tensor f) . Delta = Delta . f and counit preservation on
-    every symbol whose expansions avoid the window boundary on both sides.
-    A symbol with an image id that the target refuses (`CoalgebraError`
-    from its coproduct) fails.  Images are flattened once to tuples; tensor
-    keys stay pairs, as l * D + r is not injective on out-of-range image ids.
+def verify_coalgebra_map(f, source, target):
+    """Check (f tensor f) . Delta = Delta . f and counit preservation of the
+    basis map f on every symbol s with an image whose expansions avoid the
+    window boundary on both sides: Delta(f(s)) minus the sum of coeff at
+    (f(l), f(r)) over the terms of Delta(s) must vanish, and
+    counit(f(s)) = counit(s).  A symbol with a factor outside f's domain
+    is skipped; one whose image the target refuses (`CoalgebraError` from
+    its coproduct) fails.  Tensor keys stay pairs, as l * D + r is not
+    injective on out-of-range image ids.
 
     Returns (ok, witness symbol, checked count).
     """
-    get = {sym: tuple(image.items()) for sym, image in linmap.items()}.get
+    get = f.get
     source_coproduct, source_counit = source.coproduct, source.counit
     target_coproduct, target_counit = target.coproduct, target.counit
     checked = 0
     for sym in source.symbols():
-        image = get(sym)
-        if image is None:
+        t = get(sym)
+        if t is None:
             continue
         terms, truncated = source_coproduct(sym)
         if truncated:
             continue
-        diff = {}  # Delta . f minus (f tensor f) . Delta
-        dget = diff.get
         try:
-            for t, c in image:
-                image_terms, truncated = target_coproduct(t)
-                if truncated:
-                    break
-                for coeff, l, r in image_terms:
-                    key = (l, r)
-                    diff[key] = dget(key, 0) + c * coeff
+            image_terms, truncated = target_coproduct(t)
         except CoalgebraError:
             return False, sym, checked
         if truncated:
             continue
+        diff = {}  # Delta . f minus (f tensor f) . Delta
+        dget = diff.get
+        for coeff, l, r in image_terms:
+            key = (l, r)
+            diff[key] = dget(key, 0) + coeff
         for coeff, l, r in terms:
             il, ir = get(l), get(r)
             if il is None or ir is None:
                 break
-            for a, ca in il:
-                ca = coeff * ca
-                for b, cb in ir:
-                    key = (a, b)
-                    diff[key] = dget(key, 0) - ca * cb
+            key = (il, ir)
+            diff[key] = dget(key, 0) - coeff
         else:
-            if any(diff.values()):
-                return False, sym, checked
-            eps = 0
-            for t, c in image:
-                e = target_counit(t)
-                if e:
-                    eps += c * e
-            if eps != source_counit(sym):
+            if any(diff.values()) or target_counit(t) != source_counit(sym):
                 return False, sym, checked
             checked += 1
     return True, None, checked
@@ -833,14 +809,14 @@ def _projection(cover_pindex, base_pindex, morphism):
 
 def cover_projection_map(cover_pindex, base_pindex, morphism):
     """Path-coalgebra map induced by a quiver covering: arrow-wise image."""
-    return basis_map(enumerate(_projection(cover_pindex, base_pindex, morphism)))
+    return dict(enumerate(_projection(cover_pindex, base_pindex, morphism)))
 
 
 def smash_projection_map(smash_coalg):
     """Canonical coalgebra map of a smash coproduct onto its base: forget
     the window coordinate."""
     n = smash_coalg.base.dimension
-    return basis_map((sym, sym % n) for sym in smash_coalg.symbols())
+    return {sym: sym % n for sym in smash_coalg.symbols()}
 
 
 def lift_paths(base_pindex, cover_pindex, lifts, starts):
@@ -908,14 +884,14 @@ def covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
               for v, u in enumerate(morphism.vertex_map)]
     cover_paths = cover_pindex.paths
     projection = _projection(cover_pindex, base_pindex, morphism)
-    psi = basis_map((i, at + image) for i, image in enumerate(projection)
-                    if (at := offset[cover_paths[i][0]]) is not None)
+    psi = {i: at + image for i, image in enumerate(projection)
+           if (at := offset[cover_paths[i][0]]) is not None}
 
     tables = lift_paths(base_pindex, cover_pindex, morphism.lifts,
                         [[cover.act_vertex(lifting[u], g) for u in range(n_vertices)]
                          for g in window])
-    phi = basis_map((gi * n_base + i, idx) for gi, lifted in enumerate(tables)
-                    for i, idx in enumerate(lifted) if idx is not None)
+    phi = {gi * n_base + i: idx for gi, lifted in enumerate(tables)
+           for i, idx in enumerate(lifted) if idx is not None}
     return psi, phi, smash_coalg, induced
 
 
@@ -929,14 +905,14 @@ def twist_iso(base_pindex, weighting, vertex_weighting, window):
     source = smash_path_coalgebra(base_pindex, weighting, window)
     twisted = twist_weighting(weighting, vertex_weighting)
     target = smash_path_coalgebra(base_pindex, twisted, window)
-    pairs = []
+    tmap = {}
     for sym in source.symbols():
         i, g = source.decode(sym)
         shifted = target.symbol(i, group.multiply(
             group.inverse(vertex_weighting.of(base_pindex.source(i))), g))
         if shifted is not None:
-            pairs.append((sym, shifted))
-    return basis_map(pairs), source, target, twisted
+            tmap[sym] = shifted
+    return tmap, source, target, twisted
 
 
 # ---------------------------------------------------------------------------

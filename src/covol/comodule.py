@@ -12,6 +12,7 @@ the smash-comodule structure map coassociative.
 
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 from .coalgebra import CoalgebraError, _nonzero, coproduct_of_vector, \
     apply_map, smash_projection_map
@@ -297,7 +298,7 @@ class Gradable:
 
 class Ungradable:
     def __init__(self, refuted, fredholm):
-        self.refuted = refuted  # list of (dimension vector, reason)
+        self.refuted = refuted  # how many dimension vectors over the window
         # y with y.A = 0 and y.b = 1 on the degree-operator system, one
         # coordinate per (arrow, target row, source column), in that order
         self.fredholm = fredholm
@@ -317,20 +318,6 @@ def _degree_value(el):
     return el[0][0]
 
 
-def _enumerate_dimension_vectors(dims, window_values):
-    """All assignments of per-vertex dimensions to window degrees, lazily,
-    as tuples of per-vertex ((degree, count), ...) profiles."""
-    per_vertex = []
-    for d in dims:
-        profiles = [()]
-        for value in window_values:
-            profiles = [p + ((value, k),) if k else p
-                        for p in profiles
-                        for k in range(min(d, d - sum(c for _, c in p)) + 1)]
-        per_vertex.append([p for p in profiles if sum(c for _, c in p) == d])
-    return product(*per_vertex)
-
-
 def probe_searches(group):
     """Whether the gradability probe decides gradings by the group: only
     rank-one free abelian groups are decided."""
@@ -348,8 +335,10 @@ def gradability_probe(rep, weighting, window):
     when the degree-operator system is solvable: a grading's diagonal
     degree operator solves it, and `_graded_by_chains` grades by any
     solution.  Gradable carries that grading; Ungradable a Fredholm vector
-    of the system and the dimension vectors over the window, each refuted
-    by it.  The window only lists those vectors.
+    of the system and the number of dimension vectors over the window, each
+    refuted by it: a multiset of d window degrees per vertex of dimension d,
+    so the product of comb(|window| + d - 1, d) over vertices with d > 0.
+    The window only counts those vectors.
     """
     if not probe_searches(weighting.group):
         return Unknown("probe only searches rank-one free abelian gradings")
@@ -357,12 +346,11 @@ def gradability_probe(rep, weighting, window):
     solved = solve_affine(equations, nvars)
     if solved is not None:
         return _graded_by_chains(rep, weighting, solved[0], offsets)
-    window_values = sorted((_degree_value(g) for g in window),
-                           key=lambda v: (abs(v), v))
-    reason = "no degree operator satisfies the arrow commutation relations"
-    return Ungradable([(vector, reason) for vector in
-                       _enumerate_dimension_vectors(rep.dims, window_values)],
-                      _fredholm(equations))
+    refuted = 1
+    for d in rep.dims:
+        if d:
+            refuted *= comb(len(window) + d - 1, d)
+    return Ungradable(refuted, _fredholm(equations))
 
 
 def _degree_operator_system(rep, weighting):

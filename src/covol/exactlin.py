@@ -75,10 +75,6 @@ class SparseVector:
         _axpy(out, 1, other.entries)
         return SparseVector._wrap(out)
 
-    def scale(self, c):
-        c = _exact(Fraction(c))
-        return SparseVector._wrap({k: c * v for k, v in self.entries.items()} if c else {})
-
     def leading(self):
         """Smallest supported coordinate, or None for the zero vector."""
         return min(self.entries) if self.entries else None

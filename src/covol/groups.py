@@ -25,8 +25,6 @@ class FiniteTable:
     checked on construction.
     """
 
-    backend = "finite"
-
     def __init__(self, table, names=None):
         self.size = len(table)
         self.table = tuple(tuple(row) for row in table)
@@ -88,8 +86,6 @@ class FgAbelian:
 
     Written additively in the DSL; elements are (free tuple, torsion tuple).
     """
-
-    backend = "abelian"
 
     def __init__(self, free_rank, torsion=()):
         if any(t < 2 for t in torsion):
@@ -166,8 +162,6 @@ class FreeGroup:
     """Free group of the given rank; elements are reduced words, stored as
     tuples of nonzero ints: k for generator k, -k for its inverse (1-based)."""
 
-    backend = "free"
-
     def __init__(self, rank, names=None):
         self.rank = rank
         if names is not None and len(names) != rank:
@@ -233,8 +227,6 @@ class FinitelyPresented:
     The word problem is not implemented; the descriptor exists to be
     abelianized or, when relator-free, recognized as a free group.
     """
-
-    backend = "presented"
 
     def __init__(self, generator_count, relators):
         self.generator_count = generator_count

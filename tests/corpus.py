@@ -10,7 +10,7 @@ import os
 import random
 from fractions import Fraction
 
-from covol.coalgebra import PathIndex, SparseVector, subcoalgebra_closure
+from covol.coalgebra import CoalgebraError, PathIndex, SparseVector, subcoalgebra_closure
 from covol.fixtures import all_fixtures, double_loop_fixture, sl2_fixture, tri_fixture
 from covol.groups import FgAbelian, FiniteTable, FreeGroup
 from covol.quiver import Quiver
@@ -188,7 +188,75 @@ class _Perturbed:
         return list(self._symbols)
 
     def coproduct(self, sym):
+        if sym not in self._terms:  # refused, as every coalgebra refuses it
+            raise CoalgebraError("no symbol %r" % (sym,))
         return self._terms[sym]
 
     def counit(self, sym):
         return self._counits[sym]
+
+
+def unit_lift(f):
+    """The linear map {s: {t: 1}} of a basis map {s: t}: the form the map
+    oracles, written when every map was linear, read."""
+    return {s: {t: 1} for s, t in f.items()}
+
+
+def damaged_maps(rng, f, dimension):
+    """(damage, map) for four copies of a basis map f on at least two
+    symbols, into a target of `dimension` symbols, each with one damage: a
+    wrong target, a swapped pair, an out-of-range id (the target refuses it)
+    and a dropped symbol."""
+    keys = list(f)
+    s, other = rng.sample(keys, 2)
+    out = []
+    for damage in ("wrong target", "swapped pair", "out of range", "dropped symbol"):
+        g = dict(f)
+        if damage == "wrong target":
+            g[s] = rng.choice([t for t in range(dimension) if t != f[s]])
+        elif damage == "swapped pair":
+            g[s], g[other] = f[other], f[s]
+        elif damage == "out of range":
+            g[s] = dimension
+        else:
+            del g[s]
+        out.append((damage, g))
+    return out
+
+
+class _Before:
+    """The symbols of a coalgebra before `stop`, with its coproduct and
+    counit."""
+
+    def __init__(self, coalgebra, stop):
+        symbols = coalgebra.symbols()
+        self._symbols = symbols[:symbols.index(stop)]
+        self.coproduct, self.counit = coalgebra.coproduct, coalgebra.counit
+
+    def symbols(self):
+        return list(self._symbols)
+
+
+def _refuses(coalgebra, sym):
+    try:
+        coalgebra.coproduct(sym)
+    except CoalgebraError:
+        return True
+    return False
+
+
+def oracle_verdict(oracle, f, source, target):
+    """A linear-map oracle's (ok, witness, checked) on the unit lift of the
+    basis map f.  Where the oracle raises at an image id the target
+    refuses, the verifier fails that symbol: the verdict is then a failure
+    at the first symbol the oracle expands to a refused image, with the
+    oracle's count over the symbols before it, which must all pass."""
+    linmap = unit_lift(f)
+    try:
+        return oracle(linmap, source, target)
+    except CoalgebraError:
+        bad = next(s for s in source.symbols() if s in f
+                   and not source.coproduct(s)[1] and _refuses(target, f[s]))
+    ok, _, checked = oracle(linmap, _Before(source, bad), target)
+    assert ok
+    return False, bad, checked

@@ -2,10 +2,12 @@
 verbatim as oracles.
 
 - `composite_agrees` checked a composite by lookup, without building it;
-  `cli._inverse_over_base` now reads the `compose_maps` composites, whose
-  unit images take the same rule.  `compose_by_apply_map` is
-  `compose_maps` as it read before that rule: every image through
-  `apply_map`.
+  `cli._inverse_over_base` now reads the `compose_maps` composites.
+  `compose_by_apply_map` is `compose_maps` as it read when maps were
+  linear, every image through `apply_map`, kept as `linear_apply_map`:
+  its map images were {symbol: coefficient} dicts, where every map is now
+  a basis map {symbol: symbol}.  These three read the unit lift
+  {s: {t: 1}} of a basis map.
 - `_lift_vector` lifted a base vector path by path through
   `SmashQuiver.lift_arrows` and `PathIndex.path_of`; `span_of_liftings`
   now reads each fiber's `lift_paths` table, the rule that builds phi.
@@ -15,14 +17,28 @@ verbatim as oracles.
   backend; `csm-iso` now reads that window.
 
 Copied at b1d38be from `covol/coalgebra.py`, `covol/covering.py` and
-`covol/cli.py` as they stood at 6d78d7c.
+`covol/cli.py` as they stood at 6d78d7c; `linear_apply_map` is
+`coalgebra.apply_map` as it stood at e247ff2.
 """
 
-from covol.coalgebra import _ONE, PathIndex, _nonzero, apply_map
+from covol.coalgebra import _ONE, PathIndex, _nonzero
 from covol.covering import CoalgebraCovering
 from covol.exactlin import SparseVector, Subspace
 from covol.groups import FgAbelian, FiniteTable
 from covol.voltage import smash_quiver
+
+
+def linear_apply_map(get, vec):
+    """Image of a symbol-coefficient dict under the map with lookup `get`,
+    or None when a symbol has no image; a sum without a zero is not copied."""
+    out = {}
+    for sym, c in vec.items():
+        image = get(sym)
+        if image is None:
+            return None
+        for t, d in image.items():
+            out[t] = out.get(t, 0) + c * d
+    return _nonzero(out) if 0 in out.values() else out
 
 
 def composite_agrees(get, first, want):
@@ -42,7 +58,7 @@ def composite_agrees(get, first, want):
             if acc is not None and 0 in acc.values():
                 acc = _nonzero(acc)
         else:
-            acc = apply_map(get, image)
+            acc = linear_apply_map(get, image)
         if acc is None:
             continue
         if acc != want(sym):
@@ -55,7 +71,7 @@ def compose_by_apply_map(second, first):
     get = second.get
     out = {}
     for sym, image in first.items():
-        acc = apply_map(get, image)
+        acc = linear_apply_map(get, image)
         if acc is not None:
             out[sym] = acc
     return out

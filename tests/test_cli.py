@@ -470,7 +470,7 @@ def _swap_phi(monkeypatch, with_psi):
                                        cover_pindex, window)
         arrow = next(i for i in range(len(base_pindex)) if base_pindex.length(i))
         s1, s2 = [s for g in window if (s := smash.symbol(arrow, g)) in phi][:2]
-        (p1,), (p2,) = phi[s1], phi[s2]
+        p1, p2 = phi[s1], phi[s2]
         phi[s1], phi[s2] = phi[s2], phi[s1]
         if with_psi:
             psi[p1], psi[p2] = psi[p2], psi[p1]

@@ -83,7 +83,7 @@ def test_build_lifted_names_a_failing_projection_symbol_by_its_label(monkeypatch
     fx = loop_fixture(4)
 
     def identity_on_ids(smash):
-        return {s: {s: 1} for s in smash.symbols()}
+        return {s: s for s in smash.symbols()}
 
     monkeypatch.setattr(covering, "smash_projection_map", identity_on_ids)
     with pytest.raises(CoveringError) as exc:
@@ -909,7 +909,8 @@ def test_minimality_by_rank_matches_enumeration():
                       for _ in range(rng.randint(1, 4))])
         vec = SparseVector()
         for row in rng.sample(space.rows, min(len(space.rows), rng.randint(1, 3))):
-            vec = vec + row.scale(rng.choice([1, 2, -1]))
+            c = rng.choice([1, 2, -1])
+            vec = vec + SparseVector({k: c * v for k, v in row.items()})
         if vec.is_zero():
             continue
         minimal = _minimal_by_enumeration(space, vec)

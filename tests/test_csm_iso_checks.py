@@ -3,12 +3,13 @@ path coproduct table.
 
 `cmd_csm_iso` decides "psi and phi are mutually inverse" and "psi lies
 over the cover projection" on the `compose_maps` composites
-(`_inverse_over_base`), whose unit images are read as they stand.  Two
-oracles check it: the composites built through `apply_map` alone, and the
-lookup check the command used before (`composite_agrees`, kept verbatim in
-`oracles.iso_pair`).  On every shipped fixture, with the canonical and the
-5 seeded liftings the command itself draws, and on mutated copies of the
-maps, all three must give the same verdict.  A check that compares no
+(`_inverse_over_base`) of basis maps {symbol: symbol}.  Two oracles check
+it on the unit lifts {s: {t: 1}} of the maps: the composites built through
+the linear `apply_map`, and the lookup check the command used before
+(`composite_agrees`), both kept verbatim in `oracles.iso_pair`.  On every
+shipped fixture, with the canonical and the 5 seeded liftings the command
+itself draws, and on mutated copies of the maps, all three must give the
+same verdict.  A check that compares no
 symbol, or skips a symbol of its first map, must not count as a pass.
 The command builds the smash projection map once: every lifting's smash
 coalgebra has n = len(base index) and n * |window| symbols.
@@ -50,7 +51,7 @@ from covol.fixtures import loop_fixture
 from covol.voltage import GaloisCoverData, VertexWeighting, smash_quiver, window_ball
 from covol.workspace import parse
 
-from corpus import FIXTURES, fixture_path as _fixture_path
+from corpus import FIXTURES, fixture_path as _fixture_path, unit_lift
 from oracles.iso_pair import _small_window_element, compose_by_apply_map, composite_agrees
 from oracles.path_vectors import delta_vector
 
@@ -103,21 +104,22 @@ def _unit_at(sym):
 
 
 def _oracle_checks(psi, phi, smash, expected):
-    psi_phi = compose_by_apply_map(psi, phi)
-    phi_psi = compose_by_apply_map(phi, psi)
-    proj = compose_by_apply_map(smash_projection_map(smash), psi)
-    assert (psi_phi, phi_psi, proj) == (compose_maps(psi, phi), compose_maps(phi, psi),
-                                        compose_maps(smash_projection_map(smash), psi))
-    return ((is_identity_map(psi_phi), len(psi_phi)),
-            (is_identity_map(phi_psi), len(phi_psi)),
-            (proj == {sym: expected[sym] for sym in proj}, len(proj)))
+    projection = smash_projection_map(smash)
+    psi_phi = compose_by_apply_map(unit_lift(psi), unit_lift(phi))
+    phi_psi = compose_by_apply_map(unit_lift(phi), unit_lift(psi))
+    proj = compose_by_apply_map(unit_lift(projection), unit_lift(psi))
+    assert (psi_phi, phi_psi, proj) == tuple(map(unit_lift, (
+        compose_maps(psi, phi), compose_maps(phi, psi), compose_maps(projection, psi))))
+    return ((psi_phi == {sym: _unit_at(sym) for sym in psi_phi}, len(psi_phi)),
+            (phi_psi == {sym: _unit_at(sym) for sym in phi_psi}, len(phi_psi)),
+            (proj == {sym: _unit_at(expected[sym]) for sym in proj}, len(proj)))
 
 
 def _lookup_checks(psi, phi, smash, expected):
-    return (composite_agrees(psi.get, phi, _unit_at),
-            composite_agrees(phi.get, psi, _unit_at),
-            composite_agrees(smash_projection_map(smash).get, psi,
-                             expected.__getitem__))
+    return (composite_agrees(unit_lift(psi).get, unit_lift(phi), _unit_at),
+            composite_agrees(unit_lift(phi).get, unit_lift(psi), _unit_at),
+            composite_agrees(unit_lift(smash_projection_map(smash)).get, unit_lift(psi),
+                             lambda sym: _unit_at(expected[sym])))
 
 
 def _assert_same_verdicts(psi, phi, smash, expected):
@@ -133,6 +135,8 @@ def _assert_same_verdicts(psi, phi, smash, expected):
     assert all(ok and 0 < compared == len(first)
                for (ok, compared), first in zip(lookup, (phi, psi, psi))) == verdict
     assert cli._inverse_over_base(psi, phi, smash_projection_map(smash), expected) == verdict
+    assert [is_identity_map(compose_maps(psi, phi)),
+            is_identity_map(compose_maps(phi, psi))] == [ok for ok, _ in oracle[:2]]
     return [ok for ok, _ in oracle] + [verdict]
 
 
@@ -153,33 +157,23 @@ def _drop_one(linmap):
     return out
 
 
-def _scale_one(linmap):
-    out = dict(linmap)
-    sym = next(iter(out))
-    out[sym] = {t: 2 * c for t, c in out[sym].items()}
-    return out
-
-
-def _two_terms(linmap):
-    """One image gains a second term, the image of another symbol."""
+def _wrong_target(linmap):
+    """One symbol goes where another goes."""
     out = dict(linmap)
     a, b = list(linmap)[:2]
-    out[a] = dict(linmap[a])
-    out[a].update(linmap[b])
+    out[a] = linmap[b]
     return out
 
 
-def _two_terms_one_outside(linmap):
-    """One image gains a second term outside every map's domain, so the
-    composite skips that symbol."""
+def _one_outside(linmap):
+    """One image lies outside every map's domain, so the composite skips
+    that symbol."""
     out = dict(linmap)
-    sym = next(iter(out))
-    out[sym] = dict(out[sym])
-    out[sym][("outside",)] = 1
+    out[next(iter(out))] = -1
     return out
 
 
-MUTATIONS = [_swap_two, _drop_one, _scale_one, _two_terms, _two_terms_one_outside]
+MUTATIONS = [_swap_two, _drop_one, _wrong_target, _one_outside]
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -198,18 +192,6 @@ def test_lookup_checks_match_composites(monkeypatch, tmp_path, name):
     # only the count of compared symbols catches it; every mutation fails
     # the command's verdict on every lifting, of phi and of psi.
     assert set(failed.values()) == {2 * DISTINCT[name]}, failed
-
-
-def test_lookup_checks_catch_a_scaled_coefficient_and_an_empty_image():
-    psi = {0: {("p", 0): 1}, 1: {("p", 1): 1}}
-    phi = {("p", 0): {0: 1}, ("p", 1): {1: 2}}
-    assert composite_agrees(psi.get, phi, _unit_at) == (False, 1)
-    assert not is_identity_map(compose_maps(psi, phi))
-    phi[("p", 1)] = {1: 1}
-    assert composite_agrees(psi.get, phi, _unit_at) == (True, 2)
-    phi[("p", 1)] = {}  # an empty image composes to zero, not to the identity
-    assert composite_agrees(psi.get, phi, _unit_at) == (False, 1)
-    assert not is_identity_map(compose_maps(psi, phi))
 
 
 def _csm_iso_report(monkeypatch, tmp_path, name, mutate):
@@ -238,8 +220,7 @@ def test_csm_iso_fails_when_phi_misses_a_symbol(monkeypatch, tmp_path, name):
 def _drop_pair(psi, phi):
     """Delete a symbol s from phi and phi(s) from psi."""
     phi, psi = dict(phi), dict(psi)
-    (path,) = phi.pop(next(iter(phi)))
-    del psi[path]
+    del psi[phi.pop(next(iter(phi)))]
     return psi, phi
 
 
@@ -278,8 +259,7 @@ def _csm_iso_maps(monkeypatch, tmp_path, name):
 
 def _psi_on_base_ids(psi, phi, smash):
     """psi sending a cover path to its base path index, not its smash id."""
-    return {p: {smash.decode(t)[0]: c for t, c in image.items()}
-            for p, image in psi.items()}, phi
+    return {p: smash.decode(t)[0] for p, t in psi.items()}, phi
 
 
 def _phi_on_base_ids(psi, phi, smash):
@@ -289,7 +269,7 @@ def _phi_on_base_ids(psi, phi, smash):
 
 def _projection_on_ids(smash):
     """The smash projection as the identity on symbol ids."""
-    return {s: {s: 1} for s in smash.symbols()}
+    return {s: s for s in smash.symbols()}
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -339,23 +319,22 @@ def test_disjoint_domains_do_not_pass_vacuously():
     e = fx.group.identity()
     at = smash.symbol
     # psi's image lies outside phi's domain and the other way round
-    psi = {0: {at(1, e): 1}}
-    phi = {at(0, e): {1: 1}}
-    expected = {0: {1: 1}, 1: {1: 1}}
+    psi = {0: at(1, e)}
+    phi = {at(0, e): 1}
+    expected = {0: 1, 1: 1}
     assert is_identity_map(compose_maps(psi, phi))  # the old checks held vacuously
     assert is_identity_map(compose_maps(phi, psi))
-    assert composite_agrees(psi.get, phi, _unit_at) == (True, 0)
-    assert composite_agrees(phi.get, psi, _unit_at) == (True, 0)
+    assert composite_agrees(unit_lift(psi).get, unit_lift(phi), _unit_at) == (True, 0)
+    assert composite_agrees(unit_lift(phi).get, unit_lift(psi), _unit_at) == (True, 0)
     projection = smash_projection_map(smash)
     assert not cli._inverse_over_base(psi, phi, projection, expected)
     # the same maps made inverse on one symbol, over the right base path
-    psi, phi = {0: {at(0, e): 1}}, {at(0, e): {0: 1}}
-    assert cli._inverse_over_base(psi, phi, projection, {0: {0: 1}})
-    assert not cli._inverse_over_base(psi, phi, projection, {0: {1: 1}})
+    psi, phi = {0: at(0, e)}, {at(0, e): 0}
+    assert cli._inverse_over_base(psi, phi, projection, {0: 0})
+    assert not cli._inverse_over_base(psi, phi, projection, {0: 1})
     # psi's image is no smash symbol: the square compares nothing
     outside = smash.dimension
-    assert not cli._inverse_over_base({0: {outside: 1}},
-                                      {outside: {0: 1}}, projection, {0: {0: 1}})
+    assert not cli._inverse_over_base({0: outside}, {outside: 0}, projection, {0: 0})
 
 
 # ---------------------------------------------------------------------------

@@ -91,16 +91,20 @@ def test_member():
     assert not line.member(vec(1, 3))  # 1*t=1, 2*t=3 inconsistent
 
 
+def _scaled(vector, c):
+    return SparseVector({k: c * v for k, v in vector.items()})
+
+
 def test_member_is_linear():
     rng = random.Random(11)
     for _ in range(20):
         rows = [vec(*[rng.randint(-4, 4) for _ in range(5)]) for _ in range(3)]
         space = rref(rows)
-        a = sum((r.scale(rng.randint(-3, 3)) for r in rows), SparseVector())
-        b = sum((r.scale(rng.randint(-3, 3)) for r in rows), SparseVector())
+        a = sum((_scaled(r, rng.randint(-3, 3)) for r in rows), SparseVector())
+        b = sum((_scaled(r, rng.randint(-3, 3)) for r in rows), SparseVector())
         assert space.member(a) and space.member(b)
         assert space.member(a + b)
-        assert space.member(a.scale(Fraction(7, 3)))
+        assert space.member(_scaled(a, Fraction(7, 3)))
 
 
 # intersect_coordinates left the package; these tests pin the oracle copy
@@ -131,11 +135,11 @@ def _rescan_intersection(space, coords):
         col = min((min(r.support(), key=key) for r in work), key=key)
         idx = next(i for i, r in enumerate(work) if min(r.support(), key=key) == col)
         row = work.pop(idx)
-        row = row.scale(Fraction(1) / row[col])
+        row = _scaled(row, Fraction(1) / row[col])
         nxt = []
         for r in work:
             c = r[col]
-            r2 = r + row.scale(-c) if c else r
+            r2 = r + _scaled(row, -c) if c else r
             if not r2.is_zero():
                 nxt.append(r2)
         work = nxt

@@ -57,13 +57,13 @@ def test_group_axioms_random():
     rng = random.Random(9)
     groups = [FiniteTable.cyclic(6), FgAbelian(2, [2]), FreeGroup(2)]
     samples = {
-        "finite": lambda g: rng.randrange(6),
-        "abelian": lambda g: g.element(free=[rng.randint(-3, 3) for _ in range(2)],
+        FiniteTable: lambda g: rng.randrange(6),
+        FgAbelian: lambda g: g.element(free=[rng.randint(-3, 3) for _ in range(2)],
                                        torsion=[rng.randint(0, 1)]),
-        "free": lambda g: g.word([rng.choice([1, -1, 2, -2]) for _ in range(4)]),
+        FreeGroup: lambda g: g.word([rng.choice([1, -1, 2, -2]) for _ in range(4)]),
     }
     for g in groups:
-        pick = samples[g.backend]
+        pick = samples[type(g)]
         for _ in range(20):
             a, b, c = pick(g), pick(g), pick(g)
             assert g.multiply(g.multiply(a, b), c) == g.multiply(a, g.multiply(b, c))

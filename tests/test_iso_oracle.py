@@ -9,12 +9,14 @@ expression `verify_coalgebra_map` of the same period.  On shipped
 fixtures, finite Galois covers and seeded random permutation covers
 (intact, or with a duplicated or missing lift) both must give equal
 psi, phi, induced weighting and smash symbols, or raise the same error.
+The verifiers must agree on psi, phi and damaged copies of phi; the
+oracle verifier reads linear maps, so it is given their unit lifts.
 """
 
 import random
 
 from covol.coalgebra import (
-    PathIndex, TruncatedPathCoalgebra, basis_map, coproduct_of_vector,
+    PathIndex, TruncatedPathCoalgebra, coproduct_of_vector,
     cover_projection_map, covering_coalgebra_iso, smash_path_coalgebra,
     verify_coalgebra_map,
 )
@@ -23,11 +25,12 @@ from covol.groups import FiniteTable
 from covol.quiver import Quiver, QuiverError, QuiverMorphism, lift_walk
 from covol.voltage import GaloisCoverData, smash_quiver, weighting_from_lifting
 
-from corpus import _outcome
+from corpus import _outcome, damaged_maps, oracle_verdict
 
 # ---------------------------------------------------------------------------
 # oracles: the per-path rules, verbatim but for the smash symbols, which
-# are encoded through `symbol`
+# are encoded through `symbol`, and for psi and phi, which are basis maps
+# {symbol: symbol}
 
 
 def oracle_covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, window):
@@ -44,8 +47,8 @@ def oracle_covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, win
         sigma = group.multiply(group.inverse(cover.deck_of(lifting[base_src])),
                                cover.deck_of(src))
         if sigma in window_set:
-            psi_pairs.append((i, smash_coalg.symbol(next(iter(image)), sigma)))
-    psi = basis_map(psi_pairs)
+            psi_pairs.append((i, smash_coalg.symbol(image, sigma)))
+    psi = dict(psi_pairs)
 
     phi_pairs = []
     for g in window:
@@ -65,7 +68,7 @@ def oracle_covering_coalgebra_iso(cover, lifting, base_pindex, cover_pindex, win
             idx = cover_pindex.path_of(tuple(a for a, _ in lifted.steps))
             if idx is not None:
                 phi_pairs.append((smash_coalg.symbol(i, g), idx))
-    phi = basis_map(phi_pairs)
+    phi = dict(phi_pairs)
     return psi, phi, smash_coalg, induced
 
 
@@ -111,10 +114,11 @@ def oracle_verify_coalgebra_map(linmap, source, target):
 # comparison
 
 
-def _compare(cover, lifting, base_pindex, cover_pindex, window, seen):
-    """Compare both isomorphism builders, then both verifiers on psi, phi
-    and a phi with two arrow-path images swapped.  Returns (psi, phi) or
-    None when both raised."""
+def _compare(cover, lifting, base_pindex, cover_pindex, window, seen, damage_rng):
+    """Compare both isomorphism builders, then both verifiers on psi, phi,
+    a phi with two arrow-path images swapped and the damaged phis of
+    `damaged_maps`, drawn from `damage_rng` so that the instances drawn
+    elsewhere do not move.  Returns (psi, phi) or None when both raised."""
     args = (cover, lifting, base_pindex, cover_pindex, window)
     got = _outcome(covering_coalgebra_iso, *args)
     want = _outcome(oracle_covering_coalgebra_iso, *args)
@@ -133,10 +137,14 @@ def _compare(cover, lifting, base_pindex, cover_pindex, window, seen):
     keys = [k for k in phi if base_pindex.length(smash.decode(k)[0])][:2]
     if len(keys) == 2:
         swapped[keys[0]], swapped[keys[1]] = phi[keys[1]], phi[keys[0]]
-    for linmap, source, target in ((psi, cover_coalg, smash), (phi, smash, cover_coalg),
-                                   (swapped, smash, cover_coalg)):
-        result = verify_coalgebra_map(linmap, source, target)
-        assert result == oracle_verify_coalgebra_map(linmap, source, target)
+    maps = [(psi, cover_coalg, smash), (phi, smash, cover_coalg),
+            (swapped, smash, cover_coalg)]
+    if len(phi) > 1:
+        maps += [(f, smash, cover_coalg)
+                 for _, f in damaged_maps(damage_rng, phi, len(cover_pindex))]
+    for f, source, target in maps:
+        result = verify_coalgebra_map(f, source, target)
+        assert result == oracle_verdict(oracle_verify_coalgebra_map, f, source, target)
         seen["verify_ok" if result[0] else "verify_fail"] += 1
     return psi, phi
 
@@ -160,7 +168,7 @@ def _new_seen():
 
 
 def test_iso_matches_per_path_oracle_on_fixtures():
-    rng = random.Random(2009)
+    rng, damage_rng = random.Random(2009), random.Random(2109)
     seen = _new_seen()
     for fx in all_fixtures():
         for radius in (1, 2, 3):
@@ -173,7 +181,7 @@ def test_iso_matches_per_path_oracle_on_fixtures():
                 liftings.append({v: sq.vertex_of(v, rng.choice(window))
                                  for v in range(fx.quiver.num_vertices())})
             for lifting in liftings:
-                _compare(cover, lifting, fx.pindex, cover_pindex, window, seen)
+                _compare(cover, lifting, fx.pindex, cover_pindex, window, seen, damage_rng)
     assert all(seen.values()), seen
 
 
@@ -186,12 +194,14 @@ def test_iso_matches_per_path_oracle_on_the_cyclic_6_to_3_cover():
                        [i % 3 for i in range(6)])
     cover = GaloisCoverData.from_finite(f, 0)
     window = cover.group.elements()
+    damage_rng = random.Random(2108)
     seen = _new_seen()
     for truncation in (1, 3, 4):
         base_pindex, cover_pindex = PathIndex(base_q, truncation), PathIndex(cover_q, truncation)
         for bits in range(8):
             lifting = {v: v + 3 * ((bits >> v) & 1) for v in range(3)}
-            psi, phi = _compare(cover, lifting, base_pindex, cover_pindex, window, seen)
+            psi, phi = _compare(cover, lifting, base_pindex, cover_pindex, window, seen,
+                                damage_rng)
             assert len(psi) == len(cover_pindex) == len(phi)
     assert seen["ok"] == 24 and seen["verify_fail"] > 0, seen
 
@@ -228,7 +238,7 @@ def _cover_data(base, pairs, arrows, degree):
 
 
 def test_iso_matches_per_path_oracle_on_random_permutation_covers():
-    rng = random.Random(2010)
+    rng, damage_rng = random.Random(2010), random.Random(2110)
     seen = _new_seen()
     damaged = {"intact": 0, "duplicate": 0, "missing": 0}
     for _ in range(120):
@@ -249,7 +259,7 @@ def test_iso_matches_per_path_oracle_on_random_permutation_covers():
         base_pindex = PathIndex(base, truncation)
         cover_pindex = PathIndex(cover.morphism.domain, truncation)
         for lifting in _random_liftings(rng, cover, base, window, 3):
-            if _compare(cover, lifting, base_pindex, cover_pindex, window, seen):
+            if _compare(cover, lifting, base_pindex, cover_pindex, window, seen, damage_rng):
                 damaged[kind] += 1
     assert all(seen.values()), seen
     assert all(damaged.values()), damaged

@@ -4,29 +4,31 @@ Every sum in `coalgebra` adds its terms as `out[k] = out.get(k, 0) + v`,
 drops the zeros of a finished sum once (`_nonzero`), and every verifier
 accumulates lhs - rhs in one dict and fails exactly when a value is
 nonzero.  The accumulate-and-delete versions that preceded the rule are
-copied below as oracles.  On seeded random sparse maps, and on the
-shipped coalgebras with cancelling term pairs and split terms inserted
-(intact or damaged), both must give equal results, witnesses, checked
-counts and raised `CoalgebraError`s.  No input of the differential part
-carries a zero coefficient: there the oracles raise `KeyError`, and the
+copied below as oracles; the map oracles read linear maps, so they are
+given the unit lift {s: {t: 1}} of each basis map.  On seeded random
+basis maps and sparse vectors, on damaged maps, and on the shipped
+coalgebras with cancelling term pairs and split terms inserted (intact or
+damaged), both must give equal results, witnesses, checked counts and
+raised `CoalgebraError`s.  No input of the differential part carries a
+zero coefficient: there the oracles raise `KeyError`, and the
 zero-coefficient cases at the end pin the zero-free answers instead.
 """
 
+import collections
 import random
-from fractions import Fraction
 
 import pytest
 
 from covol.coalgebra import (
     CoalgebraError, SubcoalgebraBasis, TruncatedPathCoalgebra,
-    apply_map, basis_map, coassociativity_ok, compose_maps,
+    apply_map, coassociativity_ok, compose_maps,
     coproduct_of_vector, is_homogeneous, smash_coalgebra,
     is_identity_map, smash_projection_map, verify_coalgebra_map,
 )
 from covol.exactlin import SparseVector, rref
 from covol.fixtures import all_fixtures, kronecker_fixture
 
-from corpus import COEFFS, _Perturbed
+from corpus import COEFFS, _Perturbed, damaged_maps, oracle_verdict, unit_lift
 from oracles.iso_pair import compose_by_apply_map, composite_agrees
 from oracles.path_vectors import delta_vector
 
@@ -237,19 +239,8 @@ def _outcome(fn, *args):
         return "raised", str(exc)
 
 
-def _raw_keys(get, vec):
-    """Keys an image sum touches, zero or not; a cancellation shows as a
-    result with fewer keys."""
-    keys = set()
-    for sym in vec:
-        keys.update(get(sym) or {})
-    return keys
-
-
 def _random_map(rng, domain, codomain, density=0.8):
-    return {s: {t: rng.choice(COEFFS)
-                for t in rng.sample(codomain, min(len(codomain), rng.randint(1, 3)))}
-            for s in domain if rng.random() < density}
+    return {s: rng.choice(codomain) for s in domain if rng.random() < density}
 
 
 def _coalgebras(fx):
@@ -270,26 +261,37 @@ def _new_seen():
 
 
 def test_map_sums_match_the_delete_oracle():
+    """Vector images, composites and the identity test of seeded random
+    basis maps, against the oracles on their unit lifts; two symbols that
+    land on one can cancel."""
     rng = random.Random(2011)
     seen = _new_seen()
     for _ in range(400):
         symbols = list(range(rng.randint(2, 8)))
         first = _random_map(rng, symbols, symbols)
         second = _random_map(rng, symbols, list(range(rng.randint(1, 4))))
-        for vec in first.values():
+        lifted, first_lifted = unit_lift(second), unit_lift(first)
+        for _ in range(3):
+            vec = {s: rng.choice(COEFFS)
+                   for s in rng.sample(symbols, rng.randint(1, len(symbols)))}
             got = apply_map(second.get, vec)
-            assert got == oracle_apply_map(second, vec)
-            if got is not None and len(got) < len(_raw_keys(second.get, vec)):
+            assert got == oracle_apply_map(lifted, vec)
+            if got is not None and len(got) < len({second[s] for s in vec}):
                 seen["cancelled"] += 1
         composite = compose_maps(second, first)
-        assert composite == oracle_compose_maps(second, first)
-        wanted = dict(composite)
+        assert unit_lift(composite) == oracle_compose_maps(lifted, first_lifted) \
+            == compose_by_apply_map(lifted, first_lifted)
+        identity = composite_agrees(lifted.get, first_lifted, lambda sym: {sym: 1})
+        assert is_identity_map(composite) == identity[0]
+        wanted = unit_lift(composite)
         if wanted and rng.random() < 0.5:
             sym = rng.choice(sorted(wanted))
             wanted[sym] = {**wanted[sym], 0: rng.choice(COEFFS)}
         want = lambda sym: wanted.get(sym, {})
-        result = composite_agrees(second.get, first, want)
-        assert result == oracle_composite_agrees(second.get, first, want)
+        result = composite_agrees(lifted.get, first_lifted, want)
+        assert result == oracle_composite_agrees(lifted.get, first_lifted, want)
+        agrees = all(want(sym) == {t: 1} for sym, t in composite.items())
+        assert result[0] == agrees and (not agrees or result[1] == len(composite))
         seen["ok" if result[0] else "fail"] += 1
     assert all(seen[k] for k in ("cancelled", "ok", "fail")), seen
 
@@ -328,36 +330,39 @@ def test_coassociativity_matches_the_delete_oracle():
 
 
 def test_verify_coalgebra_map_matches_the_delete_oracle():
+    """The identity, a partial identity, a random basis map and the four
+    damaged identities of `damaged_maps`, on every fixture coalgebra; the
+    oracle reads their unit lifts."""
     rng = random.Random(2014)
-    seen = _new_seen()
+    seen = collections.Counter()
     for fx in all_fixtures():
         for coalg in _coalgebras(fx):
             symbols = coalg.symbols()
-            identity = basis_map((s, s) for s in symbols)
-            partial = {s: image for s, image in identity.items() if rng.random() < 0.9}
-            swapped = dict(identity)
-            a, b = rng.sample(symbols, 2)
-            swapped[a], swapped[b] = identity[b], identity[a]
-            noisy = dict(identity)
-            s = rng.choice(symbols)
-            noisy[s] = {s: 1, rng.choice(symbols): rng.choice(COEFFS)}
-            maps = [identity, partial, swapped, noisy, _random_map(rng, symbols, symbols)]
+            identity = {s: s for s in symbols}
+            maps = [(None, identity), (None, {s: s for s in symbols if rng.random() < 0.9}),
+                    (None, _random_map(rng, symbols, symbols))]
+            maps += damaged_maps(rng, identity, len(symbols))
             targets = [coalg, _Perturbed(coalg, rng),
                        _Perturbed(coalg, rng, rng.choice(["coefficient", "drop", "counit"]))]
-            for linmap in maps:
+            for damage, f in maps:
                 for source in targets[:2]:
                     for target in targets:
-                        result = verify_coalgebra_map(linmap, source, target)
-                        assert result == oracle_verify_coalgebra_map(linmap, source, target)
-                        seen["ok" if result[0] else "fail"] += 1
+                        result = verify_coalgebra_map(f, source, target)
+                        assert result == oracle_verdict(
+                            oracle_verify_coalgebra_map, f, source, target)
+                        seen[damage, result[0]] += 1
             if hasattr(coalg, "window"):
                 proj = smash_projection_map(coalg)
                 for source, target in ((coalg, coalg.base),
                                        (_Perturbed(coalg, rng), _Perturbed(coalg.base, rng))):
                     result = verify_coalgebra_map(proj, source, target)
-                    assert result == oracle_verify_coalgebra_map(proj, source, target)
+                    assert result == oracle_verdict(
+                        oracle_verify_coalgebra_map, proj, source, target)
                     assert result[0] and result[2]
-    assert seen["ok"] and seen["fail"], seen
+    assert seen[None, True] and seen[None, False], seen
+    # a dropped symbol is skipped, so only the count tells it
+    assert all(seen[damage, False] for damage in
+               ("wrong target", "swapped pair", "out of range")), seen
 
 
 def _random_subspaces(rng, fx):
@@ -397,88 +402,21 @@ def test_subcoalgebra_escape_check_matches_the_delete_oracle():
 
 
 def test_zero_coefficient_gives_the_zero_free_answer():
-    linmap = {0: {5: 1}}
+    f = {0: 5}
     with pytest.raises(KeyError):
-        oracle_apply_map(linmap, {0: 0})
-    assert apply_map(linmap.get, {0: 0}) == {}
+        oracle_apply_map(unit_lift(f), {0: 0})
+    assert apply_map(f.get, {0: 0}) == {}
 
     fx = kronecker_fixture()
     coalg = TruncatedPathCoalgebra(fx.pindex)
-    a, b = fx.pindex.arrow_path("a"), fx.pindex.arrow_path("b")
+    a = fx.pindex.arrow_path("a")
     with pytest.raises(KeyError):
         oracle_coproduct_of_vector(coalg, {a: 0})
     assert coproduct_of_vector(coalg, {a: 0}) == ({}, False)
 
-    identity = basis_map((s, s) for s in coalg.symbols())
-    identity[a] = {a: 1, b: 0}
-    with pytest.raises(KeyError):
-        oracle_verify_coalgebra_map(identity, coalg, coalg)
-    assert verify_coalgebra_map(identity, coalg, coalg) == (True, None, len(coalg.symbols()))
 
-    first, second = {0: {0: 1, 1: 0}}, {0: {5: 1}, 1: {6: 1}}
-    want = {0: {5: 1}}.__getitem__
-    with pytest.raises(KeyError):
-        oracle_composite_agrees(second.get, first, want)
-    assert composite_agrees(second.get, first, want) == (True, 1)
-    assert compose_maps(second, first) == {0: {5: 1}}
-
-
-def test_zero_coefficient_in_a_unit_image_agrees_with_compose_maps():
-    # a unit image is read as it stands, so its zero must not count
-    second, first = {0: {5: 1, 6: 0}}, {0: {0: 1}}
-    assert compose_maps(second, first) == {0: {5: 1}}
-    assert composite_agrees(second.get, first, lambda s: {5: 1}) == (True, 1)
-    assert composite_agrees(second.get, first, lambda s: {5: 1, 6: 0}) == (False, 0)
-    assert composite_agrees(second.get, {0: {0: 2}}, lambda s: {5: 2}) == (True, 1)
-    assert composite_agrees({0: {5: 0}}.get, first, lambda s: {}) == (True, 1)
-
-
-def _zero_free(linmap):
-    return {s: {t: c for t, c in image.items() if c} for s, image in linmap.items()}
-
-
-def _typed(linmap):
-    return {s: [(t, c, type(c)) for t, c in image.items()] for s, image in linmap.items()}
-
-
-def test_compose_maps_reads_a_unit_image_as_it_stands():
-    # compose_maps takes a unit image {t: 1} to be second's image of t, its
-    # zeros dropped: the same composite, with the same entry types, as
-    # every image through `apply_map` (`compose_by_apply_map`), and the
-    # same as the delete oracle on second without its zeros, when second's
-    # images carry explicit zeros, when first's images have coefficient 2,
-    # and when they leave second's domain
-    second, first = {0: {5: 1, 6: 0}}, {0: {0: 1}}
-    assert compose_maps(second, first) == oracle_compose_maps(_zero_free(second), first) \
-        == compose_by_apply_map(second, first) == {0: {5: 1}}
-    rng = random.Random(2012)
-    seen = {"unit with zero": 0, "coefficient 2": 0, "skipped": 0}
-    for _ in range(400):
-        symbols = list(range(rng.randint(2, 8)))
-        targets = list(range(rng.randint(1, 4)))
-        second = _random_map(rng, symbols, targets)
-        for image in second.values():
-            if rng.random() < 0.5:
-                image[rng.choice(targets) if rng.random() < 0.3 else len(targets)] = 0
-        first = {s: {rng.choice(symbols): rng.choice((1, 1, 2, -1, Fraction(1, 2)))}
-                 for s in symbols if rng.random() < 0.8}
-        got = compose_maps(second, first)
-        assert _typed(got) == _typed(compose_by_apply_map(second, first))
-        assert got == oracle_compose_maps(_zero_free(second), first)
-        for sym, image in first.items():
-            (t, c), = image.items()
-            if t not in second:
-                seen["skipped"] += 1
-            elif c == 1 and 0 in second[t].values():
-                seen["unit with zero"] += 1
-            elif c == 2:
-                seen["coefficient 2"] += 1
-    assert all(n > 50 for n in seen.values()), seen
-
-
-def test_identity_map_ignores_zero_coefficients():
-    assert is_identity_map({0: {0: 1, 1: 0}, 1: {1: 1}})
+def test_identity_map_reads_every_symbol():
+    assert is_identity_map({0: 0, 1: 1})
     assert is_identity_map({})
-    assert not is_identity_map({0: {0: 1, 1: 2}})
-    assert not is_identity_map({0: {0: 0}})
-    assert not is_identity_map({0: {1: 1, 0: 0}})
+    assert not is_identity_map({0: 0, 1: 0})
+    assert not is_identity_map({0: 1, 1: 0})

@@ -383,7 +383,7 @@ def test_canonical_phi_is_the_path_lift_of_the_covering_test():
                         assert sym not in phi and table[i] is None, (fx.name, radius, g, i)
                         undefined += 1
                     else:
-                        assert phi[sym] == lifted.entries == {table[i]: 1}, \
+                        assert lifted.entries == {phi[sym]: 1} == {table[i]: 1}, \
                             (fx.name, radius, g, i)
                         symbols.add(sym)
                         defined += 1
