@@ -20,7 +20,9 @@ with coefficient 1); `apply_map` takes a vector's image under one.
 Zero rule for sparse sums: terms are added as `out[k] = out.get(k, 0) + v`
 and no sum deletes a key; a finished sum keeps only its nonzero values
 (`_nonzero`), and a verifier sums lhs - rhs in one dict and fails exactly
-when a value is nonzero.  Only the echelon in `exactlin` deletes keys.
+when a value is nonzero; `verify_coalgebra_map` sums only when the two term
+lists differ, as equal lists have a zero difference.  Only the echelon in
+`exactlin` deletes keys.
 """
 
 from fractions import Fraction
@@ -675,8 +677,12 @@ def verify_coalgebra_map(f, source, target):
     (f(l), f(r)) over the terms of Delta(s) must vanish, and
     counit(f(s)) = counit(s).  A symbol with a factor outside f's domain
     is skipped; one whose image the target refuses (`CoalgebraError` from
-    its coproduct) fails.  Tensor keys stay pairs, as l * D + r is not
-    injective on out-of-range image ids.
+    its coproduct) fails.  Where the mapped list [(coeff, f(l), f(r))] of
+    Delta(s) equals Delta(f(s))'s term list (no symbol is None), the
+    difference is zero and only the counits are compared: psi, phi and the
+    projections map term to term.  Otherwise it is summed in one dict,
+    whose tensor keys stay pairs, as l * D + r is not injective on
+    out-of-range image ids.
 
     Returns (ok, witness symbol, checked count).
     """
@@ -696,6 +702,11 @@ def verify_coalgebra_map(f, source, target):
         except CoalgebraError:
             return False, sym, checked
         if truncated:
+            continue
+        if [(coeff, get(l), get(r)) for coeff, l, r in terms] == image_terms:
+            if target_counit(t) != source_counit(sym):
+                return False, sym, checked
+            checked += 1
             continue
         diff = {}  # Delta . f minus (f tensor f) . Delta
         dget = diff.get

@@ -196,6 +196,66 @@ class _Perturbed:
         return self._counits[sym]
 
 
+class _Relisted:
+    """A coalgebra-with-basis with another's coproducts as other term
+    lists, by `how`: "reversed" reverses each list, and "cancel" appends a
+    pair (1, s, s), (-1, s, s) at symbol s that cancels at one key, so a
+    basis map into or out of it reaches both branches of
+    `verify_coalgebra_map` (one-term lists read equal, longer ones
+    differ).  "coefficient" doubles each list's first coefficient and
+    "counit" adds 1 to each counit: damage that an equal key list, or an
+    equal term list, must not hide."""
+
+    def __init__(self, base, how):
+        self.base, self._how = base, how
+
+    def symbols(self):
+        return list(self.base.symbols())
+
+    def coproduct(self, sym):
+        terms, truncated = self.base.coproduct(sym)
+        if self._how == "reversed":
+            return terms[::-1], truncated
+        if self._how == "cancel":
+            return terms + [(1, sym, sym), (-1, sym, sym)], truncated
+        if self._how == "coefficient" and terms:
+            (coeff, l, r), *rest = terms
+            return [(2 * coeff, l, r), *rest], truncated
+        return terms, truncated
+
+    def counit(self, sym):
+        return self.base.counit(sym) + (self._how == "counit")
+
+
+def term_list_split(f, source, target):
+    """(list-equal, summed): the symbols s with an image t = f[s], with
+    Delta(s) and Delta(t) untruncated and every factor of Delta(s) in f's
+    domain, split by whether the mapped list [(coeff, f(l), f(r))] of
+    Delta(s) equals Delta(t)'s term list.  When `verify_coalgebra_map(f,
+    source, target)` passes, these are the symbols it counts."""
+    equal, summed = [], []
+    for sym in source.symbols():
+        terms, truncated = source.coproduct(sym)
+        if sym not in f or truncated or _refuses(target, f[sym]):
+            continue
+        image_terms, truncated = target.coproduct(f[sym])
+        mapped = [(coeff, f.get(l), f.get(r)) for coeff, l, r in terms]
+        if not truncated and all(l is not None and r is not None for _, l, r in mapped):
+            (equal if mapped == image_terms else summed).append(sym)
+    return equal, summed
+
+
+def tally_branches(seen, result, f, source, target):
+    """Add to `seen` the symbols of `term_list_split` by branch, after
+    checking that they are what the `verify_coalgebra_map` result counted,
+    if it passed."""
+    if result[0]:
+        equal, summed = term_list_split(f, source, target)
+        assert len(equal) + len(summed) == result[2]
+        seen["list-equal"] += len(equal)
+        seen["summed"] += len(summed)
+
+
 def unit_lift(f):
     """The linear map {s: {t: 1}} of a basis map {s: t}: the form the map
     oracles, written when every map was linear, read."""

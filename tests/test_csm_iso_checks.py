@@ -43,15 +43,15 @@ from covol.cli import (
 from covol.coalgebra import (
     PathIndex, TruncatedPathCoalgebra, compose_maps,
     counit_vector, cover_projection_map, covering_coalgebra_iso,
-    is_identity_map, smash_path_coalgebra, smash_projection_map,
-    verify_coalgebra_map,
+    is_homogeneous, is_identity_map, smash_coalgebra, smash_path_coalgebra,
+    smash_projection_map, verify_coalgebra_map,
 )
 from covol.exactlin import SparseVector
-from covol.fixtures import loop_fixture
+from covol.fixtures import all_fixtures, loop_fixture
 from covol.voltage import GaloisCoverData, VertexWeighting, smash_quiver, window_ball
 from covol.workspace import parse
 
-from corpus import FIXTURES, fixture_path as _fixture_path, unit_lift
+from corpus import FIXTURES, fixture_path as _fixture_path, term_list_split, unit_lift
 from oracles.iso_pair import _small_window_element, compose_by_apply_map, composite_agrees
 from oracles.path_vectors import delta_vector
 
@@ -335,6 +335,36 @@ def test_disjoint_domains_do_not_pass_vacuously():
     # psi's image is no smash symbol: the square compares nothing
     outside = smash.dimension
     assert not cli._inverse_over_base({0: outside}, {outside: 0}, projection, {0: 0})
+
+
+# ---------------------------------------------------------------------------
+# psi, phi and the smash projection map term to term
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_csm_iso_maps_map_term_to_term(monkeypatch, tmp_path, name):
+    """`verify_coalgebra_map` sums a symbol's difference only where its
+    mapped term list differs from its image's.  `PathIndex._split` lists
+    a cover path's terms in the order of its base path's, and
+    `SmashCoalgebra.coproduct` keeps its base's order, so on every lifting
+    `csm-iso` checks at COVOL_SEED=20240801, and on the fixture's smash
+    coalgebra over its subcoalgebra, every symbol counted for psi, phi and
+    the smash projection has equal lists.  An order that breaks this fails
+    here, where the verifier would only slow down."""
+    monkeypatch.setenv("COVOL_SEED", "20240801")
+    checks = []
+    for psi, phi, smash, cover_coalg in _csm_iso_maps(monkeypatch, tmp_path, name):
+        checks += [(psi, cover_coalg, smash), (phi, smash, cover_coalg),
+                   (smash_projection_map(smash), smash, smash.base)]
+    fx = next(fx for fx in all_fixtures() if fx.name == name)
+    if is_homogeneous(fx.basis, fx.weighting):
+        for radius in (1, 2):
+            smash = smash_coalgebra(fx.basis, fx.weighting, fx.window(radius))
+            checks.append((smash_projection_map(smash), smash, fx.basis))
+    for f, source, target in checks:
+        ok, _, checked = verify_coalgebra_map(f, source, target)
+        equal, summed = term_list_split(f, source, target)
+        assert ok and summed == [] and len(equal) == checked > 0
 
 
 # ---------------------------------------------------------------------------

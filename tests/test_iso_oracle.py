@@ -9,8 +9,11 @@ expression `verify_coalgebra_map` of the same period.  On shipped
 fixtures, finite Galois covers and seeded random permutation covers
 (intact, or with a duplicated or missing lift) both must give equal
 psi, phi, induced weighting and smash symbols, or raise the same error.
-The verifiers must agree on psi, phi and damaged copies of phi; the
-oracle verifier reads linear maps, so it is given their unit lifts.
+The verifiers must agree on psi, phi, damaged copies of phi, and psi
+and phi against the smash coalgebra's term lists reversed or padded with
+a cancelling pair, so that both the verifier's list-equal and summed
+branches are reached; the oracle verifier reads linear maps, so it is
+given their unit lifts.
 """
 
 import random
@@ -25,7 +28,7 @@ from covol.groups import FiniteTable
 from covol.quiver import Quiver, QuiverError, QuiverMorphism, lift_walk
 from covol.voltage import GaloisCoverData, smash_quiver, weighting_from_lifting
 
-from corpus import _outcome, damaged_maps, oracle_verdict
+from corpus import _Relisted, _outcome, damaged_maps, oracle_verdict, tally_branches
 
 # ---------------------------------------------------------------------------
 # oracles: the per-path rules, verbatim but for the smash symbols, which
@@ -138,7 +141,8 @@ def _compare(cover, lifting, base_pindex, cover_pindex, window, seen, damage_rng
     if len(keys) == 2:
         swapped[keys[0]], swapped[keys[1]] = phi[keys[1]], phi[keys[0]]
     maps = [(psi, cover_coalg, smash), (phi, smash, cover_coalg),
-            (swapped, smash, cover_coalg)]
+            (swapped, smash, cover_coalg), (psi, cover_coalg, _Relisted(smash, "reversed")),
+            (phi, _Relisted(smash, "cancel"), cover_coalg)]
     if len(phi) > 1:
         maps += [(f, smash, cover_coalg)
                  for _, f in damaged_maps(damage_rng, phi, len(cover_pindex))]
@@ -146,6 +150,7 @@ def _compare(cover, lifting, base_pindex, cover_pindex, window, seen, damage_rng
         result = verify_coalgebra_map(f, source, target)
         assert result == oracle_verdict(oracle_verify_coalgebra_map, f, source, target)
         seen["verify_ok" if result[0] else "verify_fail"] += 1
+        tally_branches(seen, result, f, source, target)
     return psi, phi
 
 
@@ -160,7 +165,8 @@ def _random_liftings(rng, cover, base, window, count):
 
 
 def _new_seen():
-    return {"ok": 0, "raised": 0, "verify_ok": 0, "verify_fail": 0}
+    return {"ok": 0, "raised": 0, "verify_ok": 0, "verify_fail": 0,
+            "list-equal": 0, "summed": 0}
 
 
 # ---------------------------------------------------------------------------

@@ -107,43 +107,71 @@ def test_every_oracle_module_names_the_commit_it_came_from():
         assert re.search(r"\b[0-9a-f]{7,40}\b", ast.get_docstring(tree) or ""), path
 
 
-def _references(paths):
-    """How often each name occurs as a name, an attribute or an import."""
-    counts = collections.Counter()
+def _parsed(paths):
+    trees = []
     for path in paths:
         with open(path, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
+            trees.append(ast.parse(handle.read()))
+    return trees
+
+
+def _references(trees):
+    """How often each name occurs as a name, an attribute or an import,
+    and how often as an attribute read alone."""
+    names, reads = collections.Counter(), collections.Counter()
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                counts[node.id] += 1
+                names[node.id] += 1
             elif isinstance(node, ast.Attribute):
-                counts[node.attr] += 1
+                names[node.attr] += 1
+                reads[node.attr] += isinstance(node.ctx, ast.Load)
             elif isinstance(node, ast.alias):
-                counts[node.name.split(".")[-1]] += 1
-    return counts
+                names[node.name.split(".")[-1]] += 1
+    return names, reads
 
 
-def test_library_names_only_the_tests_reach_are_the_kept_constructions():
-    """A non-dunder def or class of src/covol (a class's methods as
-    Class.method) that no code in src/ or perfbench/ references is in
-    `KEPT`, and every name in `KEPT` is such a def that a test reaches."""
-    src = sorted(glob.glob(os.path.join(ROOT, "src", "covol", "*.py")))
-    library = _references(src + sorted(glob.glob(
-        os.path.join(ROOT, "perfbench", "**", "*.py"), recursive=True)))
-    tests = _references(sorted(glob.glob(os.path.join(HERE, "**", "*.py"), recursive=True)))
-    test_only = []
-    for path in src:
-        with open(path, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read())
+def _unreferenced(defining, referencing):
+    """The non-dunder defs and classes of the `defining` trees, a class's
+    methods as Class.method, that the `referencing` trees never reference:
+    a module-level def by name, attribute or import, a method by an
+    attribute read `.method`, so that a bare name of another def does not
+    count for it."""
+    names, reads = _references(referencing)
+    out = []
+    for tree in defining:
         for node in tree.body:
             if not isinstance(node, DEFS):
                 continue
-            members = [(node.name, node.name)]
+            members = [(names, node.name, node.name)]
             if isinstance(node, ast.ClassDef):
-                members += [(m.name, "%s.%s" % (node.name, m.name))
+                members += [(reads, m.name, "%s.%s" % (node.name, m.name))
                             for m in node.body if isinstance(m, DEFS)]
-            test_only += [qualified for name, qualified in members
-                          if not (name.startswith("__") and name.endswith("__"))
-                          and not library[name]]
-    assert sorted(test_only) == sorted(KEPT)
-    assert [name for name in KEPT if not tests[name.split(".")[-1]]] == []
+            out += [qualified for counts, name, qualified in members
+                    if not (name.startswith("__") and name.endswith("__"))
+                    and not counts[name]]
+    return out
+
+
+def test_a_method_is_not_referenced_by_a_bare_name():
+    """A function `scale` elsewhere, which a count of bare names took for
+    a reference, does not reference the method `Vector.scale`; only an
+    attribute read does."""
+    library = ast.parse("class Vector:\n    def scale(self, c):\n        return c\n")
+    shadow = ast.parse("def scale(v):\n    return v\n\nscale(Vector())\n")
+    assert _references([shadow])[0]["scale"]
+    assert _unreferenced([library], [shadow]) == ["Vector.scale"]
+    assert _unreferenced([library], [shadow, ast.parse("v.scale = None")]) == ["Vector.scale"]
+    assert _unreferenced([library], [shadow, ast.parse("Vector().scale(2)")]) == []
+
+
+def test_library_names_only_the_tests_reach_are_the_kept_constructions():
+    """A non-dunder def or class of src/covol that no code in src/ or
+    perfbench/ references (`_unreferenced`) is in `KEPT`, and every name
+    in `KEPT` is such a def that a test reaches."""
+    src = _parsed(sorted(glob.glob(os.path.join(ROOT, "src", "covol", "*.py"))))
+    library = src + _parsed(sorted(glob.glob(
+        os.path.join(ROOT, "perfbench", "**", "*.py"), recursive=True)))
+    assert sorted(_unreferenced(src, library)) == sorted(KEPT)
+    tests = _parsed(sorted(glob.glob(os.path.join(HERE, "**", "*.py"), recursive=True)))
+    assert set(_unreferenced(src, tests)).isdisjoint(KEPT)

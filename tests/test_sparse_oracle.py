@@ -3,15 +3,17 @@
 Every sum in `coalgebra` adds its terms as `out[k] = out.get(k, 0) + v`,
 drops the zeros of a finished sum once (`_nonzero`), and every verifier
 accumulates lhs - rhs in one dict and fails exactly when a value is
-nonzero.  The accumulate-and-delete versions that preceded the rule are
-copied below as oracles; the map oracles read linear maps, so they are
-given the unit lift {s: {t: 1}} of each basis map.  On seeded random
-basis maps and sparse vectors, on damaged maps, and on the shipped
-coalgebras with cancelling term pairs and split terms inserted (intact or
-damaged), both must give equal results, witnesses, checked counts and
-raised `CoalgebraError`s.  No input of the differential part carries a
-zero coefficient: there the oracles raise `KeyError`, and the
-zero-coefficient cases at the end pin the zero-free answers instead.
+nonzero; `verify_coalgebra_map` first compares the two term lists and
+sums only where they differ.  The accumulate-and-delete versions that
+preceded the rule are copied below as oracles; the map oracles read
+linear maps, so they are given the unit lift {s: {t: 1}} of each basis
+map.  On seeded random basis maps and sparse vectors, on damaged maps,
+and on the shipped coalgebras with cancelling term pairs and split terms
+inserted (intact or damaged), both must give equal results, witnesses,
+checked counts and raised `CoalgebraError`s.  No input of the
+differential part carries a zero coefficient: there the oracles raise
+`KeyError`, and the zero-coefficient cases at the end pin the zero-free
+answers instead.
 """
 
 import collections
@@ -28,7 +30,9 @@ from covol.coalgebra import (
 from covol.exactlin import SparseVector, rref
 from covol.fixtures import all_fixtures, kronecker_fixture
 
-from corpus import COEFFS, _Perturbed, damaged_maps, oracle_verdict, unit_lift
+from corpus import (
+    COEFFS, _Perturbed, _Relisted, damaged_maps, oracle_verdict, tally_branches, unit_lift,
+)
 from oracles.iso_pair import compose_by_apply_map, composite_agrees
 from oracles.path_vectors import delta_vector
 
@@ -329,10 +333,21 @@ def test_coassociativity_matches_the_delete_oracle():
     assert seen["ok"] and seen["fail"], seen
 
 
+def _verify_both(seen, f, source, target):
+    """`verify_coalgebra_map`'s result, equal to the oracle's and tallied
+    by branch in `seen`."""
+    result = verify_coalgebra_map(f, source, target)
+    assert result == oracle_verdict(oracle_verify_coalgebra_map, f, source, target)
+    tally_branches(seen, result, f, source, target)
+    return result
+
+
 def test_verify_coalgebra_map_matches_the_delete_oracle():
     """The identity, a partial identity, a random basis map and the four
-    damaged identities of `damaged_maps`, on every fixture coalgebra; the
-    oracle reads their unit lifts."""
+    damaged identities of `damaged_maps`, on every fixture coalgebra and
+    between it and its relisted copies (`_Relisted`); the oracle reads
+    their unit lifts.  Both branches of the verifier, a term list equal to
+    the image's and one summed, are reached."""
     rng = random.Random(2014)
     seen = collections.Counter()
     for fx in all_fixtures():
@@ -344,22 +359,23 @@ def test_verify_coalgebra_map_matches_the_delete_oracle():
             maps += damaged_maps(rng, identity, len(symbols))
             targets = [coalg, _Perturbed(coalg, rng),
                        _Perturbed(coalg, rng, rng.choice(["coefficient", "drop", "counit"]))]
+            relisted = [_Relisted(coalg, how)
+                        for how in ("reversed", "cancel", "coefficient", "counit")]
+            pairs = [(source, target) for source in targets[:2] for target in targets]
+            pairs += [(coalg, r) for r in relisted] + [(r, coalg) for r in relisted]
             for damage, f in maps:
-                for source in targets[:2]:
-                    for target in targets:
-                        result = verify_coalgebra_map(f, source, target)
-                        assert result == oracle_verdict(
-                            oracle_verify_coalgebra_map, f, source, target)
-                        seen[damage, result[0]] += 1
+                for source, target in pairs:
+                    result = _verify_both(seen, f, source, target)
+                    seen[damage, result[0]] += 1
             if hasattr(coalg, "window"):
                 proj = smash_projection_map(coalg)
                 for source, target in ((coalg, coalg.base),
-                                       (_Perturbed(coalg, rng), _Perturbed(coalg.base, rng))):
-                    result = verify_coalgebra_map(proj, source, target)
-                    assert result == oracle_verdict(
-                        oracle_verify_coalgebra_map, proj, source, target)
+                                       (_Perturbed(coalg, rng), _Perturbed(coalg.base, rng)),
+                                       (coalg, _Relisted(coalg.base, "reversed"))):
+                    result = _verify_both(seen, proj, source, target)
                     assert result[0] and result[2]
     assert seen[None, True] and seen[None, False], seen
+    assert seen["list-equal"] and seen["summed"], seen
     # a dropped symbol is skipped, so only the count tells it
     assert all(seen[damage, False] for damage in
                ("wrong target", "swapped pair", "out of range")), seen
