@@ -230,15 +230,11 @@ class SubcoalgebraBasis:
     coproduct is expanded in the tensor basis through pivot coordinates.
     `coproduct`, `counit`, `label`, `row_vector` and `row_endpoints` raise
     `CoalgebraError` on an id outside `range(dimension)`.  A row entry
-    outside `range(N)`, N = len(pindex), is refused here, so the escape
-    check's tensor key l * N + r is injective: its l and r are row entries
-    or splitting-table ids, all in range(N).
+    outside `range(N)`, N = len(pindex), is refused here: a negative one
+    would read the splitting table from its end.
 
-    The escape check leaves out a pivot split (c, l, r) whose two rows are
-    each the unit {p: 1} at their own pivot, as every vertex and arrow row
-    of an admissible subcoalgebra is: the coproduct's c at key l * N + r
-    and the rebuild's -c * 1 * 1, at that key alone, cancel exactly.  Every
-    other factor, a non-unit or a hand-built {p: 2}, is rebuilt.
+    The spaces must span a subcoalgebra, and in this package only
+    `subcoalgebra_closure` and `full_subcoalgebra` build one.
     """
 
     def __init__(self, pindex, spaces):
@@ -254,7 +250,6 @@ class SubcoalgebraBasis:
         n = len(pindex)
         if not all(0 <= i < n for row in self._rows for i in row.entries):
             raise CoalgebraError("a row holds a path outside an index of %d paths" % n)
-        self._units = {p for p, sym in self._pivot_of.items() if self._rows[sym].entries == {p: 1}}
         self._coproduct_cache = {}
         self._counits = {}
 
@@ -303,27 +298,12 @@ class SubcoalgebraBasis:
             return self._coproduct_cache[sym]
         if not 0 <= sym < self.dimension:
             raise _no_symbol(self, sym)
-        rows, pivot_of, n = self._rows, self._pivot_of, len(self.pindex)
-        units, table, split = self._units, self.pindex._coproducts, self.pindex._split
-        diff, terms, rebuild = {}, [], []  # diff: Delta(row) at l * n + r, minus its rebuild
-        for i, c in rows[sym].entries.items():  # a splitting composes to i, so none repeats
+        pivot_of, table, split = self._pivot_of, self.pindex._coproducts, self.pindex._split
+        terms = []  # rows are fully reduced: a pivot pair's entry is its term
+        for i, c in self._rows[sym].entries.items():  # a splitting composes to i, so none repeats
             for _, l, r in (table[i] or split(i))[0]:
                 if l in pivot_of and r in pivot_of:
                     terms.append((c, pivot_of[l], pivot_of[r]))
-                    if l in units and r in units:
-                        continue  # +c and its rebuild -c * 1 * 1 cancel at this key
-                    rebuild.append(terms[-1])
-                diff[l * n + r] = c
-        for coeff, sl, sr in rebuild:
-            rvec = rows[sr].entries
-            for i, a in rows[sl].entries.items():
-                i *= n
-                for j, b in rvec.items():
-                    key = i + j
-                    diff[key] = diff.get(key, 0) - coeff * a * b
-        if any(diff.values()):
-            raise CoalgebraError("coproduct escapes the subcoalgebra at %r"
-                                 % self.label(sym))
         self._coproduct_cache[sym] = (terms, False)
         return self._coproduct_cache[sym]
 
@@ -341,7 +321,10 @@ def subcoalgebra_closure(pindex, generators):
 
     A worklist over one echelon: each vector is reduced once, and only a
     row that enlarged the span has its components queued.  Components are
-    linear, so the rows added span a space closed under them.
+    linear, so the rows added span a space D closed under them, and such a
+    D is a subcoalgebra: Delta(D) lies in (C (x) D) and in (D (x) C), whose
+    meet is D (x) D (Sweedler, Hopf Algebras, 1969, 2.2).  So nothing checks
+    the span after the worklist.
 
     An admissible subcoalgebra contains kQ0 + kQ1, so the echelon starts
     with the unit of every vertex and arrow as its own row, reduced against
@@ -396,10 +379,7 @@ def subcoalgebra_closure(pindex, generators):
         rows, pivots = by_pair.setdefault((src, tgt), ([], []))
         rows.append(SparseVector._wrap(row))
         pivots.append(p)
-    sub = SubcoalgebraBasis(pindex, {pair: Subspace(*rp) for pair, rp in by_pair.items()})
-    for sym in sub.symbols():
-        sub.coproduct(sym)  # raises if the span is not a subcoalgebra
-    return sub
+    return SubcoalgebraBasis(pindex, {pair: Subspace(*rp) for pair, rp in by_pair.items()})
 
 
 def full_subcoalgebra(pindex):
@@ -407,12 +387,9 @@ def full_subcoalgebra(pindex):
     (source, target) space is spanned by the units of its paths, which in
     increasing path order are its RREF: the basis `subcoalgebra_closure`
     of all units gives, built without the worklist."""
-    sub = SubcoalgebraBasis(pindex, {
+    return SubcoalgebraBasis(pindex, {
         pair: Subspace([SparseVector._wrap({i: 1}) for i in paths], list(paths))
         for pair, paths in pindex.by_pair.items()})
-    for sym in sub.symbols():
-        sub.coproduct(sym)  # raises if the span is not a subcoalgebra
-    return sub
 
 
 def minimal_partition(basis):

@@ -1,5 +1,5 @@
-"""Differential test of the subcoalgebra closure worklist, its basis
-assembly and the escape check.
+"""Differential test of the subcoalgebra closure worklist and its basis
+assembly, and the certificate that the span is a subcoalgebra.
 
 `subcoalgebra_closure` seeds its echelon with the unit of every vertex and
 arrow as a row, with no `_Echelon.add`, and queues only components that
@@ -12,15 +12,18 @@ alike.  A wrapper on `_Echelon.add`, installed only here, counts the
 echelon adds each one makes.
 
 The closure then reads its basis straight off the echelon rows, taking
-each row's endpoint pair from its pivot, and `SubcoalgebraBasis.coproduct`
-keys its escape check on the int l * N + r.  The assembly that preceded
-them (`endpoints` per row over `echelon.subspace()`, `min` pivots) and the
-tuple-keyed escape check over `delta_vector` are copied below too, on the
-helpers kept in `oracles.path_vectors`.  On the same worklist, both must
-give the same spaces, rows entry by entry, pivots, symbol order and
-coproduct terms in order, or the same error.  The oracle check rebuilds
-every pivot split; the escape check leaves out a split whose two rows are
-units at their pivots, so the comparison covers that shortcut too.
+each row's endpoint pair from its pivot.  The assembly that preceded it
+(`endpoints` per row over `echelon.subspace()`, `min` pivots) is copied
+below too, on the helpers kept in `oracles.path_vectors`.  On the same
+worklist, both must give the same spaces, rows entry by entry, pivots,
+symbol order and coproduct terms in order, or the same error.
+
+A space closed under both one-sided coproduct components is a
+subcoalgebra, so `SubcoalgebraBasis.coproduct` checks nothing.
+`OracleBasis` is the certificate: it rebuilds each coproduct from its
+terms over `delta_vector` and raises where the span is not closed, and
+`oracle_assembly` runs it on every symbol of every closure the oracle
+comparisons build.
 """
 
 import importlib.util
@@ -42,6 +45,7 @@ from covol.fixtures import (
 )
 from covol.quiver import Quiver
 
+import corpus
 from corpus import ROOT
 from oracles.identity_fiber import RootedPathIndex
 from oracles.path_vectors import delta_vector, endpoints
@@ -210,10 +214,10 @@ def _recorded_closures(monkeypatch, build):
         seen.append((pindex, generators))
         return subcoalgebra_closure(pindex, generators)
 
-    for module in (coalgebra, fixtures, workspace):
+    for module in (coalgebra, corpus, fixtures, workspace):
         monkeypatch.setattr(module, "subcoalgebra_closure", record)
     build()
-    for module in (coalgebra, fixtures, workspace):
+    for module in (coalgebra, corpus, fixtures, workspace):
         monkeypatch.setattr(module, "subcoalgebra_closure", subcoalgebra_closure)
     return seen
 
@@ -385,7 +389,7 @@ def test_closure_raises_as_the_oracle_does(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the basis read off the echelon and the int-keyed escape check
+# the basis read off the echelon and its certificate
 
 
 def _dump(basis):
@@ -407,24 +411,11 @@ def _dump_outcome(closure, pindex, gens):
         return None, (type(exc), str(exc))
 
 
-def _split_counts(basis):
-    """(left out, rebuilt): the pivot splits of every coproduct whose two
-    rows are each the unit at its own pivot, which the escape check leaves
-    out, and the other pivot splits, which it rebuilds.  Read off the terms
-    and the rows alone."""
-    pivots = [basis.spaces[pair].pivots[k] for pair, k in basis.basis_rows]
-    unit = [basis.row_vector(sym).entries == {p: 1} for sym, p in enumerate(pivots)]
-    splits = [(l, r) for sym in basis.symbols() for _, l, r in basis.coproduct(sym)[0]]
-    left_out = sum(unit[l] and unit[r] for l, r in splits)
-    return left_out, len(splits) - left_out
-
-
 def _assert_same_basis(pindex, gens):
     """The closure and the oracle assembly on the same worklist agree and
-    neither raises; returns the closure's `_split_counts`."""
+    neither raises."""
     basis = subcoalgebra_closure(pindex, gens)
     assert (_dump(basis), None) == _dump_outcome(oracle_worklist_closure, pindex, gens)
-    return _split_counts(basis)
 
 
 def test_basis_off_the_echelon_matches_the_oracle_assembly(monkeypatch):
@@ -439,33 +430,22 @@ def test_basis_off_the_echelon_matches_the_oracle_assembly(monkeypatch):
     assert len(cases) == 26
     for case in cases:
         _assert_same_basis(*case)
-    # the fixtures built by `full_subcoalgebra` run the same escape check
+    # the certificate accepts every fixture's basis, `full_subcoalgebra`'s too
     for fx in all_fixtures():
         oracle = OracleBasis(fx.pindex, fx.basis.spaces)
         assert _dump(fx.basis) == _dump(oracle)
 
 
-def test_share_of_escape_splits_left_out(monkeypatch):
-    """The unit pairs are most of the escape check's pivot splits: 3,091
-    of 3,501 (88%) over the 11 `build_verify` closures at seed 11, and 123
-    of 131 (94%) over the six fixtures, whose terms the test above holds
-    to the oracle's."""
-    bench = [subcoalgebra_closure(*case) for case in _benchmark_closures(monkeypatch)]
-    fixture_bases = [fx.basis for fx in all_fixtures()]
-    for bases, want in [(bench, (3091, 410)), (fixture_bases, (123, 8))]:
-        assert tuple(map(sum, zip(*map(_split_counts, bases)))) == want
-
-
-def test_basis_off_the_echelon_matches_on_random_generators():
+def test_basis_off_the_echelon_matches_on_random_generators(monkeypatch):
     """Seeded generator sets, endpoint-pure and mixed, on the sl2q, tri, uv
-    and double-loop quivers at truncation 2 to 4.  Over them the escape
-    check both leaves unit pairs out and rebuilds other splits, with the
-    oracle's terms."""
-    rng = random.Random(2023)
+    and double-loop quivers at truncation 2 to 4, and one draw each of the
+    closures that `corpus` feeds the theorem crosschecks, which the
+    certificate checks here."""
+    rng, corpus_rng = random.Random(2023), random.Random(2027)
     quivers = [sl2_fixture(4).quiver, tri_fixture("ac").quiver,
                Quiver(["u", "v"], [("a", "u", "v"), ("b", "u", "v"), ("c", "v", "u")]),
                double_loop_fixture().quiver]
-    counts = []
+    cases = 0
     for quiver in quivers:
         for truncation in (2, 3, 4):
             pindex = PathIndex(quiver, truncation)
@@ -474,10 +454,13 @@ def test_basis_off_the_echelon_matches_on_random_generators():
                     gens = _random_generators(rng, pindex)
                 else:
                     gens = _pure_generators(rng, pindex)
-                counts.append(_assert_same_basis(pindex, gens))
-    assert len(counts) == 72
-    left_out, rebuilt = map(sum, zip(*counts))
-    assert left_out > 0 and rebuilt > 0
+                _assert_same_basis(pindex, gens)
+                cases += 1
+            for draw in (corpus._parallel_sums, corpus._random_subcoalgebra):
+                (case,) = _recorded_closures(monkeypatch, lambda: draw(corpus_rng, pindex))
+                _assert_same_basis(*case)
+                cases += 1
+    assert cases == 72 + 24
 
 
 def test_assembly_raises_as_the_oracle_does(monkeypatch):
@@ -519,20 +502,11 @@ def _coproduct_outcomes(basis):
     return out
 
 
-def _assert_escapes_as_the_oracle(pindex, spaces):
-    """The int-keyed check and the tuple-keyed one give every symbol the
-    same terms or the same error, and some symbol escapes."""
-    got = _coproduct_outcomes(SubcoalgebraBasis(pindex, spaces))
-    assert got == _coproduct_outcomes(OracleBasis(pindex, spaces))
-    assert any(isinstance(o, tuple) and o[1].startswith("coproduct escapes the subcoalgebra at ")
-               for o in got)
-
-
 def test_escape_check_raises_at_the_oracle_symbol():
     """The spaces of sl2_fixture(4) and of the full double loop, each with
-    one arrow row removed, are not closed.  Every row of the double loop is
-    a unit, so all its pivot splits are left out, and only the splits
-    through the missing arrow find the escape."""
+    one arrow row removed, are not closed, and the certificate refuses some
+    symbol of each.  At every symbol it accepts, `SubcoalgebraBasis`, which
+    checks nothing, gives the certificate's terms."""
     raised = 0
     for fx in (sl2_fixture(4), double_loop_fixture()):
         for pair, space in fx.basis.spaces.items():
@@ -542,38 +516,21 @@ def test_escape_check_raises_at_the_oracle_symbol():
                 spaces = dict(fx.basis.spaces)
                 spaces[pair] = Subspace(space.rows[:k] + space.rows[k + 1:],
                                         space.pivots[:k] + space.pivots[k + 1:])
-                _assert_escapes_as_the_oracle(fx.pindex, spaces)
+                want = _coproduct_outcomes(OracleBasis(fx.pindex, spaces))
+                assert any(isinstance(o, tuple) and
+                           o[1].startswith("coproduct escapes the subcoalgebra at ")
+                           for o in want)
+                basis = SubcoalgebraBasis(fx.pindex, spaces)
+                for sym, o in enumerate(want):
+                    if isinstance(o, list):
+                        assert basis.coproduct(sym)[0] == o
                 raised += 1
     assert raised == 6 + 2
 
 
-def test_a_single_entry_row_off_the_unit_is_rebuilt():
-    """A hand-built row {p: 2} in place of a unit row, or a unit row {p: 1}
-    standing at another pivot q (two rows' pivots swapped), is no unit at
-    its pivot, so its splits go through the rebuild: at every unit row of
-    sl2_fixture(4) and of the full double loop (11 of 13 rows and 15 of
-    15), the verdict and the terms are the oracle's."""
-    cases = 0
-    for fx in (sl2_fixture(4), double_loop_fixture()):
-        for pair, space in fx.basis.spaces.items():
-            for k, p in enumerate(space.pivots):
-                if space.rows[k].entries != {p: 1}:
-                    continue
-                rows, pivots = list(space.rows), list(space.pivots)
-                rows[k] = SparseVector({p: 2})
-                variants = [Subspace(rows, space.pivots)]
-                if k + 1 < len(pivots):
-                    pivots[k], pivots[k + 1] = pivots[k + 1], pivots[k]
-                    variants.append(Subspace(space.rows, pivots))
-                for variant in variants:
-                    _assert_escapes_as_the_oracle(fx.pindex, {**fx.basis.spaces, pair: variant})
-                    cases += 1
-    assert cases == 26 + 17  # scaled rows, swapped pivots (3 in sl2, 14 in the loop)
-
-
 def test_a_row_outside_the_index_is_refused():
     """A row entry outside range(len(pindex)) would wrap round the
-    splitting table or break the int key's injectivity."""
+    splitting table or read past it."""
     fx = sl2_fixture(4)
     n = len(fx.pindex)
     for bad in (-1, -n, n, n + 1, 2 * n):

@@ -64,7 +64,7 @@ def test_test_modules_import_shared_code_only_from_corpus_and_oracles():
                 bad.append((path, node.module))
     assert bad == []
     assert sorted(name for name in os.listdir(HERE) if name.endswith(".py")
-                  and not name.startswith("test_")) == ["conftest.py", "corpus.py"]
+                  and not name.startswith("test_")) == ["conftest.py", "corpus.py", "mutants.py"]
 
 
 def _normalised(node):
