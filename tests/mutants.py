@@ -11,8 +11,7 @@ worklist does) or `error` (pytest stopped for another reason, such as a
 collection error).  The selections first run on an unmutated copy, so a
 kill is never a test that already fails.
 
-Usage: python tests/mutants.py [id ...], with covol importable (installed,
-or PYTHONPATH=src), as the repository root comes from `corpus`.
+Usage: python tests/mutants.py (runs the whole catalogue).
 
 Prints one markdown table row per mutant and exits 1 when an outcome
 differs from its expectation, 2 when the unmutated selections fail.
@@ -25,8 +24,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-
-from corpus import ROOT
 
 TIMEOUT = 300  # seconds per mutant; a targeted selection takes a few
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache")
@@ -45,16 +42,16 @@ def _run_selection(checkout, select):
     return {0: "passed", 1: "killed"}.get(proc.returncode, "error")
 
 
-def _copy(tmp):
+def _copy(root, tmp):
     checkout = os.path.join(tmp, "checkout")
-    shutil.copytree(ROOT, checkout, ignore=IGNORE)
+    shutil.copytree(root, checkout, ignore=IGNORE)
     return checkout
 
 
-def run_mutant(entry):
-    """Apply one mutant to a fresh copy and run its selection."""
+def run_mutant(root, entry):
+    """Apply one mutant to a fresh copy of `root` and run its selection."""
     with tempfile.TemporaryDirectory() as tmp:
-        checkout = _copy(tmp)
+        checkout = _copy(root, tmp)
         path = os.path.join(checkout, entry["file"])
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -67,14 +64,13 @@ def run_mutant(entry):
     return "survived" if outcome == "passed" else outcome
 
 
-def main(ids):
-    with open(os.path.join(ROOT, "tests", "mutants.json"), encoding="utf-8") as f:
+def main():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "tests", "mutants.json"), encoding="utf-8") as f:
         entries = json.load(f)
-    if ids:
-        entries = [e for e in entries if e["id"] in ids]
     select = sorted({t for e in entries for t in e["select"]})
     with tempfile.TemporaryDirectory() as tmp:
-        baseline = _run_selection(_copy(tmp), select)
+        baseline = _run_selection(_copy(root, tmp), select)
     if baseline != "passed":
         print("the selections do not pass unmutated: %s" % baseline)
         return 2
@@ -82,11 +78,11 @@ def main(ids):
     print("|---|---|---|")
     unexpected = 0
     for entry in entries:
-        outcome = run_mutant(entry)
+        outcome = run_mutant(root, entry)
         unexpected += outcome != entry["expect"]
         print("| %s | %s | %s |" % (entry["id"], outcome, entry["expect"]), flush=True)
     return 1 if unexpected else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
